@@ -2,7 +2,8 @@
 //!
 //! These are the inner loops every figure regeneration spends its time
 //! in: turbo encoding/decoding, the 3GPP interleaver construction, MMSE
-//! design, soft demapping, faulty-memory reads and the yield evaluation.
+//! design, soft demapping, faulty-memory reads, the SECDED buffer round
+//! trip and the yield evaluation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -11,11 +12,14 @@ use dsp::rng::{complex_gaussian_vec, random_bits, seeded};
 use dsp::LlrQuantizer;
 use hspa_phy::channel::{ChannelModel, MultipathChannel};
 use hspa_phy::equalizer::MmseEqualizer;
+use hspa_phy::harq::LlrBuffer;
 use hspa_phy::modulation::Modulation;
 use hspa_phy::turbo::{
     AccuracyTier, DecodeResult, DecoderConfig, TurboBatchScratch, TurboCode, TurboInterleaver,
     TurboScratch,
 };
+use resilience_core::EccLlrBuffer;
+use silicon::ecc::Secded;
 use silicon::fault_map::{FaultKind, FaultMap};
 use silicon::yield_model::yield_accepting;
 
@@ -146,6 +150,26 @@ fn bench_silicon(c: &mut Criterion) {
                 acc ^= mem.read(a);
             }
             black_box(acc)
+        });
+    });
+    group.bench_function("secded_roundtrip_1884w", |b| {
+        // The SECDED baseline's HARQ round trip at 10 % defects:
+        // quantize, encode, corrupt, decode and dequantize every word.
+        let code = Secded::new(q.bits());
+        let map = FaultMap::random_exact(
+            1884,
+            code.codeword_bits(),
+            1884 * code.codeword_bits() as usize / 10,
+            FaultKind::Flip,
+            3,
+        );
+        let mut buf = EccLlrBuffer::new(map, q);
+        let llrs: Vec<f64> = (0..1884).map(|a| a as f64 * 0.01 - 9.0).collect();
+        let mut data = llrs.clone();
+        b.iter(|| {
+            data.copy_from_slice(&llrs);
+            buf.store_load(&mut data);
+            black_box(data[0])
         });
     });
     group.bench_function("fault_map_draw_10pct", |b| {

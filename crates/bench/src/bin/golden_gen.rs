@@ -17,8 +17,9 @@ use rand::SeedableRng;
 
 use hspa_phy::turbo::{AccuracyTier, DecoderConfig, TurboBatchScratch};
 use resilience_core::config::{ChannelKind, SystemConfig};
-use resilience_core::montecarlo::{build_buffer, StorageConfig};
+use resilience_core::montecarlo::{build_buffer, DefectSpec, StorageConfig};
 use resilience_core::simulator::{LinkSimulator, PacketScratch};
+use silicon::fault_map::FaultKind;
 
 /// FNV-1a 64-bit, the same fold the golden test applies.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>, seed: u64) -> u64 {
@@ -140,6 +141,13 @@ fn outcome_cases(tier: AccuracyTier) {
                     ("perfect", StorageConfig::Perfect),
                     ("quantized", StorageConfig::Quantized),
                     ("faulty10", StorageConfig::unprotected(0.10, cfg.llr_bits)),
+                    (
+                        "secded10",
+                        StorageConfig::Ecc {
+                            defects: DefectSpec::Fraction(0.10),
+                            fault_kind: FaultKind::Flip,
+                        },
+                    ),
                 ]
             } else {
                 &[

@@ -254,34 +254,46 @@ impl LlrBuffer for EccLlrBuffer {
             self.memory.words() as usize,
             "buffer length mismatch"
         );
-        for (addr, &l) in llrs.iter().enumerate() {
-            let data = self.quantizer.quantize(l);
-            self.memory.write(addr as u32, self.code.encode(data));
-        }
+        let (q, code) = (self.quantizer, self.code);
+        self.memory
+            .fill_from(llrs.iter().map(|&l| code.encode(q.quantize(l))));
     }
 
     fn load(&self) -> Vec<f64> {
-        (0..self.memory.words())
-            .map(|addr| {
-                let (data, _outcome) = self.code.decode(self.memory.read(addr));
-                self.quantizer.dequantize(data)
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.load_into(&mut out);
+        out
     }
 
     fn load_into(&self, out: &mut Vec<f64>) {
+        let (q, code) = (self.quantizer, self.code);
+        let words = self.memory.words() as usize;
         out.clear();
-        out.extend((0..self.memory.words()).map(|addr| {
-            let (data, _outcome) = self.code.decode(self.memory.read(addr));
-            self.quantizer.dequantize(data)
-        }));
+        out.reserve(words);
+        self.memory
+            .read_stream(words, |w| out.push(q.dequantize(code.decode(w).0)));
+    }
+
+    fn store_load(&mut self, data: &mut Vec<f64>) {
+        assert_eq!(
+            data.len(),
+            self.memory.words() as usize,
+            "buffer length mismatch"
+        );
+        // quantize → encode → store → corrupt → decode → dequantize in one
+        // sweep, exactly store + load_into without the second walk.
+        let (q, code) = (self.quantizer, self.code);
+        self.memory.write_read_all(
+            data,
+            |&l| code.encode(q.quantize(l)),
+            |w| q.dequantize(code.decode(w).0),
+        );
     }
 
     fn reset(&mut self) {
         let zero = self.code.encode(self.quantizer.quantize(0.0));
-        for addr in 0..self.memory.words() {
-            self.memory.write(addr, zero);
-        }
+        self.memory
+            .fill_from(std::iter::repeat_n(zero, self.memory.words() as usize));
     }
 }
 
@@ -499,6 +511,39 @@ mod tests {
         // Words 1..4 are clean; word 0 is unreliable (double error).
         for &x in &out[1..] {
             assert!((x - 8.0).abs() <= q.step());
+        }
+    }
+
+    #[test]
+    fn fused_round_trip_equals_store_then_load() {
+        // `store_load` must be exactly `store` + `load_into`, state
+        // included, on every storage kind (dense faults so SECDED sees
+        // clean, corrected and double-error words alike).
+        fn check(mut fused: impl LlrBuffer + Clone, label: &str) {
+            let mut split = fused.clone();
+            let v: Vec<f64> = (0..fused.capacity())
+                .map(|i| (i as f64 * 0.73).sin() * 40.0)
+                .collect();
+            let mut data = v.clone();
+            fused.store_load(&mut data);
+            split.store(&v);
+            assert_eq!(data, split.load(), "{label}: round trip");
+            assert_eq!(fused.load(), split.load(), "{label}: stored state");
+        }
+        let q = q10();
+        let words = 256;
+        let ecc_bits = Secded::new(10).codeword_bits();
+        check(QuantizedLlrBuffer::new(words as usize, q), "quantized");
+        check(
+            FaultyLlrBuffer::new(
+                FaultMap::random_exact(words, 10, 256, FaultKind::Flip, 11),
+                q,
+            ),
+            "faulty",
+        );
+        for kind in [FaultKind::Flip, FaultKind::StuckAt0, FaultKind::StuckAt1] {
+            let map = FaultMap::random_exact(words, ecc_bits, 384, kind, 12);
+            check(EccLlrBuffer::new(map, q), "secded");
         }
     }
 

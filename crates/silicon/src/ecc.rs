@@ -6,6 +6,16 @@
 //! 10-bit word). This module implements parameterized Hamming SECDED so
 //! the comparison can be reproduced in simulation, not just in the area
 //! model.
+//!
+//! The codec sits on the HARQ storage hot path (every combine encodes,
+//! stores, reads back and decodes the whole soft buffer), so it is
+//! branch-free mask arithmetic valid for every width `1..=26`: data bits
+//! move into and out of the four runs of non-power-of-two codeword
+//! positions (3, 5–7, 9–15, 17–31) with one shift and mask per run, each
+//! Hamming parity or syndrome bit `p` is the parity of a popcount under
+//! the fixed mask `0xAAAAAAAA`, `0xCCCCCCCC`, `0xF0F0F0F0`, … restricted
+//! to positions `1..=n`, and a single error is corrected by an
+//! unconditional XOR whose shift is the syndrome.
 
 use serde::{Deserialize, Serialize};
 
@@ -88,39 +98,38 @@ impl Secded {
         self.codeword_bits() as f64 / self.data_bits as f64 - 1.0
     }
 
+    /// Hamming positions `1..=n` of the codeword as a bit mask.
+    #[inline]
+    fn hamming_span(&self) -> u32 {
+        let n = (self.data_bits + self.parity_bits) as u32; // 3..=31
+        (u32::MAX >> (31 - n)) & !1
+    }
+
     /// Encodes `data` (low `data_bits` bits) into a SECDED codeword.
     ///
     /// Codeword layout: bits 1..=n are the Hamming codeword (1-indexed,
-    /// parity at powers of two), bit 0 is the overall parity.
+    /// parity at powers of two), bit 0 is the overall parity. The data
+    /// bits fill the four runs of non-power-of-two positions in order —
+    /// bit 0 at position 3, bits 1–3 at 5–7, bits 4–10 at 9–15 and bits
+    /// 11–25 at 17–31 — and are deposited with one shift and mask per
+    /// run. Parity bit `2^p` is the parity of the positions in `1..=n`
+    /// whose index has bit `p` set: a popcount of the codeword under the
+    /// fixed mask `PARITY_GROUPS[p]` (`0xAAAAAAAA`, `0xCCCCCCCC`, …).
+    /// Data bits at or above `data_bits` are ignored.
+    #[inline]
     pub fn encode(&self, data: u32) -> u32 {
-        let n = (self.data_bits + self.parity_bits) as u32;
-        let mut cw = 0u32; // 1-indexed Hamming positions stored at bit p
-                           // Place data bits at non-power-of-two positions.
-        let mut d = 0u8;
-        for pos in 1..=n {
-            if !pos.is_power_of_two() {
-                if (data >> d) & 1 != 0 {
-                    cw |= 1 << pos;
-                }
-                d += 1;
-            }
-        }
-        // Compute parity bits.
-        for p in 0..self.parity_bits {
-            let pp = 1u32 << p;
-            let mut parity = 0u32;
-            for pos in 1..=n {
-                if pos & pp != 0 {
-                    parity ^= (cw >> pos) & 1;
-                }
-            }
-            if parity != 0 {
-                cw |= 1 << pp;
-            }
+        let mut cw = DATA_RUNS
+            .iter()
+            .fold(0, |cw, &(mask, shift)| cw | ((data & mask) << shift))
+            & self.hamming_span();
+        // Parity positions are not in the data runs, and a group never
+        // covers another group's parity position, so every parity bit
+        // is a function of the data positions alone.
+        for (p, &group) in PARITY_GROUPS.iter().enumerate() {
+            cw |= ((cw & group).count_ones() & 1) << (1u32 << p);
         }
         // Overall parity over all Hamming bits, stored at bit 0.
-        let overall = (cw >> 1).count_ones() & 1;
-        cw | overall
+        cw | ((cw >> 1).count_ones() & 1)
     }
 
     /// Decodes a (possibly corrupted) codeword.
@@ -128,52 +137,218 @@ impl Secded {
     /// Returns the recovered data and the [`DecodeOutcome`]. On
     /// [`DecodeOutcome::DoubleError`] the returned data is a best-effort
     /// extraction of the uncorrected payload.
+    ///
+    /// The syndrome is built with the same popcount masks as
+    /// [`Secded::encode`], over positions `1..=n` only; the overall
+    /// parity check covers every bit of `cw` above bit 0, so stray bits
+    /// above the codeword width count against it. A failed overall check
+    /// with a syndrome inside the word is a single error at that position
+    /// (syndrome 0: the overall parity bit itself). The correction is a
+    /// branch-free XOR and the outcome a table lookup, so decode costs
+    /// the same whether or not the word was hit.
+    #[inline]
     pub fn decode(&self, cw: u32) -> (u32, DecodeOutcome) {
         let n = (self.data_bits + self.parity_bits) as u32;
-        // Syndrome.
+        let hamming = cw & self.hamming_span();
         let mut syndrome = 0u32;
-        for p in 0..self.parity_bits {
-            let pp = 1u32 << p;
+        for (p, &group) in PARITY_GROUPS.iter().enumerate() {
+            syndrome |= ((hamming & group).count_ones() & 1) << p;
+        }
+        let overall_ok = ((cw >> 1).count_ones() & 1) == (cw & 1);
+        let single = !overall_ok & (syndrome <= n);
+        let clean = overall_ok & (syndrome == 0);
+        let fixed = cw ^ ((single as u32) << syndrome);
+        // `single` and `clean` exclude each other: index 3 is unreachable.
+        const OUTCOMES: [DecodeOutcome; 4] = [
+            DecodeOutcome::DoubleError,
+            DecodeOutcome::Clean,
+            DecodeOutcome::Corrected,
+            DecodeOutcome::Corrected,
+        ];
+        let outcome = OUTCOMES[((single as usize) << 1) | clean as usize];
+        (self.extract(fixed), outcome)
+    }
+
+    /// Extracts the data bits from a codeword without checking parity:
+    /// the four data runs of [`Secded::encode`] shifted back into place.
+    #[inline]
+    pub fn extract(&self, cw: u32) -> u32 {
+        let data = DATA_RUNS
+            .iter()
+            .fold(0, |data, &(mask, shift)| data | ((cw >> shift) & mask));
+        data & ((1u32 << self.data_bits) - 1)
+    }
+}
+
+/// Hamming parity groups: bit `pos` of `PARITY_GROUPS[p]` is set when
+/// codeword position `pos` has bit `p` set, so parity bit `2^p` checks
+/// exactly the positions under this mask. Position 0 (the overall
+/// parity) is in no group, and for a code with `r` parity bits the
+/// groups `p >= r` cover no position in `1..=n`.
+const PARITY_GROUPS: [u32; 5] = [
+    0xAAAA_AAAA,
+    0xCCCC_CCCC,
+    0xF0F0_F0F0,
+    0xFF00_FF00,
+    0xFFFF_0000,
+];
+
+/// The four runs of non-power-of-two codeword positions as `(data mask,
+/// shift)`: data bit 0 → position 3, bits 1–3 → 5–7, bits 4–10 → 9–15,
+/// bits 11–25 → 17–31.
+const DATA_RUNS: [(u32, u32); 4] = [(0x1, 3), (0xE, 4), (0x7F0, 5), (0x3FF_F800, 6)];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The position-by-position loop codec the mask codec replaced,
+    /// kept as the oracle it must match bit for bit.
+    mod oracle {
+        use super::super::{DecodeOutcome, Secded};
+
+        fn extract(code: &Secded, cw: u32) -> u32 {
+            let n = (code.data_bits() + code.parity_bits()) as u32;
+            let mut data = 0u32;
+            let mut d = 0u8;
+            for pos in 1..=n {
+                if !pos.is_power_of_two() {
+                    data |= ((cw >> pos) & 1) << d;
+                    d += 1;
+                }
+            }
+            data
+        }
+
+        fn group_parity(cw: u32, n: u32, pp: u32) -> u32 {
             let mut parity = 0u32;
             for pos in 1..=n {
                 if pos & pp != 0 {
                     parity ^= (cw >> pos) & 1;
                 }
             }
-            if parity != 0 {
-                syndrome |= pp;
-            }
+            parity
         }
-        let overall_ok = ((cw >> 1).count_ones() & 1) == (cw & 1);
-        let (fixed, outcome) = match (syndrome, overall_ok) {
-            (0, true) => (cw, DecodeOutcome::Clean),
-            (0, false) => (cw ^ 1, DecodeOutcome::Corrected), // overall parity bit itself flipped
-            (s, false) if s <= n => (cw ^ (1 << s), DecodeOutcome::Corrected),
-            (_, false) => (cw, DecodeOutcome::DoubleError), // syndrome points outside word
-            (_, true) => (cw, DecodeOutcome::DoubleError),
-        };
-        (self.extract(fixed), outcome)
+
+        pub fn encode(code: &Secded, data: u32) -> u32 {
+            let n = (code.data_bits() + code.parity_bits()) as u32;
+            let mut cw = 0u32;
+            let mut d = 0u8;
+            for pos in 1..=n {
+                if !pos.is_power_of_two() {
+                    if (data >> d) & 1 != 0 {
+                        cw |= 1 << pos;
+                    }
+                    d += 1;
+                }
+            }
+            for p in 0..code.parity_bits() {
+                let pp = 1u32 << p;
+                if group_parity(cw, n, pp) != 0 {
+                    cw |= 1 << pp;
+                }
+            }
+            let overall = (cw >> 1).count_ones() & 1;
+            cw | overall
+        }
+
+        pub fn decode(code: &Secded, cw: u32) -> (u32, DecodeOutcome) {
+            let n = (code.data_bits() + code.parity_bits()) as u32;
+            let mut syndrome = 0u32;
+            for p in 0..code.parity_bits() {
+                let pp = 1u32 << p;
+                if group_parity(cw, n, pp) != 0 {
+                    syndrome |= pp;
+                }
+            }
+            let overall_ok = ((cw >> 1).count_ones() & 1) == (cw & 1);
+            let (fixed, outcome) = match (syndrome, overall_ok) {
+                (0, true) => (cw, DecodeOutcome::Clean),
+                (0, false) => (cw ^ 1, DecodeOutcome::Corrected),
+                (s, false) if s <= n => (cw ^ (1 << s), DecodeOutcome::Corrected),
+                (_, false) => (cw, DecodeOutcome::DoubleError),
+                (_, true) => (cw, DecodeOutcome::DoubleError),
+            };
+            (extract(code, fixed), outcome)
+        }
     }
 
-    /// Extracts the data bits from a codeword without checking parity.
-    pub fn extract(&self, cw: u32) -> u32 {
-        let n = (self.data_bits + self.parity_bits) as u32;
-        let mut data = 0u32;
-        let mut d = 0u8;
-        for pos in 1..=n {
-            if !pos.is_power_of_two() {
-                data |= ((cw >> pos) & 1) << d;
-                d += 1;
+    /// splitmix64: a self-contained stream of test inputs.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn assert_matches_oracle(c: &Secded, cw: u32) {
+        assert_eq!(
+            c.decode(cw),
+            oracle::decode(c, cw),
+            "width {} decode of {cw:#010x}",
+            c.data_bits()
+        );
+    }
+
+    #[test]
+    fn encode_matches_oracle_on_every_data_word() {
+        // Every data word up to 16 bits, every single-bit word above
+        // that (both encoders are linear over GF(2), so these alone pin
+        // the map), and random `u32` inputs with stray bits above the
+        // data width at every width.
+        let mut state = 0x5ec_ded;
+        for k in 1..=26u8 {
+            let c = Secded::new(k);
+            let words: Vec<u32> = if k <= 16 {
+                (0..1u32 << k).collect()
+            } else {
+                (0..k).map(|b| 1u32 << b).collect()
+            };
+            let random = (0..10_000).map(|_| splitmix(&mut state) as u32);
+            for data in words.into_iter().chain(random) {
+                assert_eq!(
+                    c.encode(data),
+                    oracle::encode(&c, data),
+                    "width {k} data {data:#x}"
+                );
             }
         }
-        data
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
+    #[test]
+    fn decode_matches_oracle_exhaustively_up_to_12_bits() {
+        // Every pattern of the codeword bits and the bit just above them,
+        // each also under stray bits higher up — the overall parity
+        // check counts stray bits, the syndrome and extraction must not.
+        for k in 1..=12u8 {
+            let c = Secded::new(k);
+            let width = c.codeword_bits() as u32 + 1;
+            let above = u32::MAX << width;
+            for low in 0..1u32 << width {
+                for stray in [0, 1 << 31, above & 0x5555_5555, above] {
+                    assert_matches_oracle(&c, low | stray);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_matches_oracle_on_random_words_from_13_bits() {
+        let mut state = 0xc0de_3042;
+        for k in 13..=26u8 {
+            let c = Secded::new(k);
+            let in_width = (1u64 << c.codeword_bits()) - 1;
+            for i in 0..100_000 {
+                let r = splitmix(&mut state);
+                // Half the inputs are confined to the codeword, half carry
+                // stray high bits.
+                let cw = if i % 2 == 0 { r & in_width } else { r } as u32;
+                assert_matches_oracle(&c, cw);
+            }
+        }
+    }
 
     #[test]
     fn parameters_for_10_bits() {

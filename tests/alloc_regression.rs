@@ -14,8 +14,9 @@
 use rand::SeedableRng;
 
 use resilience_core::config::{ChannelKind, SystemConfig};
-use resilience_core::montecarlo::{build_buffer, StorageConfig};
+use resilience_core::montecarlo::{build_buffer, DefectSpec, StorageConfig};
 use resilience_core::simulator::{LinkSimulator, PacketScratch};
+use silicon::fault_map::FaultKind;
 
 fn assert_steady_state(cfg: SystemConfig, storage: &StorageConfig, snr_db: f64, label: &str) {
     let sim = LinkSimulator::new(cfg);
@@ -75,6 +76,18 @@ fn paper_config_chain_is_allocation_free_after_warmup() {
     let cfg = SystemConfig::paper_64qam();
     let storage = StorageConfig::msb_protected(4, 0.10, cfg.llr_bits);
     assert_steady_state(cfg, &storage, 12.0, "paper/hybrid4msb");
+}
+
+#[test]
+fn paper_config_secded_chain_is_allocation_free_after_warmup() {
+    // The SECDED baseline: the fused encode/corrupt/decode round trip of
+    // `EccLlrBuffer` runs on every combine.
+    let cfg = SystemConfig::paper_64qam();
+    let storage = StorageConfig::Ecc {
+        defects: DefectSpec::Fraction(0.10),
+        fault_kind: FaultKind::Flip,
+    };
+    assert_steady_state(cfg, &storage, 12.0, "paper/secded10");
 }
 
 #[test]

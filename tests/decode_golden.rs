@@ -23,8 +23,9 @@
 use rand::SeedableRng;
 
 use resilience_core::config::{ChannelKind, SystemConfig};
-use resilience_core::montecarlo::{build_buffer, StorageConfig};
+use resilience_core::montecarlo::{build_buffer, DefectSpec, StorageConfig};
 use resilience_core::simulator::{LinkSimulator, PacketScratch};
+use silicon::fault_map::FaultKind;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -193,6 +194,9 @@ const GOLDEN_OUTCOMES: &[(&str, &str, &str, i32, u64, u64)] = &[
     ("fast", "awgn", "faulty10", 20, 6, 0xd9f734f085219ef5),
     ("fast", "awgn", "faulty10", 80, 6, 0x29c271638f720f45),
     ("fast", "awgn", "faulty10", 200, 6, 0x49be60fc79a8cf41),
+    ("fast", "awgn", "secded10", 20, 6, 0xd9f734f085219ef5),
+    ("fast", "awgn", "secded10", 80, 6, 0x29c271638f720f45),
+    ("fast", "awgn", "secded10", 200, 6, 0x49be60fc79a8cf41),
     ("fast", "peda", "perfect", 20, 6, 0x19c15993c1efe401),
     ("fast", "peda", "perfect", 80, 6, 0x5a424dd5ab3dbb5f),
     ("fast", "peda", "perfect", 200, 6, 0x49be60fc79a8cf41),
@@ -202,6 +206,9 @@ const GOLDEN_OUTCOMES: &[(&str, &str, &str, i32, u64, u64)] = &[
     ("fast", "peda", "faulty10", 20, 6, 0xd9f734f085219ef5),
     ("fast", "peda", "faulty10", 80, 6, 0xd84534bbb12e2805),
     ("fast", "peda", "faulty10", 200, 6, 0x01f001bc873e6759),
+    ("fast", "peda", "secded10", 20, 6, 0xd9f734f085219ef5),
+    ("fast", "peda", "secded10", 80, 6, 0x6b3b1961c6834675),
+    ("fast", "peda", "secded10", 200, 6, 0x0544f885d23d02ab),
     ("fast", "veha", "perfect", 20, 6, 0xd1fce184594bbc1d),
     ("fast", "veha", "perfect", 80, 6, 0xfc4a1ca68389c3ad),
     ("fast", "veha", "perfect", 200, 6, 0x471b534a13c8c9df),
@@ -211,6 +218,9 @@ const GOLDEN_OUTCOMES: &[(&str, &str, &str, i32, u64, u64)] = &[
     ("fast", "veha", "faulty10", 20, 6, 0xd9f734f085219ef5),
     ("fast", "veha", "faulty10", 80, 6, 0x6874abcb24c7a1f1),
     ("fast", "veha", "faulty10", 200, 6, 0xe4f498bf8b216625),
+    ("fast", "veha", "secded10", 20, 6, 0xd9f734f085219ef5),
+    ("fast", "veha", "secded10", 80, 6, 0x164d2e533041b751),
+    ("fast", "veha", "secded10", 200, 6, 0xd6a960752fa749cb),
     ("fast", "jakes", "perfect", 20, 6, 0xfa22e0a2553df037),
     ("fast", "jakes", "perfect", 80, 6, 0xc86dbf6d985fd0c9),
     ("fast", "jakes", "perfect", 200, 6, 0x49be60fc79a8cf41),
@@ -220,6 +230,9 @@ const GOLDEN_OUTCOMES: &[(&str, &str, &str, i32, u64, u64)] = &[
     ("fast", "jakes", "faulty10", 20, 6, 0xd9f734f085219ef5),
     ("fast", "jakes", "faulty10", 80, 6, 0x6b537167aa260761),
     ("fast", "jakes", "faulty10", 200, 6, 0xfcb0f498f25f902b),
+    ("fast", "jakes", "secded10", 20, 6, 0xd9f734f085219ef5),
+    ("fast", "jakes", "secded10", 80, 6, 0xb0f7b94a1cb49005),
+    ("fast", "jakes", "secded10", 200, 6, 0x195d48a37fbaef1b),
     ("paper", "awgn", "perfect", 20, 2, 0x2a7f8e7f8a2e2015),
     ("paper", "awgn", "perfect", 80, 2, 0x9e749290540f5425),
     ("paper", "awgn", "perfect", 200, 2, 0xb5d0e0774c7d7499),
@@ -229,6 +242,9 @@ const GOLDEN_OUTCOMES: &[(&str, &str, &str, i32, u64, u64)] = &[
     ("paper", "awgn", "faulty10", 20, 2, 0x2a7f8e7f8a2e2015),
     ("paper", "awgn", "faulty10", 80, 2, 0x2a7f8e7f8a2e2015),
     ("paper", "awgn", "faulty10", 200, 2, 0x9e749290540f5425),
+    ("paper", "awgn", "secded10", 20, 2, 0x2a7f8e7f8a2e2015),
+    ("paper", "awgn", "secded10", 80, 2, 0x2a7f8e7f8a2e2015),
+    ("paper", "awgn", "secded10", 200, 2, 0x9e749290540f5425),
     ("paper", "peda", "perfect", 20, 2, 0xefe0ae5e58971591),
     ("paper", "peda", "perfect", 80, 2, 0xe4843b87ef2757b3),
     ("paper", "peda", "perfect", 200, 2, 0xb5cd77774c7a8c57),
@@ -238,6 +254,9 @@ const GOLDEN_OUTCOMES: &[(&str, &str, &str, i32, u64, u64)] = &[
     ("paper", "peda", "faulty10", 20, 2, 0x2a7f8e7f8a2e2015),
     ("paper", "peda", "faulty10", 80, 2, 0x2a7f8e7f8a2e2015),
     ("paper", "peda", "faulty10", 200, 2, 0x9e6a5f905406a8f7),
+    ("paper", "peda", "secded10", 20, 2, 0x2a7f8e7f8a2e2015),
+    ("paper", "peda", "secded10", 80, 2, 0xefe0ae5e58971591),
+    ("paper", "peda", "secded10", 200, 2, 0xe46fd987ef160823),
     ("paper", "veha", "perfect", 20, 2, 0x2a7f8e7f8a2e2015),
     ("paper", "veha", "perfect", 80, 2, 0xe4843b87ef2757b3),
     ("paper", "veha", "perfect", 200, 2, 0xb5cd77774c7a8c57),
@@ -247,6 +266,9 @@ const GOLDEN_OUTCOMES: &[(&str, &str, &str, i32, u64, u64)] = &[
     ("paper", "veha", "faulty10", 20, 2, 0x2a7f8e7f8a2e2015),
     ("paper", "veha", "faulty10", 80, 2, 0x2a7f8e7f8a2e2015),
     ("paper", "veha", "faulty10", 200, 2, 0xefd31e5e588b9685),
+    ("paper", "veha", "secded10", 20, 2, 0x2a7f8e7f8a2e2015),
+    ("paper", "veha", "secded10", 80, 2, 0x2a7f8e7f8a2e2015),
+    ("paper", "veha", "secded10", 200, 2, 0x9e60309053fe0495),
     ("paper", "jakes", "perfect", 20, 2, 0x2a7f8e7f8a2e2015),
     ("paper", "jakes", "perfect", 80, 2, 0x2a86587f8a33e301),
     ("paper", "jakes", "perfect", 200, 2, 0x9e6a5f905406a8f7),
@@ -256,6 +278,9 @@ const GOLDEN_OUTCOMES: &[(&str, &str, &str, i32, u64, u64)] = &[
     ("paper", "jakes", "faulty10", 20, 2, 0x2a7f8e7f8a2e2015),
     ("paper", "jakes", "faulty10", 80, 2, 0x2a7f8e7f8a2e2015),
     ("paper", "jakes", "faulty10", 200, 2, 0x2a7f8e7f8a2e2015),
+    ("paper", "jakes", "secded10", 20, 2, 0x2a7f8e7f8a2e2015),
+    ("paper", "jakes", "secded10", 80, 2, 0x2a8d1e7f8a399f21),
+    ("paper", "jakes", "secded10", 200, 2, 0x9e749290540f5425),
 ];
 
 fn corpus_config(cfg_name: &str, ch_name: &str) -> SystemConfig {
@@ -284,6 +309,10 @@ fn corpus_storage(st_name: &str, cfg: &SystemConfig) -> StorageConfig {
         "perfect" => StorageConfig::Perfect,
         "quantized" => StorageConfig::Quantized,
         "faulty10" => StorageConfig::unprotected(0.10, cfg.llr_bits),
+        "secded10" => StorageConfig::Ecc {
+            defects: DefectSpec::Fraction(0.10),
+            fault_kind: FaultKind::Flip,
+        },
         other => panic!("unknown storage {other}"),
     }
 }
