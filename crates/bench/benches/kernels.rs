@@ -2,8 +2,8 @@
 //!
 //! These are the inner loops every figure regeneration spends its time
 //! in: turbo encoding/decoding, the 3GPP interleaver construction, MMSE
-//! design, soft demapping, faulty-memory reads, the SECDED buffer round
-//! trip and the yield evaluation.
+//! design, soft demapping, faulty-memory reads, the LLR buffer round
+//! trips and the yield evaluation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -18,7 +18,7 @@ use hspa_phy::turbo::{
     AccuracyTier, DecodeResult, DecoderConfig, TurboBatchScratch, TurboCode, TurboInterleaver,
     TurboScratch,
 };
-use resilience_core::EccLlrBuffer;
+use resilience_core::{EccLlrBuffer, FaultyLlrBuffer, QuantizedLlrBuffer};
 use silicon::ecc::Secded;
 use silicon::fault_map::{FaultKind, FaultMap};
 use silicon::yield_model::yield_accepting;
@@ -152,26 +152,40 @@ fn bench_silicon(c: &mut Criterion) {
             black_box(acc)
         });
     });
-    group.bench_function("secded_roundtrip_1884w", |b| {
-        // The SECDED baseline's HARQ round trip at 10 % defects:
-        // quantize, encode, corrupt, decode and dequantize every word.
-        let code = Secded::new(q.bits());
-        let map = FaultMap::random_exact(
-            1884,
-            code.codeword_bits(),
-            1884 * code.codeword_bits() as usize / 10,
-            FaultKind::Flip,
-            3,
-        );
-        let mut buf = EccLlrBuffer::new(map, q);
-        let llrs: Vec<f64> = (0..1884).map(|a| a as f64 * 0.01 - 9.0).collect();
+    // The HARQ round trip (`LlrBuffer::store_load`) of each array-backed
+    // storage kind at 10 % defects: the block pipeline of quantize,
+    // (encode,) store, fault masks, (decode,) dequantize.
+    let llrs: Vec<f64> = (0..1884).map(|a| a as f64 * 0.01 - 9.0).collect();
+    let mut roundtrip = |name: &str, mut buf: Box<dyn LlrBuffer>| {
         let mut data = llrs.clone();
-        b.iter(|| {
-            data.copy_from_slice(&llrs);
-            buf.store_load(&mut data);
-            black_box(data[0])
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                data.copy_from_slice(&llrs);
+                buf.store_load(&mut data);
+                black_box(data[0])
+            });
         });
-    });
+    };
+    roundtrip(
+        "quantized_roundtrip_1884w",
+        Box::new(QuantizedLlrBuffer::new(1884, q)),
+    );
+    roundtrip(
+        "faulty_roundtrip_1884w",
+        Box::new(FaultyLlrBuffer::new(map.clone(), q)),
+    );
+    let code = Secded::new(q.bits());
+    let ecc_map = FaultMap::random_exact(
+        1884,
+        code.codeword_bits(),
+        1884 * code.codeword_bits() as usize / 10,
+        FaultKind::Flip,
+        3,
+    );
+    roundtrip(
+        "secded_roundtrip_1884w",
+        Box::new(EccLlrBuffer::new(ecc_map, q)),
+    );
     group.bench_function("fault_map_draw_10pct", |b| {
         b.iter(|| {
             black_box(FaultMap::random_exact(

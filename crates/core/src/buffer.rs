@@ -12,6 +12,135 @@ use silicon::ecc::Secded;
 use silicon::fault_map::FaultMap;
 use silicon::FaultyMemory;
 
+/// Words per block of the storage pipeline: a stack array that stays in
+/// L1, large enough to amortize the per-block setup.
+const BLOCK_WORDS: usize = 128;
+
+/// The storage pipeline behind every array-backed buffer. LLRs pass
+/// through it [`BLOCK_WORDS`] at a time in a stack block: quantize,
+/// (SECDED-encode,) store and read back through the fault masks,
+/// (decode,) dequantize in place. Each step is a straight-line slice
+/// loop, so LLVM inlines and vectorizes it.
+#[derive(Debug, Clone)]
+struct LlrArray {
+    quantizer: LlrQuantizer,
+    code: Option<Secded>,
+    memory: FaultyMemory,
+}
+
+impl LlrArray {
+    fn new(map: FaultMap, quantizer: LlrQuantizer, code: Option<Secded>) -> Self {
+        Self {
+            quantizer,
+            code,
+            memory: FaultyMemory::new(map),
+        }
+    }
+
+    /// LLRs → stored words (quantize, then SECDED-encode).
+    fn encode(&self, llrs: &[f64], words: &mut [u32]) {
+        self.quantizer.quantize_into(llrs, words);
+        if let Some(code) = self.code {
+            for w in words.iter_mut() {
+                *w = code.encode(*w);
+            }
+        }
+    }
+
+    /// Read-back words → LLRs (SECDED-decode, then dequantize).
+    fn decode(&self, words: &mut [u32], llrs: &mut [f64]) {
+        if let Some(code) = self.code {
+            for w in words.iter_mut() {
+                *w = code.decode(*w).0;
+            }
+        }
+        self.quantizer.dequantize_into(words, llrs);
+    }
+}
+
+impl LlrBuffer for LlrArray {
+    fn capacity(&self) -> usize {
+        self.memory.words() as usize
+    }
+
+    fn store(&mut self, llrs: &[f64]) {
+        assert_eq!(llrs.len(), self.capacity(), "buffer length mismatch");
+        let mut block = [0u32; BLOCK_WORDS];
+        for (i, chunk) in llrs.chunks(BLOCK_WORDS).enumerate() {
+            let words = &mut block[..chunk.len()];
+            self.encode(chunk, words);
+            self.memory.write_block(i * BLOCK_WORDS, words);
+        }
+    }
+
+    fn load(&self) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.load_into(&mut out);
+        out
+    }
+
+    fn load_into(&self, out: &mut Vec<f64>) {
+        out.resize(self.capacity(), 0.0);
+        let mut block = [0u32; BLOCK_WORDS];
+        for (i, chunk) in out.chunks_mut(BLOCK_WORDS).enumerate() {
+            let words = &mut block[..chunk.len()];
+            self.memory.read_block(i * BLOCK_WORDS, words);
+            self.decode(words, chunk);
+        }
+    }
+
+    fn store_load(&mut self, data: &mut Vec<f64>) {
+        assert_eq!(data.len(), self.capacity(), "buffer length mismatch");
+        let mut block = [0u32; BLOCK_WORDS];
+        for (i, chunk) in data.chunks_mut(BLOCK_WORDS).enumerate() {
+            let words = &mut block[..chunk.len()];
+            self.encode(chunk, words);
+            self.memory.write_read_block(i * BLOCK_WORDS, words);
+            self.decode(words, chunk);
+        }
+    }
+
+    fn reset(&mut self) {
+        // Word 0 is the stored form of a zero LLR: both formats quantize
+        // 0.0 to code 0 and SECDED is linear, so it encodes 0 as 0.
+        self.memory.clear();
+    }
+}
+
+/// Implements [`LlrBuffer`] for a public buffer type by delegating to
+/// its `array` field.
+macro_rules! array_backed {
+    ($($ty:ty),*) => {$(
+        impl LlrBuffer for $ty {
+            fn capacity(&self) -> usize {
+                self.array.capacity()
+            }
+
+            fn store(&mut self, llrs: &[f64]) {
+                self.array.store(llrs);
+            }
+
+            fn load(&self) -> Vec<f64> {
+                self.array.load()
+            }
+
+            fn load_into(&self, out: &mut Vec<f64>) {
+                self.array.load_into(out);
+            }
+
+            fn store_load(&mut self, data: &mut Vec<f64>) {
+                self.array.store_load(data);
+            }
+
+            fn reset(&mut self) {
+                self.array.reset();
+            }
+        }
+    )*};
+}
+
+array_backed!(QuantizedLlrBuffer, FaultyLlrBuffer, EccLlrBuffer);
+
 /// Quantized but fault-free storage — isolates pure quantization loss.
 ///
 /// # Example
@@ -28,59 +157,20 @@ use silicon::FaultyMemory;
 /// ```
 #[derive(Debug, Clone)]
 pub struct QuantizedLlrBuffer {
-    quantizer: LlrQuantizer,
-    codes: Vec<u32>,
+    array: LlrArray,
 }
 
 impl QuantizedLlrBuffer {
     /// Creates a zeroed buffer of `capacity` LLR words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
     pub fn new(capacity: usize, quantizer: LlrQuantizer) -> Self {
+        let map = FaultMap::defect_free(capacity as u32, quantizer.bits());
         Self {
-            quantizer,
-            codes: vec![quantizer.quantize(0.0); capacity],
+            array: LlrArray::new(map, quantizer, None),
         }
-    }
-}
-
-impl LlrBuffer for QuantizedLlrBuffer {
-    fn capacity(&self) -> usize {
-        self.codes.len()
-    }
-
-    fn store(&mut self, llrs: &[f64]) {
-        assert_eq!(llrs.len(), self.codes.len(), "buffer length mismatch");
-        for (c, &l) in self.codes.iter_mut().zip(llrs) {
-            *c = self.quantizer.quantize(l);
-        }
-    }
-
-    fn load(&self) -> Vec<f64> {
-        self.codes
-            .iter()
-            .map(|&c| self.quantizer.dequantize(c))
-            .collect()
-    }
-
-    fn load_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.codes.iter().map(|&c| self.quantizer.dequantize(c)));
-    }
-
-    fn store_load(&mut self, data: &mut Vec<f64>) {
-        assert_eq!(data.len(), self.codes.len(), "buffer length mismatch");
-        // One sweep: quantize, store the code, hand the decoded value
-        // straight back — exactly store + load_into without re-walking
-        // the code array.
-        let q = self.quantizer;
-        for (c, l) in self.codes.iter_mut().zip(data.iter_mut()) {
-            let w = q.quantize(*l);
-            *c = w;
-            *l = q.dequantize(w);
-        }
-    }
-
-    fn reset(&mut self) {
-        self.codes.fill(self.quantizer.quantize(0.0));
     }
 }
 
@@ -91,8 +181,7 @@ impl LlrBuffer for QuantizedLlrBuffer {
 /// the affected bits, exactly reproducing the Section 4 methodology.
 #[derive(Debug, Clone)]
 pub struct FaultyLlrBuffer {
-    quantizer: LlrQuantizer,
-    memory: FaultyMemory,
+    array: LlrArray,
 }
 
 impl FaultyLlrBuffer {
@@ -109,8 +198,7 @@ impl FaultyLlrBuffer {
             "fault map width must match quantizer width"
         );
         Self {
-            quantizer,
-            memory: FaultyMemory::new(map),
+            array: LlrArray::new(map, quantizer, None),
         }
     }
 
@@ -123,82 +211,12 @@ impl FaultyLlrBuffer {
 
     /// The quantizer in use.
     pub fn quantizer(&self) -> &LlrQuantizer {
-        &self.quantizer
+        &self.array.quantizer
     }
 
     /// Fraction of defective cells in the underlying array.
     pub fn defect_fraction(&self) -> f64 {
-        self.memory.fault_map().defect_fraction()
-    }
-}
-
-impl LlrBuffer for FaultyLlrBuffer {
-    fn capacity(&self) -> usize {
-        self.memory.words() as usize
-    }
-
-    fn store(&mut self, llrs: &[f64]) {
-        assert_eq!(
-            llrs.len(),
-            self.memory.words() as usize,
-            "buffer length mismatch"
-        );
-        // Bulk path: one tight quantize loop instead of a per-word
-        // bounds-checked write (this runs once per HARQ attempt).
-        let q = self.quantizer;
-        self.memory.fill_from(llrs.iter().map(|&l| q.quantize(l)));
-    }
-
-    fn load(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.load_into(&mut out);
-        out
-    }
-
-    fn load_into(&self, out: &mut Vec<f64>) {
-        // Fused corrupt + dequantize over plain slices (no per-element
-        // capacity or bounds checks), applying exactly
-        // `FaultMap::corrupt` per word. This is the hottest buffer loop:
-        // it runs twice per HARQ combine.
-        let data = self.memory.pristine_words();
-        let q = self.quantizer;
-        out.clear();
-        out.resize(data.len(), 0.0);
-        match self.memory.fault_map().masks() {
-            None => {
-                for (o, &v) in out.iter_mut().zip(data) {
-                    *o = q.dequantize(v);
-                }
-            }
-            Some((xor, clear, set)) => {
-                for ((o, &v), ((&x, &c), &s)) in
-                    out.iter_mut().zip(data).zip(xor.iter().zip(clear).zip(set))
-                {
-                    *o = q.dequantize(((v ^ x) & !c) | s);
-                }
-            }
-        }
-    }
-
-    fn store_load(&mut self, data: &mut Vec<f64>) {
-        assert_eq!(
-            data.len(),
-            self.memory.words() as usize,
-            "buffer length mismatch"
-        );
-        // The HARQ combiner's write-then-read round trip as one sweep:
-        // quantize, store the pristine word, and dequantize the
-        // corrupted read-back in place — the same word and mask ops as
-        // store + load_into, minus the second walk over the array.
-        let q = self.quantizer;
-        self.memory
-            .write_read_all(data, |&l| q.quantize(l), |w| q.dequantize(w));
-    }
-
-    fn reset(&mut self) {
-        let zero = self.quantizer.quantize(0.0);
-        self.memory
-            .fill_from(std::iter::repeat_n(zero, self.memory.words() as usize));
+        self.array.memory.fault_map().defect_fraction()
     }
 }
 
@@ -210,9 +228,7 @@ impl LlrBuffer for FaultyLlrBuffer {
 /// the paper charges against ECC.
 #[derive(Debug, Clone)]
 pub struct EccLlrBuffer {
-    quantizer: LlrQuantizer,
-    code: Secded,
-    memory: FaultyMemory,
+    array: LlrArray,
 }
 
 impl EccLlrBuffer {
@@ -231,69 +247,16 @@ impl EccLlrBuffer {
             "fault map width must match the ECC codeword width"
         );
         Self {
-            quantizer,
-            code,
-            memory: FaultyMemory::new(map),
+            array: LlrArray::new(map, quantizer, Some(code)),
         }
     }
 
     /// The SECDED code in use.
     pub fn code(&self) -> &Secded {
-        &self.code
-    }
-}
-
-impl LlrBuffer for EccLlrBuffer {
-    fn capacity(&self) -> usize {
-        self.memory.words() as usize
-    }
-
-    fn store(&mut self, llrs: &[f64]) {
-        assert_eq!(
-            llrs.len(),
-            self.memory.words() as usize,
-            "buffer length mismatch"
-        );
-        let (q, code) = (self.quantizer, self.code);
-        self.memory
-            .fill_from(llrs.iter().map(|&l| code.encode(q.quantize(l))));
-    }
-
-    fn load(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.load_into(&mut out);
-        out
-    }
-
-    fn load_into(&self, out: &mut Vec<f64>) {
-        let (q, code) = (self.quantizer, self.code);
-        let words = self.memory.words() as usize;
-        out.clear();
-        out.reserve(words);
-        self.memory
-            .read_stream(words, |w| out.push(q.dequantize(code.decode(w).0)));
-    }
-
-    fn store_load(&mut self, data: &mut Vec<f64>) {
-        assert_eq!(
-            data.len(),
-            self.memory.words() as usize,
-            "buffer length mismatch"
-        );
-        // quantize → encode → store → corrupt → decode → dequantize in one
-        // sweep, exactly store + load_into without the second walk.
-        let (q, code) = (self.quantizer, self.code);
-        self.memory.write_read_all(
-            data,
-            |&l| code.encode(q.quantize(l)),
-            |w| q.dequantize(code.decode(w).0),
-        );
-    }
-
-    fn reset(&mut self) {
-        let zero = self.code.encode(self.quantizer.quantize(0.0));
-        self.memory
-            .fill_from(std::iter::repeat_n(zero, self.memory.words() as usize));
+        self.array
+            .code
+            .as_ref()
+            .expect("an ECC buffer always carries its code")
     }
 }
 
@@ -518,8 +481,11 @@ mod tests {
     fn fused_round_trip_equals_store_then_load() {
         // `store_load` must be exactly `store` + `load_into`, state
         // included, on every storage kind (dense faults so SECDED sees
-        // clean, corrected and double-error words alike).
+        // clean, corrected and double-error words alike), at capacities
+        // that end mid-block, on a block edge and past one. After
+        // `reset`, `load_into` must read what a fresh buffer reads.
         fn check(mut fused: impl LlrBuffer + Clone, label: &str) {
+            let fresh = fused.clone();
             let mut split = fused.clone();
             let v: Vec<f64> = (0..fused.capacity())
                 .map(|i| (i as f64 * 0.73).sin() * 40.0)
@@ -527,23 +493,44 @@ mod tests {
             let mut data = v.clone();
             fused.store_load(&mut data);
             split.store(&v);
-            assert_eq!(data, split.load(), "{label}: round trip");
-            assert_eq!(fused.load(), split.load(), "{label}: stored state");
+            let mut loaded = vec![1.0; 3];
+            split.load_into(&mut loaded);
+            assert_eq!(data, loaded, "{label}: round trip");
+            assert_eq!(fused.load(), loaded, "{label}: stored state");
+            fused.reset();
+            fused.load_into(&mut loaded);
+            assert_eq!(loaded, fresh.load(), "{label}: reset");
         }
         let q = q10();
-        let words = 256;
         let ecc_bits = Secded::new(10).codeword_bits();
-        check(QuantizedLlrBuffer::new(words as usize, q), "quantized");
-        check(
-            FaultyLlrBuffer::new(
-                FaultMap::random_exact(words, 10, 256, FaultKind::Flip, 11),
-                q,
-            ),
-            "faulty",
-        );
-        for kind in [FaultKind::Flip, FaultKind::StuckAt0, FaultKind::StuckAt1] {
-            let map = FaultMap::random_exact(words, ecc_bits, 384, kind, 12);
-            check(EccLlrBuffer::new(map, q), "secded");
+        let hybrid = ProtectionPlan::msb_protected(10, 4);
+        let b = BLOCK_WORDS as u32;
+        for words in [1, b - 1, b, b + 1, 1884] {
+            let label = |kind: &str| format!("{kind}, {words} words");
+            check(
+                QuantizedLlrBuffer::new(words as usize, q),
+                &label("quantized"),
+            );
+            let cells = (words * 10) as usize;
+            check(
+                FaultyLlrBuffer::new(
+                    FaultMap::random_exact(words, 10, cells / 10, FaultKind::Flip, 11),
+                    q,
+                ),
+                &label("faulty"),
+            );
+            check(
+                FaultyLlrBuffer::new(
+                    hybrid.fault_map_exact_unprotected(words, cells / 10, FaultKind::Flip, 13),
+                    q,
+                ),
+                &label("hybrid 4-MSB"),
+            );
+            let ecc_cells = words as usize * ecc_bits as usize;
+            for kind in [FaultKind::Flip, FaultKind::StuckAt0, FaultKind::StuckAt1] {
+                let map = FaultMap::random_exact(words, ecc_bits, ecc_cells / 10, kind, 12);
+                check(EccLlrBuffer::new(map, q), &label("secded"));
+            }
         }
     }
 

@@ -87,7 +87,8 @@ pub struct StageNanos {
     pub equalize: u64,
     /// Soft demapping + deinterleaving.
     pub demap: u64,
-    /// HARQ combining through the LLR buffer.
+    /// HARQ combining through the LLR buffer (on the wave path, plus
+    /// staging the combined LLRs into the decoder batch).
     pub harq: u64,
     /// Turbo decoding + CRC check.
     pub decode: u64,
@@ -573,6 +574,8 @@ impl LinkSimulator {
                     core.interleaver
                         .deinterleave_into(&scratch.llrs, &mut scratch.llrs_deinterleaved);
                 });
+                // Staging the combined LLRs into the decoder batch is the
+                // wave path's hand-off out of the HARQ buffer.
                 stage!(scratch, harq, {
                     let mut harq =
                         HarqProcess::new(&core.rate_matcher, cfg.combining, &mut buffers[l]);
@@ -581,8 +584,8 @@ impl LinkSimulator {
                         &scratch.llrs_deinterleaved,
                         &mut scratch.combined,
                     );
+                    batch.push_lane(&scratch.combined);
                 });
-                batch.push_lane(&scratch.combined);
             }
 
             let dcfg = DecoderConfig::new(cfg.decoder_iterations, cfg.accuracy_tier);
@@ -601,15 +604,19 @@ impl LinkSimulator {
                 }
             });
 
+            // The per-lane CRC verdicts count as decode time, like the
+            // scalar path's post-decode check.
             wave.next_active.clear();
-            for (i, &l) in wave.active.iter().enumerate() {
-                out[l].transmissions_used = attempt + 1;
-                if core.crc.check(batch.bits(i)) {
-                    out[l].success_after = Some(attempt + 1);
-                } else {
-                    wave.next_active.push(l);
+            stage!(scratches[0], decode, {
+                for (i, &l) in wave.active.iter().enumerate() {
+                    out[l].transmissions_used = attempt + 1;
+                    if core.crc.check(batch.bits(i)) {
+                        out[l].success_after = Some(attempt + 1);
+                    } else {
+                        wave.next_active.push(l);
+                    }
                 }
-            }
+            });
             std::mem::swap(&mut wave.active, &mut wave.next_active);
         }
     }

@@ -176,7 +176,8 @@ impl LlrQuantizer {
             LlrFormat::TwosComplement => {
                 let sign_bit = 1u32 << (self.bits - 1);
                 if code & sign_bit != 0 {
-                    (code as i32) - (1i32 << self.bits)
+                    // Wrapping: at 31 bits `1 << bits` is `i32::MIN`.
+                    (code as i32).wrapping_sub(1i32 << self.bits)
                 } else {
                     code as i32
                 }
@@ -192,14 +193,83 @@ impl LlrQuantizer {
         }
     }
 
+    /// Slice form of [`LlrQuantizer::quantize`]: `codes[i] =
+    /// quantize(llrs[i])`, bit for bit.
+    ///
+    /// The format dispatch is hoisted out of the loop and the clamped
+    /// level is converted without the saturating float-to-int cast: for
+    /// an integral `|lv| < 2^51`, `lv + 1.5·2^52` is exact and its low 32
+    /// mantissa bits are `lv` in two's complement (`-0.0` gives 0). The
+    /// loop body is then straight-line arithmetic that LLVM vectorizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn quantize_into(&self, llrs: &[f64], codes: &mut [u32]) {
+        assert_eq!(llrs.len(), codes.len(), "slice length mismatch");
+        const MAGIC: f64 = 6_755_399_441_055_744.0; // 1.5 · 2^52
+        let (clip, step, max) = (self.clip, self.step, self.max_level() as f64);
+        let level = |llr: f64| {
+            let x = if llr.is_nan() { -clip } else { llr };
+            ((x / step).round().clamp(-max, max) + MAGIC).to_bits() as u32
+        };
+        let mask = self.word_mask();
+        match self.format {
+            LlrFormat::TwosComplement => {
+                for (c, &l) in codes.iter_mut().zip(llrs) {
+                    *c = level(l) & mask;
+                }
+            }
+            LlrFormat::SignMagnitude => {
+                let sign_bit = 1u32 << (self.bits - 1);
+                for (c, &l) in codes.iter_mut().zip(llrs) {
+                    let lv = level(l) as i32;
+                    *c = ((lv >> 31) as u32 & sign_bit) | (lv.unsigned_abs() & (mask >> 1));
+                }
+            }
+        }
+    }
+
+    /// Slice form of [`LlrQuantizer::dequantize`]: `llrs[i] =
+    /// dequantize(codes[i])`, bit for bit, with the format dispatch
+    /// hoisted out of the loop and the sign extended by shifts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn dequantize_into(&self, codes: &[u32], llrs: &mut [f64]) {
+        assert_eq!(codes.len(), llrs.len(), "slice length mismatch");
+        let step = self.step;
+        let unused = 32 - u32::from(self.bits); // bits above the word
+        match self.format {
+            LlrFormat::TwosComplement => {
+                for (l, &c) in llrs.iter_mut().zip(codes) {
+                    *l = (((c << unused) as i32) >> unused) as f64 * step;
+                }
+            }
+            LlrFormat::SignMagnitude => {
+                let mag_mask = self.word_mask() >> 1;
+                let sign_bit = 1u32 << (self.bits - 1);
+                for (l, &c) in llrs.iter_mut().zip(codes) {
+                    let mag = (c & mag_mask) as i32;
+                    *l = if c & sign_bit != 0 { -mag } else { mag } as f64 * step;
+                }
+            }
+        }
+    }
+
     /// Quantizes a slice of LLRs into codewords.
     pub fn quantize_all(&self, llrs: &[f64]) -> Vec<u32> {
-        llrs.iter().map(|&l| self.quantize(l)).collect()
+        let mut codes = vec![0; llrs.len()];
+        self.quantize_into(llrs, &mut codes);
+        codes
     }
 
     /// Dequantizes a slice of codewords into LLRs.
     pub fn dequantize_all(&self, codes: &[u32]) -> Vec<f64> {
-        codes.iter().map(|&c| self.dequantize(c)).collect()
+        let mut llrs = vec![0.0; codes.len()];
+        self.dequantize_into(codes, &mut llrs);
+        llrs
     }
 }
 
@@ -310,6 +380,104 @@ mod tests {
         let xs = vec![0.5, -1.25, 31.0, -31.0];
         let codes = q.quantize_all(&xs);
         assert_eq!(q.dequantize_all(&codes).len(), xs.len());
+    }
+
+    const FORMATS: [LlrFormat; 2] = [LlrFormat::TwosComplement, LlrFormat::SignMagnitude];
+
+    /// `quantize_into` / `dequantize_into` must equal the scalar codec
+    /// element for element (dequantized values compared bit for bit, so
+    /// a `-0.0` for `0.0` fails too).
+    fn assert_slice_forms_match(q: &LlrQuantizer, llrs: &[f64]) {
+        let mut codes = vec![0; llrs.len()];
+        q.quantize_into(llrs, &mut codes);
+        for (&l, &c) in llrs.iter().zip(&codes) {
+            assert_eq!(c, q.quantize(l), "{q:?}: quantize({l:e})");
+        }
+        let mut back = vec![0.0; codes.len()];
+        q.dequantize_into(&codes, &mut back);
+        for (&c, &b) in codes.iter().zip(&back) {
+            assert_eq!(
+                b.to_bits(),
+                q.dequantize(c).to_bits(),
+                "{q:?}: dequantize({c:#x})"
+            );
+        }
+    }
+
+    fn special_values(clip: f64) -> Vec<f64> {
+        let tiny = f64::MIN_POSITIVE;
+        let mut v = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            tiny / 2.0,
+            -tiny / 2.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for x in [clip, -clip] {
+            v.extend([x, x.next_up(), x.next_down(), 2.0 * x]);
+        }
+        v
+    }
+
+    #[test]
+    fn slice_forms_match_scalar_at_every_width() {
+        use rand::Rng;
+        let mut rng = crate::rng::seeded(7);
+        for bits in 2..=31 {
+            for fmt in FORMATS {
+                let q = LlrQuantizer::new(bits, 32.0, fmt);
+                let mut llrs = special_values(q.clip());
+                llrs.extend((0..2000).map(|_| rng.gen_range(-48.0..48.0)));
+                assert_slice_forms_match(&q, &llrs);
+            }
+        }
+    }
+
+    #[test]
+    fn slice_forms_match_scalar_at_level_boundaries() {
+        for bits in [10, 11, 12] {
+            for fmt in FORMATS {
+                let q = LlrQuantizer::new(bits, 32.0, fmt);
+                let reach = q.max_level() + 2;
+                let mut llrs = Vec::new();
+                for k in -reach..=reach {
+                    for half in [-0.5, 0.5] {
+                        let x = (k as f64 + half) * q.step();
+                        llrs.extend([x, x.next_up(), x.next_down()]);
+                    }
+                }
+                assert_slice_forms_match(&q, &llrs);
+            }
+        }
+    }
+
+    #[test]
+    fn dequantize_into_matches_scalar_on_every_code() {
+        for bits in 2..=16 {
+            for fmt in FORMATS {
+                let q = LlrQuantizer::new(bits, 32.0, fmt);
+                let codes: Vec<u32> = (0..1u32 << bits)
+                    // Bits above the word width must be ignored alike.
+                    .flat_map(|c| [c, c | !q.word_mask()])
+                    .collect();
+                let mut back = vec![0.0; codes.len()];
+                q.dequantize_into(&codes, &mut back);
+                for (&c, &b) in codes.iter().zip(&back) {
+                    assert_eq!(b.to_bits(), q.dequantize(c).to_bits(), "{q:?}: {c:#x}");
+                }
+            }
+        }
     }
 
     proptest! {

@@ -283,41 +283,16 @@ impl FaultMap {
     }
 
     /// The per-word corruption masks (`xor`, `clear`, `set`), one entry
-    /// per word — or `None` when the map is defect-free. Bulk readers
-    /// fuse the mask application (`((v ^ xor) & !clear) | set`, exactly
-    /// [`FaultMap::corrupt`]) with their own per-word decode step.
+    /// per word — or `None` when the map is defect-free. Block readers
+    /// ([`FaultyMemory::read_block`](crate::FaultyMemory::read_block))
+    /// apply them as `((v ^ xor) & !clear) | set`, exactly
+    /// [`FaultMap::corrupt`].
     #[inline]
     pub fn masks(&self) -> Option<(&[u32], &[u32], &[u32])> {
         if self.xor_mask.is_empty() {
             None
         } else {
             Some((&self.xor_mask, &self.clear_mask, &self.set_mask))
-        }
-    }
-
-    /// Streams `data` (words `0..data.len()`) through the fault masks,
-    /// calling `f` with each corrupted word — per-word results identical
-    /// to [`FaultMap::corrupt`], but the defect-free test and the mask
-    /// bounds checks are hoisted out of the loop (the LLR memory is read
-    /// twice per HARQ combine, so the word loop is hot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is longer than the array.
-    #[inline]
-    pub fn corrupt_stream(&self, data: &[u32], mut f: impl FnMut(u32)) {
-        assert!(data.len() <= self.words as usize, "read beyond array size");
-        if self.xor_mask.is_empty() {
-            for &v in data {
-                f(v);
-            }
-            return;
-        }
-        let xor = &self.xor_mask[..data.len()];
-        let clear = &self.clear_mask[..data.len()];
-        let set = &self.set_mask[..data.len()];
-        for (((&v, &x), &c), &s) in data.iter().zip(xor).zip(clear).zip(set) {
-            f(((v ^ x) & !c) | s);
         }
     }
 

@@ -85,14 +85,6 @@ impl FaultyMemory {
         self.data[addr as usize]
     }
 
-    /// The pristine backing words (no fault corruption) — bulk readers
-    /// pair this with [`FaultMap::masks`](crate::fault_map::FaultMap::masks)
-    /// to fuse corruption with their per-word decode.
-    #[inline]
-    pub fn pristine_words(&self) -> &[u32] {
-        &self.data
-    }
-
     /// Writes a whole slice starting at address 0.
     ///
     /// # Panics
@@ -105,10 +97,7 @@ impl FaultyMemory {
             values.len(),
             self.data.len()
         );
-        let mask = word_mask(self.map.bits_per_word());
-        for (slot, &v) in self.data.iter_mut().zip(values) {
-            *slot = v & mask;
-        }
+        self.write_block(0, values);
     }
 
     /// Reads `n` words starting at address 0, with fault corruption.
@@ -118,64 +107,108 @@ impl FaultyMemory {
     /// Panics if `n` exceeds the array size.
     pub fn read_all(&self, n: usize) -> Vec<u32> {
         assert!(n <= self.data.len(), "read beyond memory size");
-        let mut out = Vec::with_capacity(n);
-        self.read_stream(n, |v| out.push(v));
+        let mut out = vec![0; n];
+        self.read_block(0, &mut out);
         out
     }
 
-    /// Streams the first `n` words (fault corruption applied) through
-    /// `f` — the bulk form of [`FaultyMemory::read`], with the per-word
-    /// addressing overhead hoisted out of the loop.
+    /// Stores `words` at addresses `start..start + words.len()`, each
+    /// masked to the word width like [`FaultyMemory::write`].
     ///
     /// # Panics
     ///
-    /// Panics if `n` exceeds the array size.
+    /// Panics if the range runs past the array.
     #[inline]
-    pub fn read_stream(&self, n: usize, f: impl FnMut(u32)) {
-        assert!(n <= self.data.len(), "read beyond memory size");
-        self.map.corrupt_stream(&self.data[..n], f);
-    }
-
-    /// Overwrites words `0..` from an iterator of values (masked to the
-    /// word width like [`FaultyMemory::write`]) — the bulk form of a
-    /// store loop. Values beyond the array size are ignored.
-    #[inline]
-    pub fn fill_from(&mut self, values: impl IntoIterator<Item = u32>) {
+    pub fn write_block(&mut self, start: usize, words: &[u32]) {
         let mask = word_mask(self.map.bits_per_word());
-        for (slot, v) in self.data.iter_mut().zip(values) {
-            *slot = v & mask;
+        let slots = &mut self.data[start..start + words.len()];
+        for (slot, &w) in slots.iter_mut().zip(words) {
+            *slot = w & mask;
         }
     }
 
+    /// Reads addresses `start..start + out.len()` into `out` through the
+    /// fault masks: exactly [`FaultyMemory::read`] per word, as one
+    /// straight-line slice loop that vectorizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the array.
+    #[inline]
+    pub fn read_block(&self, start: usize, out: &mut [u32]) {
+        let end = start + out.len();
+        let data = &self.data[start..end];
+        match self.map.masks() {
+            None => out.copy_from_slice(data),
+            Some((xor, clear, set)) => {
+                let masks = xor[start..end]
+                    .iter()
+                    .zip(&clear[start..end])
+                    .zip(&set[start..end]);
+                for ((o, &v), ((&x, &c), &s)) in out.iter_mut().zip(data).zip(masks) {
+                    *o = ((v ^ x) & !c) | s;
+                }
+            }
+        }
+    }
+
+    /// Store + read-back of one block: `block` is written at `start`
+    /// like [`FaultyMemory::write_block`] and replaced in place with what
+    /// [`FaultyMemory::read_block`] then returns — the write-then-read
+    /// round trip of a soft-combining pass, in one sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the array.
+    #[inline]
+    pub fn write_read_block(&mut self, start: usize, block: &mut [u32]) {
+        self.round_trip(start, block, |&w| w, |w| w);
+    }
+
     /// Fused store + read-back over words `0..`: each element of `data`
-    /// is mapped to a word via `to_word` (masked to the word width like
-    /// [`FaultyMemory::write`]), stored, and replaced in place with
-    /// `from_word` of the corrupted read-back — the write-then-read
-    /// round trip of a soft-combining pass in one sweep. Elements beyond
-    /// the array size are ignored, like [`FaultyMemory::fill_from`].
+    /// is mapped to a word via `to_word`, stored and replaced in place
+    /// with `from_word` of the corrupted read-back, exactly as
+    /// [`FaultyMemory::write_read_block`] does for plain words. Elements
+    /// beyond the array size are ignored.
     #[inline]
     pub fn write_read_all<T>(
         &mut self,
+        data: &mut [T],
+        to_word: impl FnMut(&T) -> u32,
+        from_word: impl FnMut(u32) -> T,
+    ) {
+        let n = data.len().min(self.data.len());
+        self.round_trip(0, &mut data[..n], to_word, from_word);
+    }
+
+    /// The one write-then-read sweep behind the round trips: per
+    /// element, `to_word` (masked to the word width) is stored, and the
+    /// element replaced with `from_word` of its read through the masks.
+    #[inline]
+    fn round_trip<T>(
+        &mut self,
+        start: usize,
         data: &mut [T],
         mut to_word: impl FnMut(&T) -> u32,
         mut from_word: impl FnMut(u32) -> T,
     ) {
         let mask = word_mask(self.map.bits_per_word());
+        let end = start + data.len();
+        let slots = self.data[start..end].iter_mut().zip(data.iter_mut());
         match self.map.masks() {
             None => {
-                for (slot, d) in self.data.iter_mut().zip(data.iter_mut()) {
+                for (slot, d) in slots {
                     let w = to_word(d) & mask;
                     *slot = w;
                     *d = from_word(w);
                 }
             }
             Some((xor, clear, set)) => {
-                for ((slot, d), ((&x, &c), &s)) in self
-                    .data
-                    .iter_mut()
-                    .zip(data.iter_mut())
-                    .zip(xor.iter().zip(clear).zip(set))
-                {
+                let masks = xor[start..end]
+                    .iter()
+                    .zip(&clear[start..end])
+                    .zip(&set[start..end]);
+                for ((slot, d), ((&x, &c), &s)) in slots.zip(masks) {
                     let w = to_word(d) & mask;
                     *slot = w;
                     *d = from_word(((w ^ x) & !c) | s);
@@ -250,6 +283,37 @@ mod tests {
         let vals: Vec<u32> = (0..64).map(|i| (i * 7) & 0x3ff).collect();
         mem.write_all(&vals);
         assert_eq!(mem.read_all(64), vals);
+    }
+
+    #[test]
+    fn block_primitives_match_per_word_access() {
+        // Mixed flip/stuck faults, blocks at an offset: every block
+        // primitive must agree with `write` + `read` word by word.
+        let mut map = FaultMap::random_exact(40, 10, 120, FaultKind::Flip, 4);
+        let kinds = [FaultKind::Flip, FaultKind::StuckAt0, FaultKind::StuckAt1];
+        let faults = (map.iter().zip(kinds.iter().cycle()))
+            .map(|(f, &kind)| crate::fault_map::Fault { kind, ..*f })
+            .collect();
+        map.set_faults(faults);
+        let mut mem = FaultyMemory::new(map.clone());
+        let mut reference = FaultyMemory::new(map);
+        let vals: Vec<u32> = (0..17u32).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+        let mut block = vals.clone();
+        mem.write_read_block(11, &mut block);
+        for (a, &v) in (11u32..).zip(&vals) {
+            reference.write(a, v);
+        }
+        let expect: Vec<u32> = (11u32..28).map(|a| reference.read(a)).collect();
+        assert_eq!(block, expect, "write_read_block");
+        let mut read = vec![0; 17];
+        mem.read_block(11, &mut read);
+        assert_eq!(read, expect, "read_block");
+        mem.write_block(30, &vals[..10]);
+        for (a, &v) in (30u32..).zip(&vals[..10]) {
+            reference.write(a, v);
+        }
+        let all: Vec<u32> = (0..40).map(|a| reference.read(a)).collect();
+        assert_eq!(mem.read_all(40), all, "write_block + read_all");
     }
 
     #[test]
