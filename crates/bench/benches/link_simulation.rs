@@ -3,12 +3,11 @@
 //!
 //! Parts:
 //!
-//! 1. Per-packet wall-clock of `simulate_packet_with` across storage
-//!    backends and SNRs (the kernel every Monte-Carlo point repeats) —
-//!    with a per-stage breakdown (stage timing is always on; see
+//! 1. Per-packet wall-clock of `simulate_packet_with` (a 1-lane wave)
+//!    across storage backends and SNRs — with a per-stage breakdown (stage timing is always on; see
 //!    `resilience_core::telemetry`).
 //! 2. Engine throughput (packets/sec) over a realistic operating grid:
-//!    the scalar batch-1 path (comparable to pre-batching baselines),
+//!    1-lane waves (`--batch 1`, comparable to pre-batching baselines),
 //!    the default lockstep wave (`SimulationEngine::DEFAULT_BATCH`
 //!    lanes) for each accuracy tier, and
 //!    `max(2, available CPUs)` workers — all written to
@@ -272,10 +271,11 @@ fn main() {
     // recorded exactly that as "parallel": {"threads": 1}).
     let parallel_threads = host_cpus.max(2);
     let batch = resilience_core::engine::SimulationEngine::DEFAULT_BATCH;
-    // `serial` stays the scalar (batch = 1) Exact path — directly
-    // comparable to the committed baselines from before lockstep
-    // batching existed. `batched_serial` is the engine's actual default
-    // configuration and carries its own regression gate in nightly CI.
+    // `serial` is the 1-lane-wave (batch = 1) Exact path. A lone lane
+    // still decodes with the scalar SISO, so it stays comparable to the
+    // committed baselines from before lockstep batching existed.
+    // `batched_serial` is the engine's actual default configuration and
+    // carries its own regression gate in nightly CI.
     let serial = measure_engine(1, 1, AccuracyTier::Exact, packets_per_point);
     // Same run, back to back with `serial`: the telemetry tier is only
     // meaningful as a ratio against a baseline measured on the same
@@ -299,8 +299,8 @@ fn main() {
     let speedup = parallel.packets_per_sec() / serial.packets_per_sec();
     let telemetry_ratio = serial_telemetry.packets_per_sec() / serial.packets_per_sec();
     for (label, s) in [
-        ("scalar", &serial),
-        ("scalar-telemetry", &serial_telemetry),
+        ("one-lane", &serial),
+        ("one-lane-telemetry", &serial_telemetry),
         ("batched", &batched_serial),
         ("batched-earlystop", &batched_earlystop),
         ("batched-fast32", &batched_fast32),

@@ -1,10 +1,12 @@
-//! Per-stage time breakdown of the batched wave hot path.
+//! Per-stage time breakdown of the packet hot path.
 //!
-//! The scalar `stage_profile` example measures `simulate_packet_with`;
-//! this one drives `simulate_wave_with` directly at a fixed lane width,
-//! so the numbers show where a lockstep wave actually spends its time
-//! (the batched `decode` stage is recorded against lane 0 and reported
-//! per packet here).
+//! Drives `simulate_wave_with` — the one packet path — at a fixed lane
+//! width (default 16, the engine's default wave), so the numbers show
+//! where a lockstep wave actually spends its time (the batched `decode`
+//! stage is recorded against lane 0 and reported per packet here).
+//! `-- 1` profiles 1-lane waves, which is what `simulate_packet_with`
+//! and `--batch 1` run. A lane count that is not a positive integer
+//! exits with status 2.
 //!
 //! Stage timing is always on (see `telemetry`), so a plain release run
 //! gives real numbers:
@@ -23,10 +25,21 @@ use resilience_core::simulator::{
 };
 
 fn main() {
-    let lanes: usize = std::env::args()
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let lanes = match args.as_slice() {
+        [] => 16,
+        [arg] => match arg.parse::<usize>() {
+            Ok(n) if n > 0 => n,
+            _ => {
+                eprintln!("wave_profile: <lanes> must be a positive integer, got {arg:?}");
+                std::process::exit(2);
+            }
+        },
+        _ => {
+            eprintln!("usage: wave_profile [<lanes>]");
+            std::process::exit(2);
+        }
+    };
     let cfg = SystemConfig::paper_64qam();
     let sim = LinkSimulator::new(cfg);
     let storages = [

@@ -32,11 +32,13 @@
 //! shards of [`SimulationEngine::shard_packets`] packets and lets workers
 //! pull shards from a shared atomic counter (work stealing), so a single
 //! expensive point — low SNR, many retransmissions — cannot serialize the
-//! run. Each worker keeps one storage buffer per point (rebuilt
-//! deterministically from the point's fault seed: the *same die*, per the
-//! paper's worst-case methodology) plus one [`PacketScratch`], and merges
-//! its partial statistics locally; the main thread folds worker partials
-//! in task order.
+//! run. Each worker keeps one storage buffer per point and wave lane
+//! (rebuilt deterministically from the point's fault seed: the *same
+//! die*, per the paper's worst-case methodology) plus one
+//! [`PacketScratch`] per lane, runs each shard as lockstep waves of
+//! [`SimulationEngine::batch_lanes`] packets, and merges its partial
+//! statistics locally; the main thread folds worker partials in task
+//! order.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -170,8 +172,8 @@ impl SimulationEngine {
     /// full-width groups, and lane draining absorbs the per-group
     /// iteration spread; sweeping widths 8..64 on the benchmark grid put
     /// 16 lanes ahead of 32 by ~5% (smaller staging footprint, same
-    /// group utilization). Batching is bit-identical to the scalar path
-    /// at every width, so it is on by default.
+    /// group utilization). Results are bit-identical at every width
+    /// (1 included), so batching is on by default.
     pub const DEFAULT_BATCH: usize = 16;
 
     /// Engine using every available CPU.
@@ -210,11 +212,10 @@ impl SimulationEngine {
         self
     }
 
-    /// Overrides the decode batch width (builder style). `1` runs the
-    /// scalar per-packet path — structurally today's loop, not a 1-lane
-    /// wave; any width produces bit-identical statistics, so this is a
-    /// pure throughput knob and is deliberately *not* part of campaign
-    /// point fingerprints.
+    /// Overrides the decode batch width (builder style). `1` runs 1-lane
+    /// waves, packet by packet; any width produces bit-identical
+    /// statistics, so this is a pure throughput knob and is deliberately
+    /// *not* part of campaign point fingerprints.
     ///
     /// # Panics
     ///
@@ -500,35 +501,31 @@ impl SimulationEngine {
         }
 
         let workers = self.threads.min(tasks.len()).max(1);
-        let batch_lanes = self.batch_lanes;
+        // One worker pulls shards off the shared counter until none are
+        // left; a single worker runs it inline, more run it in threads.
+        let next = AtomicUsize::new(0);
+        let run_worker = || {
+            let mut worker = Worker::new(
+                &cfg,
+                sim.clone(),
+                specs,
+                groups,
+                make_buffer,
+                self.batch_lanes,
+            );
+            let mut out = Vec::new();
+            loop {
+                let t = next.fetch_add(1, Ordering::Relaxed);
+                let Some(task) = tasks.get(t) else { break };
+                out.push((task.point, worker.run_shard(task)));
+            }
+            out
+        };
         let mut partials: Vec<Vec<(usize, HarqStats)>> = if workers == 1 {
-            let mut worker =
-                Worker::new(&cfg, sim.clone(), specs, groups, make_buffer, batch_lanes);
-            vec![tasks
-                .iter()
-                .map(|t| (t.point, worker.run_shard(t)))
-                .collect()]
+            vec![run_worker()]
         } else {
-            let next = AtomicUsize::new(0);
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let tasks = &tasks;
-                        let sim = sim.clone();
-                        scope.spawn(move || {
-                            let mut worker =
-                                Worker::new(&cfg, sim, specs, groups, make_buffer, batch_lanes);
-                            let mut out = Vec::new();
-                            loop {
-                                let t = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(task) = tasks.get(t) else { break };
-                                out.push((task.point, worker.run_shard(task)));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("worker panicked"))
@@ -559,9 +556,9 @@ struct Shard {
 }
 
 /// Per-thread execution state: a simulator handle, one buffer *set* per
-/// point touched (`batch_lanes` interchangeable buffers, each built by
-/// the same deterministic factory — the same die), and reusable scratch
-/// space for both the scalar path and the batched wave path.
+/// point touched (up to `batch_lanes` interchangeable buffers, each
+/// built by the same deterministic factory — the same die), and the
+/// reusable per-lane and per-wave scratch of the wave path.
 struct Worker<'a> {
     cfg: &'a SystemConfig,
     sim: LinkSimulator,
@@ -597,7 +594,7 @@ impl<'a> Worker<'a> {
             // determinism: unordered-ok(keyed entry access only; never iterated)
             buffers: HashMap::new(),
             batch_lanes,
-            lane_scratch: vec![PacketScratch::new()],
+            lane_scratch: (0..batch_lanes).map(|_| PacketScratch::new()).collect(),
             rngs: Vec::new(),
             outcomes: Vec::new(),
             batch: TurboBatchScratch::new(),
@@ -605,59 +602,23 @@ impl<'a> Worker<'a> {
         }
     }
 
-    fn run_shard(&mut self, shard: &Shard) -> HarqStats {
-        if self.batch_lanes > 1 {
-            return self.run_shard_batched(shard);
-        }
-        let spec = &self.specs[shard.point];
-        let make_buffer = self.make_buffer;
-        let group = self.groups.map_or(shard.point, |g| g[shard.point]);
-        // One buffer suffices on the scalar path; the Vec keeps the
-        // cache shape shared with the batched path.
-        let set = self.buffers.entry(group).or_default();
-        if set.is_empty() {
-            let fault_seed = derive_seed(spec.seed, STREAM_FAULT_MAP);
-            set.push(make_buffer(shard.point, fault_seed));
-        }
-        let buffer = &mut set[0];
-        let mut stats = HarqStats::new(self.cfg.max_transmissions, self.cfg.payload_bits);
-        for p in shard.start..shard.start + shard.count {
-            let pseed = packet_seed(spec.seed, p as u64);
-            let mut rng = StdRng::seed_from_u64(pseed);
-            buffer.begin_packet(pseed);
-            let outcome = self.sim.simulate_packet_with(
-                spec.snr_db,
-                buffer,
-                &mut rng,
-                &mut self.lane_scratch[0],
-            );
-            stats.record(outcome.success_after, self.cfg.max_transmissions);
-        }
-        telemetry::counter_add(Counter::PacketsSimulated, shard.count as u64);
-        flush_stage_nanos(&mut self.lane_scratch[0]);
-        stats
-    }
-
-    /// Batched wave path: consecutive packets of the shard fill up to
-    /// `batch_lanes` lanes, each against its own buffer/RNG, and decode
-    /// together. Lane `l` of a wave draws the stream of absolute packet
-    /// `p + l` — the same seed-tree position as the scalar loop — and
+    /// Runs one shard as waves: consecutive packets of the shard fill up
+    /// to `batch_lanes` lanes, each against its own buffer/RNG, and
+    /// decode together. Lane `l` of a wave draws the stream of absolute
+    /// packet `p + l` — its seed-tree position, whatever the width — and
     /// batched decoding is bit-identical per lane, so the recorded
-    /// statistics equal the scalar path's at every width. Lanes of a
+    /// statistics are the same at every width (1 included). Lanes of a
     /// group's buffer set are interchangeable: the factory is
     /// deterministic in `(point, fault_seed)` — the same die — and all
     /// per-packet buffer randomness is re-anchored through
     /// [`LlrBuffer::begin_packet`] (the property the engine's
     /// thread-invariance already rests on), so N copies behave exactly
     /// like one buffer reused serially.
-    fn run_shard_batched(&mut self, shard: &Shard) -> HarqStats {
+    fn run_shard(&mut self, shard: &Shard) -> HarqStats {
         let spec = self.specs[shard.point];
         let make_buffer = self.make_buffer;
         let group = self.groups.map_or(shard.point, |g| g[shard.point]);
         let mut stats = HarqStats::new(self.cfg.max_transmissions, self.cfg.payload_bits);
-        while self.lane_scratch.len() < self.batch_lanes {
-            self.lane_scratch.push(PacketScratch::new());
-        }
         let end = shard.start + shard.count;
         let mut p = shard.start;
         while p < end {
@@ -794,12 +755,12 @@ mod tests {
                 .batch_lanes(lanes)
                 .run_batch(&sim, &specs)
         };
-        let scalar = run(1, 1);
+        let one_lane = run(1, 1);
         for (threads, lanes) in [(1, 2), (1, 8), (2, 4), (4, 8), (1, 13)] {
             assert_eq!(
-                scalar,
+                one_lane,
                 run(threads, lanes),
-                "threads={threads} lanes={lanes} must match the scalar path"
+                "threads={threads} lanes={lanes} must match 1-lane waves"
             );
         }
     }

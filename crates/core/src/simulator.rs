@@ -13,6 +13,10 @@
 //! [`crate::FaultyLlrBuffer`] realizes the paper's fault-injection
 //! methodology with zero changes to the protocol code.
 //!
+//! The chain is coded once, in [`LinkSimulator::simulate_wave_with`],
+//! which runs a lockstep wave of packets through one batched decode;
+//! [`LinkSimulator::simulate_packet_with`] is its 1-lane wave.
+//!
 //! # Parallel execution
 //!
 //! The simulator is split for the Monte-Carlo engine
@@ -41,9 +45,7 @@ use hspa_phy::equalizer::EqScratch;
 use hspa_phy::harq::{HarqProcess, LlrBuffer};
 use hspa_phy::interleave::ChannelInterleaver;
 use hspa_phy::rate_match::RateMatcher;
-use hspa_phy::turbo::{
-    AccuracyTier, DecodeResult, DecoderConfig, TurboBatchScratch, TurboCode, TurboScratch,
-};
+use hspa_phy::turbo::{AccuracyTier, DecoderConfig, TurboBatchScratch, TurboCode};
 
 use crate::config::{ChannelKind, SystemConfig};
 
@@ -66,7 +68,8 @@ struct LinkCore {
     channel: Box<dyn ChannelModel + Send + Sync>,
 }
 
-/// Per-stage wall-clock accumulators of [`LinkSimulator::simulate_packet_with`].
+/// Per-stage wall-clock accumulators of [`LinkSimulator::simulate_wave_with`]
+/// (and so of its 1-lane form, [`LinkSimulator::simulate_packet_with`]).
 ///
 /// The counters always advance: a stage boundary costs one monotonic
 /// clock read (vDSO `clock_gettime`, ~tens of ns) against stages that
@@ -87,10 +90,10 @@ pub struct StageNanos {
     pub equalize: u64,
     /// Soft demapping + deinterleaving.
     pub demap: u64,
-    /// HARQ combining through the LLR buffer (on the wave path, plus
-    /// staging the combined LLRs into the decoder batch).
+    /// HARQ combining through the LLR buffer, plus staging the combined
+    /// LLRs into the decoder batch.
     pub harq: u64,
-    /// Turbo decoding + CRC check.
+    /// Batched turbo decoding + CRC checks (whole wave, on lane 0).
     pub decode: u64,
 }
 
@@ -107,23 +110,20 @@ impl StageNanos {
     }
 }
 
-/// The DSP-stage scratch owned by [`PacketScratch`]: persistent buffers
-/// for the turbo codec (trellis matrices, extrinsic/posterior streams,
-/// de-multiplexed observations), the MMSE equalizer workspace, the
-/// channel realization and the encode-side bit vectors. Together with
-/// the transmission buffers in `PacketScratch` it makes the steady-state
-/// packet loop perform **zero heap allocations**.
+/// The DSP-stage scratch owned by [`PacketScratch`]: the MMSE equalizer
+/// workspace, the channel realization, the encode-side bit vectors and
+/// the decoder batch of [`LinkSimulator::simulate_packet_with`]. Together
+/// with the transmission buffers in `PacketScratch` it makes the
+/// steady-state packet loop perform **zero heap allocations**.
 #[derive(Debug, Clone)]
 pub struct DspScratch {
     payload: Vec<u8>,
     block: Vec<u8>,
     coded: Vec<u8>,
     realization: ChannelRealization,
-    turbo: TurboScratch,
-    /// Single-lane batch workspace backing the `Fast32` tier in the
-    /// scalar packet path (the lockstep kernel is the `f32` reference).
+    /// The 1-lane decoder batch of `simulate_packet_with` (lanes of an
+    /// engine wave share the wave's batch and leave this one empty).
     turbo_batch: TurboBatchScratch,
-    decoded: DecodeResult,
     eq: EqScratch,
 }
 
@@ -134,9 +134,7 @@ impl Default for DspScratch {
             block: Vec::new(),
             coded: Vec::new(),
             realization: ChannelRealization::empty(),
-            turbo: TurboScratch::new(),
             turbo_batch: TurboBatchScratch::new(),
-            decoded: DecodeResult::new(),
             eq: EqScratch::new(),
         }
     }
@@ -162,6 +160,8 @@ pub struct PacketScratch {
     llrs_deinterleaved: Vec<f64>,
     combined: Vec<f64>,
     dsp: DspScratch,
+    /// The 1-lane wave bookkeeping of `simulate_packet_with`.
+    wave: WaveScratch,
     /// Per-stage time breakdown (always advancing; see [`StageNanos`]).
     pub stage_nanos: StageNanos,
 }
@@ -191,12 +191,10 @@ impl PacketScratch {
             self.dsp.block.capacity(),
             self.dsp.coded.capacity(),
             self.dsp.realization.taps.capacity(),
-            self.dsp.decoded.bits.capacity(),
-            self.dsp.decoded.llrs.capacity(),
         ];
-        self.dsp.turbo.heap_capacities(&mut caps);
         self.dsp.turbo_batch.heap_capacities(&mut caps);
         self.dsp.eq.heap_capacities(&mut caps);
+        self.wave.heap_capacities(&mut caps);
         caps
     }
 
@@ -296,7 +294,9 @@ impl LinkSimulator {
     ///
     /// The buffer is reset at block start (new HARQ process) and carries
     /// the combined LLRs across retransmissions — through whatever
-    /// corruption the backend applies.
+    /// corruption the backend applies. This is a 1-lane
+    /// [`LinkSimulator::simulate_wave_with`], the one packet path; the
+    /// wave's decoder batch and bookkeeping live in `scratch`.
     pub fn simulate_packet_with<B: LlrBuffer>(
         &self,
         snr_db: f64,
@@ -304,149 +304,22 @@ impl LinkSimulator {
         rng: &mut StdRng,
         scratch: &mut PacketScratch,
     ) -> PacketOutcome {
-        let core = &*self.core;
-        let cfg = &core.config;
-        stage!(scratch, encode, {
-            random_bits_into(rng, cfg.payload_bits, &mut scratch.dsp.payload);
-            core.crc
-                .attach_into(&scratch.dsp.payload, &mut scratch.dsp.block);
-            core.code
-                .encode_into(&scratch.dsp.block, &mut scratch.dsp.coded);
-        });
-
-        let mut harq = HarqProcess::new(&core.rate_matcher, cfg.combining, &mut *buffer);
-        harq.start_block();
-        // Time-correlated channels anchor the whole block's fades here;
-        // memoryless channels consume nothing.
-        let block_phase = core.channel.block_phase(rng);
-
-        for attempt in 0..cfg.max_transmissions {
-            let rv = cfg.combining.rv(attempt);
-            stage!(scratch, modulate, {
-                core.rate_matcher
-                    .rate_match_into(&scratch.dsp.coded, rv, &mut scratch.tx_bits);
-                core.interleaver
-                    .interleave_into(&scratch.tx_bits, &mut scratch.tx_interleaved);
-                cfg.modulation
-                    .modulate_into(&scratch.tx_interleaved, &mut scratch.symbols);
-            });
-
-            // Per-(re)transmission realization: independent block fading
-            // for memoryless channels, correlated along `block_phase` for
-            // the slow-fading model.
-            stage!(scratch, channel, {
-                core.channel.realize_attempt_into(
-                    snr_db,
-                    block_phase,
-                    attempt,
-                    rng,
-                    &mut scratch.dsp.realization,
-                );
-                scratch
-                    .dsp
-                    .realization
-                    .apply_into(&scratch.symbols, rng, &mut scratch.received);
-            });
-
-            let eff_noise: f64 = stage!(scratch, equalize, {
-                if scratch.dsp.realization.taps.len() == 1 {
-                    // Flat channel: scalar MMSE (derotate + bias-correct).
-                    let h = scratch.dsp.realization.taps[0];
-                    let g = h.norm_sqr();
-                    let inv = h.conj() / (g.max(1e-12));
-                    scratch.equalized.clear();
-                    scratch
-                        .equalized
-                        .extend(scratch.received.iter().map(|&y| y * inv));
-                    scratch.dsp.realization.noise_var / g.max(1e-12)
-                } else {
-                    scratch
-                        .dsp
-                        .eq
-                        .design(&scratch.dsp.realization, cfg.equalizer_taps)
-                        .expect("MMSE design is PD for positive noise");
-                    scratch
-                        .dsp
-                        .eq
-                        .equalize_into(&scratch.received, &mut scratch.equalized);
-                    scratch.dsp.eq.noise_var()
-                }
-            });
-
-            stage!(scratch, demap, {
-                cfg.modulation.demodulate_soft_into(
-                    &scratch.equalized,
-                    eff_noise.max(1e-9),
-                    &mut scratch.llrs,
-                );
-                core.interleaver
-                    .deinterleave_into(&scratch.llrs, &mut scratch.llrs_deinterleaved);
-            });
-            stage!(scratch, harq, {
-                harq.combine_transmission_into(
-                    attempt,
-                    &scratch.llrs_deinterleaved,
-                    &mut scratch.combined,
-                );
-            });
-
-            // Decode under the configured accuracy tier. `Exact` keeps
-            // the agreement early-stop (bit-exact reference semantics);
-            // `EarlyStop` adds the CRC-gated iteration stop, which is
-            // faster on marginal packets but measurably changes
-            // Monte-Carlo outcomes — an intermediate iteration can hit a
-            // CRC-valid block that later iterations walk away from — so
-            // it is opt-in and keyed into the campaign fingerprint;
-            // `Fast32` runs the single-precision lockstep kernel.
-            let crc_ok = stage!(scratch, decode, {
-                match cfg.accuracy_tier {
-                    AccuracyTier::Exact => {
-                        core.code.decode_into(
-                            &scratch.combined,
-                            cfg.decoder_iterations,
-                            &mut scratch.dsp.turbo,
-                            &mut scratch.dsp.decoded,
-                        );
-                    }
-                    AccuracyTier::EarlyStop => {
-                        core.code.decode_into_with_stop(
-                            &scratch.combined,
-                            cfg.decoder_iterations,
-                            &mut scratch.dsp.turbo,
-                            &mut scratch.dsp.decoded,
-                            &|bits: &[u8]| core.crc.check(bits),
-                        );
-                    }
-                    AccuracyTier::Fast32 => {
-                        let batch = &mut scratch.dsp.turbo_batch;
-                        batch.begin_batch(scratch.combined.len());
-                        batch.push_lane(&scratch.combined);
-                        core.code.decode_batch(
-                            DecoderConfig::new(cfg.decoder_iterations, AccuracyTier::Fast32),
-                            batch,
-                            None,
-                        );
-                        let decoded = &mut scratch.dsp.decoded;
-                        decoded.bits.clear();
-                        decoded.bits.extend_from_slice(batch.bits(0));
-                        decoded.llrs.clear();
-                        decoded.llrs.extend_from_slice(batch.llrs(0));
-                        decoded.iterations_run = batch.iterations_run(0);
-                    }
-                }
-                core.crc.check(&scratch.dsp.decoded.bits)
-            });
-            if crc_ok {
-                return PacketOutcome {
-                    success_after: Some(attempt + 1),
-                    transmissions_used: attempt + 1,
-                };
-            }
-        }
-        PacketOutcome {
-            success_after: None,
-            transmissions_used: cfg.max_transmissions,
-        }
+        // `take` leaves empty `Vec`s behind: no allocation.
+        let mut batch = std::mem::take(&mut scratch.dsp.turbo_batch);
+        let mut wave = std::mem::take(&mut scratch.wave);
+        let mut out = [PacketOutcome::default()];
+        self.simulate_wave_with(
+            snr_db,
+            std::slice::from_mut(buffer),
+            std::slice::from_mut(rng),
+            std::slice::from_mut(scratch),
+            &mut batch,
+            &mut wave,
+            &mut out,
+        );
+        scratch.dsp.turbo_batch = batch;
+        scratch.wave = wave;
+        out[0]
     }
 
     /// Simulates a wave of `N` transport blocks in lockstep: every lane
@@ -456,16 +329,17 @@ impl LinkSimulator {
     /// [`TurboCode::decode_batch`]; lanes whose CRC passes (or whose
     /// retransmission budget is spent) drop out of subsequent attempts.
     ///
-    /// Lane `l` consumes exactly the RNG/buffer operation sequence of
-    /// `simulate_packet_with(snr_db, &mut buffers[l], &mut rngs[l], ..)`
-    /// and — because batched decoding is bit-identical lane for lane —
-    /// produces exactly the same [`PacketOutcome`], at every wave width.
-    /// The engine relies on this to keep batched campaign results
-    /// byte-identical to unbatched ones.
+    /// Lane `l` consumes exactly the RNG/buffer operation sequence of a
+    /// 1-lane wave over `buffers[l]` and `rngs[l]` — that is, of
+    /// `simulate_packet_with(snr_db, &mut buffers[l], &mut rngs[l], ..)` —
+    /// and, because batched decoding is bit-identical lane for lane,
+    /// produces exactly the same [`PacketOutcome`] at every wave width.
+    /// The engine relies on this to keep campaign results byte-identical
+    /// across batch widths.
     ///
-    /// Decode time is not attributed to per-lane [`StageNanos`] in wave
-    /// mode (one batched decode serves many lanes); front-end stages
-    /// still accumulate per lane.
+    /// Front-end stages accumulate into each lane's [`StageNanos`]; the
+    /// batched decode and the CRC verdicts serve the whole wave and are
+    /// recorded against lane 0's.
     ///
     /// # Panics
     ///

@@ -19,8 +19,9 @@
 //! [`super::TurboCode::decode_into`] on that codeword alone. Rust never
 //! contracts or reorders IEEE-754 arithmetic, so the outputs — hard
 //! bits, posterior LLR bit patterns, iteration counts — are identical to
-//! the serial path for any batch size. `tests/decode_batch.rs` pins the
-//! property with proptests; the golden corpus pins the serial reference.
+//! the serial path for any batch size. `tests/batch_equivalence.rs` pins
+//! the property with proptests; the golden corpus pins the serial
+//! reference.
 //!
 //! # Early finishers and lane draining
 //!

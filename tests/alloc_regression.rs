@@ -1,9 +1,10 @@
 //! Steady-state zero-allocation invariant of the packet hot path.
 //!
-//! `simulate_packet_with` is documented to perform no heap allocation
-//! once its [`PacketScratch`] is warm: every buffer in the chain —
-//! encode bit vectors, symbol/LLR vectors, the turbo trellis matrices,
-//! the MMSE design workspace, the channel realization — lives in the
+//! `simulate_packet_with` — a 1-lane wave — is documented to perform no
+//! heap allocation once its [`PacketScratch`] is warm: every buffer in
+//! the chain — encode bit vectors, symbol/LLR vectors, the 1-lane
+//! decoder batch with its trellis workspaces, the wave bookkeeping, the
+//! MMSE design workspace, the channel realization — lives in the
 //! scratch and is reused in place. This test pins the invariant by
 //! snapshotting the capacity of every reachable heap buffer
 //! ([`PacketScratch::heap_capacities`]) after a warm-up packet and
@@ -99,9 +100,9 @@ fn earlystop_tier_is_allocation_free_after_warmup() {
 
 #[test]
 fn fast32_tier_is_allocation_free_after_warmup() {
-    // Fast32 routes the scalar per-packet path through a one-lane
-    // `TurboBatchScratch`, whose buffers `PacketScratch::heap_capacities`
-    // now reports — this pins the f32 lane storage too.
+    // A Fast32 1-lane wave decodes in the f32 lockstep kernel, whose
+    // lane storage lives in the `TurboBatchScratch` that
+    // `PacketScratch::heap_capacities` reports — this pins it too.
     let cfg = SystemConfig::fast_test().with_tier(hspa_phy::turbo::AccuracyTier::Fast32);
     let storage = StorageConfig::unprotected(0.10, cfg.llr_bits);
     assert_steady_state(cfg, &storage, 2.0, "fast32/faulty10");

@@ -222,3 +222,89 @@ fn reference_scalar_paths_agree_under_faults() {
         assert_eq!(out, code.decode(&llrs, 8), "seed {seed}");
     }
 }
+
+/// The link-level form of the contract: every lane of a 2-, 3-, 8- or
+/// 16-lane wave ends with exactly the `PacketOutcome` that
+/// `simulate_packet_with` (a 1-lane wave) gives the same packet seed on
+/// the same die. Lanes are compared one by one, not as aggregate
+/// statistics, so a lane mix-up cannot hide: each storage runs at an
+/// SNR where HARQ retransmits and outcomes differ from packet to packet
+/// (the faulty arrays need more SNR than the clean ones to get there).
+#[test]
+fn wave_lanes_match_single_packet_outcomes() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use resilience_core::config::SystemConfig;
+    use resilience_core::montecarlo::{build_buffer, DefectSpec, StorageConfig};
+    use resilience_core::simulator::{LinkSimulator, PacketOutcome, PacketScratch, WaveScratch};
+    use silicon::fault_map::FaultKind;
+
+    const DIE_SEED: u64 = 0xd1e;
+    const PACKETS: usize = 16;
+    let packet_seed = |p: usize| dsp::rng::packet_seed(0x1a7e, p as u64);
+    for tier in AccuracyTier::ALL {
+        let cfg = SystemConfig::fast_test().with_tier(tier);
+        let sim = LinkSimulator::new(cfg);
+        let storages = [
+            (StorageConfig::Perfect, 2.0),
+            (StorageConfig::Quantized, 2.0),
+            (StorageConfig::unprotected(0.10, cfg.llr_bits), 8.0),
+            (StorageConfig::msb_protected(4, 0.10, cfg.llr_bits), 2.0),
+            (
+                StorageConfig::Ecc {
+                    defects: DefectSpec::Fraction(0.10),
+                    fault_kind: FaultKind::Flip,
+                },
+                8.0,
+            ),
+        ];
+        for (storage, snr_db) in &storages {
+            let mut buffer = build_buffer(&cfg, storage, DIE_SEED);
+            let mut scratch = PacketScratch::new();
+            let single: Vec<PacketOutcome> = (0..PACKETS)
+                .map(|p| {
+                    let pseed = packet_seed(p);
+                    buffer.begin_packet(pseed);
+                    let mut rng = StdRng::seed_from_u64(pseed);
+                    sim.simulate_packet_with(*snr_db, &mut buffer, &mut rng, &mut scratch)
+                })
+                .collect();
+            assert!(
+                single.iter().any(|o| o.transmissions_used > 1)
+                    && single.iter().any(|o| *o != single[0]),
+                "{tier}/{storage:?}: {snr_db} dB must retransmit and vary by packet"
+            );
+            for width in [2, 3, 8, 16] {
+                let mut buffers: Vec<_> = (0..width)
+                    .map(|_| build_buffer(&cfg, storage, DIE_SEED))
+                    .collect();
+                let mut rngs: Vec<StdRng> = buffers
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(l, buffer)| {
+                        let pseed = packet_seed(l);
+                        buffer.begin_packet(pseed);
+                        StdRng::seed_from_u64(pseed)
+                    })
+                    .collect();
+                let mut scratches: Vec<PacketScratch> =
+                    (0..width).map(|_| PacketScratch::new()).collect();
+                let mut out = vec![PacketOutcome::default(); width];
+                sim.simulate_wave_with(
+                    *snr_db,
+                    &mut buffers,
+                    &mut rngs,
+                    &mut scratches,
+                    &mut TurboBatchScratch::new(),
+                    &mut WaveScratch::new(),
+                    &mut out,
+                );
+                assert_eq!(
+                    out,
+                    single[..width],
+                    "{tier}/{storage:?}: lanes of a {width}-lane wave"
+                );
+            }
+        }
+    }
+}

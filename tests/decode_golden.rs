@@ -357,8 +357,8 @@ const GOLDEN_OUTCOMES_FAST32: &[(&str, &str, &str, i32, u64, u64)] = &[
     ("fast", "veha", "faulty10", 200, 6, 0xe4f498bf8b216625),
 ];
 
-/// Runs one tier's link-level table through the scalar per-packet path
-/// and checks every hash.
+/// Runs one tier's link-level table through `simulate_packet_with` (a
+/// 1-lane wave) and checks every hash.
 fn check_tiered_outcomes(
     tier: hspa_phy::turbo::AccuracyTier,
     table: &[(&str, &str, &str, i32, u64, u64)],
@@ -416,8 +416,8 @@ fn fast32_outcomes_match_goldens() {
 }
 
 /// Every tier must produce identical aggregate statistics at 1, 2 and 8
-/// worker threads, batched (engine default) and unbatched. The 1-thread
-/// unbatched run goes through `simulate_packet_with`, which the tier
+/// worker threads, in 8-lane and 1-lane waves. The 1-thread 1-lane run
+/// does per packet what `simulate_packet_with` does, which the tier
 /// golden tables above pin — so this closes the chain from "engine at
 /// any thread count / batch width" back to the committed goldens.
 #[test]
