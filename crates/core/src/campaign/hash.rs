@@ -58,17 +58,6 @@ pub fn point_fingerprint(
     )
 }
 
-/// Canonical fingerprint of a point whose buffer comes from a caller
-/// factory. `custom` must describe the factory's output (it replaces the
-/// storage field of the fingerprint) and the caller is responsible for
-/// including every knob the factory closes over.
-pub fn custom_fingerprint(cfg: &SystemConfig, custom: &str, snr_db: f64, seed: u64) -> String {
-    format!(
-        "v{FINGERPRINT_VERSION}|{cfg:?}|custom:{custom}|snr={:016x}|seed={seed:016x}|fault=derived",
-        snr_db.to_bits()
-    )
-}
-
 /// The 64-bit store key of a point fingerprint.
 pub fn point_key(fingerprint: &str) -> u64 {
     fnv1a64(fingerprint.as_bytes())
@@ -99,10 +88,12 @@ mod tests {
         );
         let s = StorageConfig::Quantized;
         let s2 = StorageConfig::unprotected(0.1, cfg.llr_bits);
+        let t3 = StorageConfig::Transient { p_upset: 1e-3 };
         let base = point_fingerprint(&cfg, &s, 10.0, 42, None);
         for other in [
             point_fingerprint(&cfg2, &s, 10.0, 42, None),
             point_fingerprint(&cfg, &s2, 10.0, 42, None),
+            point_fingerprint(&cfg, &t3, 10.0, 42, None),
             point_fingerprint(&cfg, &s, 10.5, 42, None),
             point_fingerprint(&cfg, &s, 10.0, 43, None),
             point_fingerprint(&cfg, &s, 10.0, 42, Some(7)),
@@ -116,9 +107,13 @@ mod tests {
 
     #[test]
     fn custom_fingerprint_tracks_descriptor() {
+        // The soft-error descriptor is the `Transient` storage variant:
+        // its upset rate must key the store.
         let cfg = SystemConfig::fast_test();
-        let a = custom_fingerprint(&cfg, "transient p=1e-4", 10.0, 1);
-        let b = custom_fingerprint(&cfg, "transient p=1e-3", 10.0, 1);
-        assert_ne!(a, b);
+        let t3 = StorageConfig::Transient { p_upset: 1e-3 };
+        let t4 = StorageConfig::Transient { p_upset: 1e-4 };
+        let a = point_fingerprint(&cfg, &t4, 10.0, 1, None);
+        let b = point_fingerprint(&cfg, &t3, 10.0, 1, None);
+        assert_ne!(a, b, "the upset rate must key the store");
     }
 }

@@ -80,18 +80,16 @@ use std::cell::{Cell, RefCell};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use hspa_phy::harq::{HarqStats, LlrBuffer};
+use hspa_phy::harq::HarqStats;
 use hspa_phy::turbo::AccuracyTier;
 
-use crate::engine::{ChunkSpec, CustomChunk, GridResult, SimulationEngine};
+use crate::engine::{ChunkSpec, GridResult, SimulationEngine};
 use crate::montecarlo::StorageConfig;
 use crate::report::render_table;
 use crate::simulator::LinkSimulator;
 use crate::telemetry::{
     self, Counter, EventLog, Field, Gauge, Histogram, LiveSnapshot, PointProgress,
 };
-
-use dsp::rng::{derive_seed, STREAM_FAULT_MAP};
 
 pub use controller::{CampaignSettings, PrecisionCheck};
 pub use dispatch::{
@@ -105,7 +103,7 @@ pub use store::{BackendKind, QueryFilter, ResultStore, StoreBackend};
 /// The default on-disk location of campaign stores and manifests.
 pub const DEFAULT_STORE_DIR: &str = "target/campaign";
 
-/// One operating point of a campaign over the standard storage backends.
+/// One operating point of a campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignPoint {
     /// Human-readable label for manifests and tables.
@@ -125,25 +123,20 @@ pub struct CampaignPoint {
     pub fault_seed: Option<u64>,
 }
 
-/// A campaign point whose LLR buffer comes from a caller factory. The
-/// `fingerprint` must describe the factory's output for this point — it
-/// replaces the storage field in the store key, so it has to cover every
-/// knob the factory closes over.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CustomCampaignPoint {
-    /// Human-readable label for manifests and tables.
-    // identity: excluded(presentation only; renaming a point must keep resuming its stored chunks)
-    pub label: String,
-    /// Canonical description of the custom buffer configuration.
-    // identity: hashed(passed to custom_fingerprint as the descriptor string replacing the storage field)
-    pub fingerprint: String,
-    /// Operating SNR (dB).
-    pub snr_db: f64,
-    /// Maximum packet budget.
-    // identity: excluded(budget cap; chunks are keyed per packet index, so raising the cap extends rather than invalidates)
-    pub max_packets: usize,
-    /// Seed of this point's stream subtree.
-    pub seed: u64,
+impl From<&ChunkSpec> for CampaignPoint {
+    /// The point a whole-point chunk (`first_packet` 0) describes,
+    /// labelled `"<storage> @ <snr> dB"`; the chunk's size becomes the
+    /// budget cap.
+    fn from(chunk: &ChunkSpec) -> Self {
+        CampaignPoint {
+            label: format!("{} @ {} dB", chunk.storage.label(), chunk.snr_db),
+            storage: chunk.storage.clone(),
+            snr_db: chunk.snr_db,
+            max_packets: chunk.n_packets,
+            seed: chunk.seed,
+            fault_seed: chunk.fault_seed,
+        }
+    }
 }
 
 /// Final state of one campaign point.
@@ -273,14 +266,6 @@ impl CampaignReport {
             &rows,
         )
     }
-}
-
-/// Internal descriptor shared by the standard and custom run paths.
-struct PointDesc {
-    label: String,
-    snr_db: f64,
-    key: u64,
-    max_packets: usize,
 }
 
 /// An adaptive, store-backed campaign over one simulator configuration.
@@ -426,92 +411,9 @@ impl Campaign {
         })
     }
 
-    /// Runs standard-storage points adaptively; outcomes keep input
-    /// order.
-    pub fn run(&self, sim: &LinkSimulator, points: &[CampaignPoint]) -> CampaignReport {
-        let cfg = *sim.config();
-        let descs: Vec<PointDesc> = points
-            .iter()
-            .map(|p| PointDesc {
-                label: p.label.clone(),
-                snr_db: p.snr_db,
-                key: hash::point_key(&hash::point_fingerprint(
-                    &cfg,
-                    &p.storage,
-                    p.snr_db,
-                    p.seed,
-                    p.fault_seed,
-                )),
-                max_packets: p.max_packets,
-            })
-            .collect();
-        self.run_adaptive(sim, &descs, |batch| {
-            let chunks: Vec<ChunkSpec> = batch
-                .iter()
-                .map(|&(i, first_packet, n_packets)| ChunkSpec {
-                    storage: points[i].storage.clone(),
-                    snr_db: points[i].snr_db,
-                    first_packet,
-                    n_packets,
-                    seed: points[i].seed,
-                    fault_seed: points[i].fault_seed,
-                })
-                .collect();
-            self.engine.run_chunks(sim, &chunks)
-        })
-    }
-
-    /// Runs custom-buffer points adaptively. The factory receives the
-    /// index of the point **in `points`** plus the point's fault-stream
-    /// seed, exactly like
-    /// [`SimulationEngine::run_batch_with_buffers`].
-    pub fn run_with_buffers<F>(
-        &self,
-        sim: &LinkSimulator,
-        points: &[CustomCampaignPoint],
-        make_buffer: F,
-    ) -> CampaignReport
-    where
-        F: Fn(usize, u64) -> Box<dyn LlrBuffer + Send> + Sync,
-    {
-        let cfg = *sim.config();
-        let descs: Vec<PointDesc> = points
-            .iter()
-            .map(|p| PointDesc {
-                label: p.label.clone(),
-                snr_db: p.snr_db,
-                key: hash::point_key(&hash::custom_fingerprint(
-                    &cfg,
-                    &p.fingerprint,
-                    p.snr_db,
-                    p.seed,
-                )),
-                max_packets: p.max_packets,
-            })
-            .collect();
-        self.run_adaptive(sim, &descs, |batch| {
-            let chunks: Vec<CustomChunk> = batch
-                .iter()
-                .map(|&(i, first_packet, n_packets)| CustomChunk {
-                    snr_db: points[i].snr_db,
-                    first_packet,
-                    n_packets,
-                    seed: points[i].seed,
-                })
-                .collect();
-            // Remap chunk indices back onto the caller's point indices.
-            let owners: Vec<usize> = batch.iter().map(|&(i, _, _)| i).collect();
-            self.engine
-                .run_chunks_with_buffers(sim, &chunks, |chunk_idx, fault_seed| {
-                    make_buffer(owners[chunk_idx], fault_seed)
-                })
-        })
-    }
-
-    /// Campaign equivalent of [`SimulationEngine::run_grid`]: identical
-    /// seed-tree semantics (row `r` draws its subtree from
-    /// `derive_seed(master_seed, r)` and shares **one die** across its
-    /// SNR sweep), with per-point adaptive budgets and store resume.
+    /// Campaign equivalent of [`SimulationEngine::run_grid`]: the same
+    /// [`ChunkSpec::grid`] seed-tree layout (one die per row), with
+    /// per-point adaptive budgets and store resume.
     pub fn run_grid(
         &self,
         sim: &LinkSimulator,
@@ -520,35 +422,14 @@ impl Campaign {
         max_packets: usize,
         master_seed: u64,
     ) -> GridResult {
-        let mut points = Vec::with_capacity(storages.len() * snrs_db.len());
-        for (r, storage) in storages.iter().enumerate() {
-            let row_seed = derive_seed(master_seed, r as u64);
-            let die_seed = derive_seed(row_seed, STREAM_FAULT_MAP);
-            for (c, &snr_db) in snrs_db.iter().enumerate() {
-                points.push(CampaignPoint {
-                    label: format!("{} @ {snr_db} dB", storage.label()),
-                    storage: storage.clone(),
-                    snr_db,
-                    max_packets,
-                    seed: derive_seed(row_seed, 0x100 + c as u64),
-                    fault_seed: Some(die_seed),
-                });
-            }
-        }
-        let flat = self.run(sim, &points).stats();
-        let mut rows = Vec::with_capacity(storages.len());
-        let mut it = flat.into_iter();
-        for _ in 0..storages.len() {
-            rows.push(it.by_ref().take(snrs_db.len()).collect());
-        }
-        GridResult {
-            snr_db: snrs_db.to_vec(),
-            stats: rows,
-        }
+        let chunks = ChunkSpec::grid(storages, snrs_db, max_packets, master_seed);
+        let points: Vec<CampaignPoint> = chunks.iter().map(CampaignPoint::from).collect();
+        GridResult::from_flat(snrs_db, storages.len(), self.run(sim, &points).stats())
     }
 
-    /// Campaign equivalent of [`SimulationEngine::run_sweep`]: point `i`
-    /// draws its own die from `derive_seed(seed, i)`.
+    /// Campaign equivalent of [`SimulationEngine::run_sweep`]: the same
+    /// [`ChunkSpec::sweep`] layout (point `i` draws its own die from
+    /// `derive_seed(seed, i)`).
     pub fn run_sweep(
         &self,
         sim: &LinkSimulator,
@@ -557,18 +438,8 @@ impl Campaign {
         max_packets: usize,
         seed: u64,
     ) -> Vec<HarqStats> {
-        let points: Vec<CampaignPoint> = snrs_db
-            .iter()
-            .enumerate()
-            .map(|(i, &snr_db)| CampaignPoint {
-                label: format!("{} @ {snr_db} dB", storage.label()),
-                storage: storage.clone(),
-                snr_db,
-                max_packets,
-                seed: derive_seed(seed, i as u64),
-                fault_seed: None,
-            })
-            .collect();
+        let chunks = ChunkSpec::sweep(storage, snrs_db, max_packets, seed);
+        let points: Vec<CampaignPoint> = chunks.iter().map(CampaignPoint::from).collect();
         self.run(sim, &points).stats()
     }
 
@@ -585,7 +456,8 @@ impl Campaign {
         &self,
         done: bool,
         run_start: Instant,
-        descs: &[PointDesc],
+        points: &[CampaignPoint],
+        keys: &[u64],
         owned: &[bool],
         stats: &[HarqStats],
         converged: &[bool],
@@ -604,11 +476,11 @@ impl Campaign {
             return;
         }
         let elapsed = run_start.elapsed();
-        let mut points = Vec::new();
+        let mut progress = Vec::new();
         let mut packets_realized = 0u64;
         let mut packets_from_store = 0u64;
         let mut points_converged = 0u64;
-        for (i, desc) in descs.iter().enumerate() {
+        for (i, point) in points.iter().enumerate() {
             if !owned[i] {
                 continue;
             }
@@ -616,11 +488,11 @@ impl Campaign {
             packets_realized += stats[i].packets;
             packets_from_store += packets_hit[i] as u64;
             points_converged += u64::from(converged[i]);
-            points.push(PointProgress {
-                key: desc.key,
-                label: desc.label.clone(),
+            progress.push(PointProgress {
+                key: keys[i],
+                label: point.label.clone(),
                 packets: stats[i].packets,
-                max_packets: desc.max_packets as u64,
+                max_packets: point.max_packets as u64,
                 bler: check.bler,
                 half_width: check.rel_half_width,
                 converged: converged[i],
@@ -634,7 +506,7 @@ impl Campaign {
             seq,
             elapsed_ms: elapsed.as_millis() as u64,
             done,
-            points_total: points.len() as u64,
+            points_total: progress.len() as u64,
             points_converged,
             packets_realized,
             packets_from_store,
@@ -646,7 +518,7 @@ impl Campaign {
             },
             store_chunk_hits: store.hits,
             store_chunk_misses: store.misses,
-            points,
+            points: progress,
         };
         if let Err(e) = snap.write_atomic(&self.telemetry_path()) {
             eprintln!(
@@ -663,9 +535,9 @@ impl Campaign {
         }
     }
 
-    /// The adaptive loop shared by both run paths. `simulate` receives
-    /// `(point_index, first_packet, n_packets)` triples for the chunks
-    /// the store could not serve and returns their statistics in order.
+    /// Runs `points` adaptively; outcomes keep input order. Each round
+    /// serves the chunks the store already holds and simulates the rest
+    /// as one [`SimulationEngine::run_chunks`] batch.
     ///
     /// Under `--shard i/n` only the points this shard owns
     /// ([`ShardSpec::owns`] on the stable key) are scheduled; foreign
@@ -673,29 +545,30 @@ impl Campaign {
     /// still receives a **global index** (cumulative across run calls),
     /// so shard manifests agree on one enumeration order and
     /// [`shard::merge`] can reassemble the single-host manifest.
-    fn run_adaptive<F>(
-        &self,
-        sim: &LinkSimulator,
-        descs: &[PointDesc],
-        simulate: F,
-    ) -> CampaignReport
-    where
-        F: Fn(&[(usize, usize, usize)]) -> Vec<HarqStats>,
-    {
+    pub fn run(&self, sim: &LinkSimulator, points: &[CampaignPoint]) -> CampaignReport {
         let cfg = *sim.config();
+        let keys: Vec<u64> = points
+            .iter()
+            .map(|p| {
+                hash::point_key(&hash::point_fingerprint(
+                    &cfg,
+                    &p.storage,
+                    p.snr_db,
+                    p.seed,
+                    p.fault_seed,
+                ))
+            })
+            .collect();
         let mut store = self.open_store();
-        let mut stats: Vec<HarqStats> = descs
+        let mut stats: Vec<HarqStats> = points
             .iter()
             .map(|_| HarqStats::new(cfg.max_transmissions, cfg.payload_bits))
             .collect();
-        let owned: Vec<bool> = descs
-            .iter()
-            .map(|d| self.settings.shard.owns(d.key))
-            .collect();
-        let mut converged = vec![false; descs.len()];
-        let mut chunks_run = vec![0usize; descs.len()];
-        let mut chunks_hit = vec![0usize; descs.len()];
-        let mut packets_hit = vec![0usize; descs.len()];
+        let owned: Vec<bool> = keys.iter().map(|&k| self.settings.shard.owns(k)).collect();
+        let mut converged = vec![false; points.len()];
+        let mut chunks_run = vec![0usize; points.len()];
+        let mut chunks_hit = vec![0usize; points.len()];
+        let mut packets_hit = vec![0usize; points.len()];
 
         // determinism: wallclock(telemetry only; elapsed time feeds event-log timestamps, never results)
         let run_start = Instant::now();
@@ -719,7 +592,7 @@ impl Campaign {
                     "run_started",
                     &[
                         ("campaign", Field::Str(&self.name)),
-                        ("points", Field::U64(descs.len() as u64)),
+                        ("points", Field::U64(points.len() as u64)),
                         (
                             "owned",
                             Field::U64(owned.iter().filter(|&&o| o).count() as u64),
@@ -736,14 +609,15 @@ impl Campaign {
             // function of the merged statistics — identical whether the
             // packets were simulated or replayed from the store.
             let mut due: Vec<(usize, usize, usize)> = Vec::new();
-            for (i, desc) in descs.iter().enumerate() {
+            for (i, point) in points.iter().enumerate() {
                 if !owned[i] || converged[i] {
                     continue;
                 }
-                if let Some((first, len)) =
-                    self.settings
-                        .next_chunk(stats[i].packets as usize, desc.max_packets, &stats[i])
-                {
+                if let Some((first, len)) = self.settings.next_chunk(
+                    stats[i].packets as usize,
+                    point.max_packets,
+                    &stats[i],
+                ) {
                     due.push((i, first, len));
                 }
             }
@@ -760,7 +634,7 @@ impl Campaign {
             let mut misses: Vec<(usize, usize, usize)> = Vec::new();
             for &(i, first, len) in &due {
                 let id = store::ChunkId {
-                    point: descs[i].key,
+                    point: keys[i],
                     first_packet: first,
                     n_packets: len,
                 };
@@ -774,11 +648,22 @@ impl Campaign {
                 }
             }
             if !misses.is_empty() {
-                let fresh = simulate(&misses);
+                let chunks: Vec<ChunkSpec> = misses
+                    .iter()
+                    .map(|&(i, first_packet, n_packets)| ChunkSpec {
+                        storage: points[i].storage.clone(),
+                        snr_db: points[i].snr_db,
+                        first_packet,
+                        n_packets,
+                        seed: points[i].seed,
+                        fault_seed: points[i].fault_seed,
+                    })
+                    .collect();
+                let fresh = self.engine.run_chunks(sim, &chunks);
                 assert_eq!(fresh.len(), misses.len(), "one stats block per chunk");
                 for (&(i, first, len), chunk_stats) in misses.iter().zip(&fresh) {
                     let id = store::ChunkId {
-                        point: descs[i].key,
+                        point: keys[i],
                         first_packet: first,
                         n_packets: len,
                     };
@@ -832,8 +717,8 @@ impl Campaign {
                         log.emit(
                             "chunk_done",
                             &[
-                                ("key", Field::Str(&format!("{:016x}", descs[i].key))),
-                                ("label", Field::Str(&descs[i].label)),
+                                ("key", Field::Str(&format!("{:016x}", keys[i]))),
+                                ("label", Field::Str(&points[i].label)),
                                 ("first_packet", Field::U64(first as u64)),
                                 ("n_packets", Field::U64(len as u64)),
                                 ("packets", Field::U64(stats[i].packets)),
@@ -849,7 +734,8 @@ impl Campaign {
                 self.write_exposition(
                     false,
                     run_start,
-                    descs,
+                    points,
+                    &keys,
                     &owned,
                     &stats,
                     &converged,
@@ -863,7 +749,8 @@ impl Campaign {
             self.write_exposition(
                 true,
                 run_start,
-                descs,
+                points,
+                &keys,
                 &owned,
                 &stats,
                 &converged,
@@ -888,17 +775,17 @@ impl Campaign {
             }
         }
 
-        let outcomes: Vec<PointOutcome> = descs
+        let outcomes: Vec<PointOutcome> = points
             .iter()
             .enumerate()
-            .map(|(i, desc)| PointOutcome {
-                label: desc.label.clone(),
-                key: desc.key,
+            .map(|(i, point)| PointOutcome {
+                label: point.label.clone(),
+                key: keys[i],
                 owned: owned[i],
-                snr_db: desc.snr_db,
+                snr_db: point.snr_db,
                 check: PrecisionCheck::of(&stats[i], &self.settings),
                 stats: stats[i].clone(),
-                max_packets: desc.max_packets,
+                max_packets: point.max_packets,
                 converged: converged[i],
                 chunks: chunks_run[i],
                 chunks_from_store: chunks_hit[i],

@@ -28,13 +28,17 @@
 //!
 //! # Work decomposition
 //!
-//! [`SimulationEngine::run_batch`] flattens all operating points into
-//! shards of [`SimulationEngine::shard_packets`] packets and lets workers
-//! pull shards from a shared atomic counter (work stealing), so a single
-//! expensive point — low SNR, many retransmissions — cannot serialize the
-//! run. Each worker keeps one storage buffer per point and wave lane
-//! (rebuilt deterministically from the point's fault seed: the *same
-//! die*, per the paper's worst-case methodology) plus one
+//! Every entry point ([`SimulationEngine::run_point`], `run_batch`,
+//! `run_sweep`, `run_grid`, `run_point_resumed`) only lays out
+//! [`ChunkSpec`]s — the grid and sweep seed-tree layouts live in
+//! [`ChunkSpec::grid`] and [`ChunkSpec::sweep`] — and hands them to the
+//! one executor, [`SimulationEngine::run_chunks`]. It flattens the chunks
+//! into shards of [`SimulationEngine::shard_packets`] packets and lets
+//! workers pull shards from a shared atomic counter (work stealing), so a
+//! single expensive point — low SNR, many retransmissions — cannot
+//! serialize the run. Each worker keeps one storage buffer set per
+//! buffer group (chunks with the same [`StorageConfig`] and die seed:
+//! the *same die*, per the paper's worst-case methodology) plus one
 //! [`PacketScratch`] per lane, runs each shard as lockstep waves of
 //! [`SimulationEngine::batch_lanes`] packets, and merges its partial
 //! statistics locally; the main thread folds worker partials in task
@@ -69,32 +73,9 @@ pub struct PointSpec {
     pub seed: u64,
 }
 
-/// An operating point for [`SimulationEngine::run_batch_with_buffers`]:
-/// [`PointSpec`] minus the storage field. The caller's buffer factory
-/// *is* the storage, so a (silently ignored) `StorageConfig` cannot be
-/// supplied by mistake.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CustomPoint {
-    /// Operating SNR (dB).
-    pub snr_db: f64,
-    /// Packets to simulate.
-    pub n_packets: usize,
-    /// Seed of this point's stream subtree.
-    pub seed: u64,
-}
-
-impl From<&PointSpec> for CustomPoint {
-    fn from(spec: &PointSpec) -> Self {
-        Self {
-            snr_db: spec.snr_db,
-            n_packets: spec.n_packets,
-            seed: spec.seed,
-        }
-    }
-}
-
-/// A contiguous packet range of one operating point — the unit of work of
-/// resumable campaigns ([`crate::campaign`]).
+/// A contiguous packet range of one operating point — the unit of work
+/// every engine entry point reduces to, and of resumable campaigns
+/// ([`crate::campaign`]).
 ///
 /// Packet `p` of a chunk draws the *same* RNG stream
 /// (`packet_seed(seed, p)`) it would draw in a one-shot run of the whole
@@ -119,18 +100,72 @@ pub struct ChunkSpec {
     pub fault_seed: Option<u64>,
 }
 
-/// [`ChunkSpec`] minus the storage field, for chunked runs over caller
-/// buffer factories (mirrors [`CustomPoint`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CustomChunk {
-    /// Operating SNR (dB).
-    pub snr_db: f64,
-    /// Absolute index of the first packet in the point's stream.
-    pub first_packet: usize,
-    /// Packets to simulate.
-    pub n_packets: usize,
-    /// Seed of this point's stream subtree (shared by all its chunks).
-    pub seed: u64,
+impl From<&PointSpec> for ChunkSpec {
+    /// The whole point as one chunk, on the point's own die.
+    fn from(spec: &PointSpec) -> Self {
+        Self {
+            storage: spec.storage.clone(),
+            snr_db: spec.snr_db,
+            first_packet: 0,
+            n_packets: spec.n_packets,
+            seed: spec.seed,
+            fault_seed: None,
+        }
+    }
+}
+
+impl ChunkSpec {
+    /// The seed-tree layout of an SNR sweep: point `i` roots its own
+    /// subtree (and so draws its own die) at `derive_seed(seed, i)`.
+    pub fn sweep(
+        storage: &StorageConfig,
+        snrs_db: &[f64],
+        n_packets: usize,
+        seed: u64,
+    ) -> Vec<ChunkSpec> {
+        snrs_db
+            .iter()
+            .enumerate()
+            .map(|(i, &snr_db)| ChunkSpec {
+                storage: storage.clone(),
+                snr_db,
+                first_packet: 0,
+                n_packets,
+                seed: derive_seed(seed, i as u64),
+                fault_seed: None,
+            })
+            .collect()
+    }
+
+    /// The seed-tree layout of a (storage × SNR) grid, row-major. Row
+    /// `r` takes its subtree from `derive_seed(master_seed, r)`; cell
+    /// `(r, c)` streams from `derive_seed(row, 0x100 + c)`, and every
+    /// cell of a row shares **one die**, `derive_seed(row,
+    /// STREAM_FAULT_MAP)` — a physical device swept over operating SNRs,
+    /// the paper's worst-case single-map methodology.
+    pub fn grid(
+        storages: &[StorageConfig],
+        snrs_db: &[f64],
+        n_packets: usize,
+        master_seed: u64,
+    ) -> Vec<ChunkSpec> {
+        let mut chunks = Vec::with_capacity(storages.len() * snrs_db.len());
+        for (r, storage) in storages.iter().enumerate() {
+            let row_seed = derive_seed(master_seed, r as u64);
+            let die_seed = derive_seed(row_seed, STREAM_FAULT_MAP);
+            for (c, &snr_db) in snrs_db.iter().enumerate() {
+                chunks.push(ChunkSpec {
+                    storage: storage.clone(),
+                    snr_db,
+                    first_packet: 0,
+                    n_packets,
+                    seed: derive_seed(row_seed, 0x100 + c as u64),
+                    fault_seed: Some(die_seed),
+                });
+            }
+        }
+        chunks
+    }
 }
 
 /// A full (storage × SNR) evaluation produced by
@@ -141,6 +176,20 @@ pub struct GridResult {
     pub snr_db: Vec<f64>,
     /// `stats[row][col]` = statistics of storage `row` at SNR `col`.
     pub stats: Vec<Vec<HarqStats>>,
+}
+
+impl GridResult {
+    /// Reshapes the row-major statistics of a [`ChunkSpec::grid`] run
+    /// into `rows` rows over `snrs_db`.
+    pub fn from_flat(snrs_db: &[f64], rows: usize, flat: Vec<HarqStats>) -> Self {
+        let mut it = flat.into_iter();
+        GridResult {
+            snr_db: snrs_db.to_vec(),
+            stats: (0..rows)
+                .map(|_| it.by_ref().take(snrs_db.len()).collect())
+                .collect(),
+        }
+    }
 }
 
 /// Sharded Monte-Carlo executor over a [`LinkSimulator`].
@@ -245,17 +294,7 @@ impl SimulationEngine {
         n_packets: usize,
         seed: u64,
     ) -> HarqStats {
-        self.run_batch(
-            sim,
-            &[PointSpec {
-                storage: storage.clone(),
-                snr_db,
-                n_packets,
-                seed,
-            }],
-        )
-        .pop()
-        .expect("one spec in, one stats out")
+        self.run_point_resumed(sim, storage, snr_db, 0, n_packets, seed)
     }
 
     /// Evaluates a later slice of an operating point's packet stream:
@@ -291,13 +330,50 @@ impl SimulationEngine {
         .expect("one chunk in, one stats out")
     }
 
+    /// Evaluates one storage configuration over an SNR sweep laid out by
+    /// [`ChunkSpec::sweep`] (point `i` draws its own die from
+    /// `derive_seed(seed, i)`).
+    pub fn run_sweep(
+        &self,
+        sim: &LinkSimulator,
+        storage: &StorageConfig,
+        snrs_db: &[f64],
+        n_packets: usize,
+        seed: u64,
+    ) -> Vec<HarqStats> {
+        self.run_chunks(sim, &ChunkSpec::sweep(storage, snrs_db, n_packets, seed))
+    }
+
+    /// Evaluates a full (storage × SNR) matrix laid out by
+    /// [`ChunkSpec::grid`] in one sharded run. Every cell of a row shares
+    /// one die, so the row is one buffer group: each worker builds the
+    /// die once per row it touches, not once per grid cell.
+    pub fn run_grid(
+        &self,
+        sim: &LinkSimulator,
+        storages: &[StorageConfig],
+        snrs_db: &[f64],
+        n_packets: usize,
+        master_seed: u64,
+    ) -> GridResult {
+        let chunks = ChunkSpec::grid(storages, snrs_db, n_packets, master_seed);
+        GridResult::from_flat(snrs_db, storages.len(), self.run_chunks(sim, &chunks))
+    }
+
+    /// Evaluates an arbitrary batch of operating points. Each point draws
+    /// its die from `derive_seed(point.seed, STREAM_FAULT_MAP)`.
+    pub fn run_batch(&self, sim: &LinkSimulator, specs: &[PointSpec]) -> Vec<HarqStats> {
+        let chunks: Vec<ChunkSpec> = specs.iter().map(ChunkSpec::from).collect();
+        self.run_chunks(sim, &chunks)
+    }
+
     /// Evaluates a batch of packet-range chunks (possibly of different
-    /// operating points) in one sharded run.
+    /// operating points) in one sharded run — the executor behind every
+    /// other entry point.
     ///
     /// Chunks with the same storage and the same resolved die seed build
-    /// identical buffers, so they share a buffer group — a campaign grid
-    /// row (one die swept over SNRs) builds its fault map once per
-    /// worker, matching [`SimulationEngine::run_grid`]'s behavior.
+    /// identical buffers, so they share a buffer group: a grid row (one
+    /// die swept over SNRs) builds its fault map once per worker.
     ///
     /// Chunk scheduling is composition-invariant: a chunk's statistics
     /// depend only on `(seed, fault seed, snr, first_packet..+n)`, never
@@ -309,190 +385,29 @@ impl SimulationEngine {
     /// random 1–4-way partitions).
     pub fn run_chunks(&self, sim: &LinkSimulator, chunks: &[ChunkSpec]) -> Vec<HarqStats> {
         let cfg = *sim.config();
-        let points: Vec<CustomPoint> = chunks
-            .iter()
-            .map(|c| CustomPoint {
-                snr_db: c.snr_db,
-                n_packets: c.n_packets,
-                seed: c.seed,
-            })
-            .collect();
-        let offsets: Vec<usize> = chunks.iter().map(|c| c.first_packet).collect();
-        let fault_seeds: Vec<u64> = chunks
+        let dies: Vec<u64> = chunks
             .iter()
             .map(|c| {
                 c.fault_seed
                     .unwrap_or_else(|| derive_seed(c.seed, STREAM_FAULT_MAP))
             })
             .collect();
-        let mut groups = Vec::with_capacity(chunks.len());
-        for (i, chunk) in chunks.iter().enumerate() {
-            let group = (0..i)
-                .find(|&j| fault_seeds[j] == fault_seeds[i] && chunks[j].storage == chunk.storage)
-                .unwrap_or(i);
-            groups.push(group);
-        }
-        self.run_specs(
-            sim,
-            &points,
-            Some(&offsets),
-            Some(&groups),
-            &move |point, _derived| build_buffer(&cfg, &chunks[point].storage, fault_seeds[point]),
-        )
-    }
-
-    /// Chunked variant of [`SimulationEngine::run_batch_with_buffers`]:
-    /// packet ranges over caller-built buffers. The factory receives the
-    /// chunk index and the chunk's fault-stream seed and must be
-    /// deterministic in them.
-    pub fn run_chunks_with_buffers<F>(
-        &self,
-        sim: &LinkSimulator,
-        chunks: &[CustomChunk],
-        make_buffer: F,
-    ) -> Vec<HarqStats>
-    where
-        F: Fn(usize, u64) -> Box<dyn LlrBuffer + Send> + Sync,
-    {
-        let points: Vec<CustomPoint> = chunks
-            .iter()
-            .map(|c| CustomPoint {
-                snr_db: c.snr_db,
-                n_packets: c.n_packets,
-                seed: c.seed,
+        let groups: Vec<usize> = (0..chunks.len())
+            .map(|i| {
+                (0..i)
+                    .find(|&j| dies[j] == dies[i] && chunks[j].storage == chunks[i].storage)
+                    .unwrap_or(i)
             })
             .collect();
-        let offsets: Vec<usize> = chunks.iter().map(|c| c.first_packet).collect();
-        self.run_specs(sim, &points, Some(&offsets), None, &make_buffer)
-    }
-
-    /// Evaluates one storage configuration over an SNR sweep. Point `i`
-    /// draws its own die from `derive_seed(seed, i)`, matching the
-    /// historical serial sweep semantics.
-    pub fn run_sweep(
-        &self,
-        sim: &LinkSimulator,
-        storage: &StorageConfig,
-        snrs_db: &[f64],
-        n_packets: usize,
-        seed: u64,
-    ) -> Vec<HarqStats> {
-        let specs: Vec<PointSpec> = snrs_db
-            .iter()
-            .enumerate()
-            .map(|(i, &snr_db)| PointSpec {
-                storage: storage.clone(),
-                snr_db,
-                n_packets,
-                seed: derive_seed(seed, i as u64),
-            })
-            .collect();
-        self.run_batch(sim, &specs)
-    }
-
-    /// Evaluates a full (storage × SNR) matrix in one sharded run.
-    ///
-    /// Row `r` takes its subtree from `derive_seed(master_seed, r)`;
-    /// within a row every SNR point shares **one die** (one fault-map
-    /// draw), so a row is a physical device swept over operating SNRs —
-    /// the paper's worst-case single-map methodology. Buffers are also
-    /// cached per row (not per cell) inside each worker, so the shared
-    /// die is actually built once per (worker, row), not once per grid
-    /// cell.
-    pub fn run_grid(
-        &self,
-        sim: &LinkSimulator,
-        storages: &[StorageConfig],
-        snrs_db: &[f64],
-        n_packets: usize,
-        master_seed: u64,
-    ) -> GridResult {
-        let cfg = *sim.config();
-        let mut specs = Vec::with_capacity(storages.len() * snrs_db.len());
-        let mut fault_seeds = Vec::with_capacity(specs.capacity());
-        let mut groups = Vec::with_capacity(specs.capacity());
-        for (r, storage) in storages.iter().enumerate() {
-            let row_seed = derive_seed(master_seed, r as u64);
-            let die_seed = derive_seed(row_seed, STREAM_FAULT_MAP);
-            for (c, &snr_db) in snrs_db.iter().enumerate() {
-                specs.push(PointSpec {
-                    storage: storage.clone(),
-                    snr_db,
-                    n_packets,
-                    seed: derive_seed(row_seed, 0x100 + c as u64),
-                });
-                fault_seeds.push(die_seed);
-                groups.push(r);
-            }
-        }
-        let points: Vec<CustomPoint> = specs.iter().map(CustomPoint::from).collect();
-        let flat = self.run_specs(sim, &points, None, Some(&groups), &|point, _seed| {
-            build_buffer(&cfg, &specs[point].storage, fault_seeds[point])
-        });
-        let mut rows = Vec::with_capacity(storages.len());
-        let mut it = flat.into_iter();
-        for _ in 0..storages.len() {
-            rows.push(it.by_ref().take(snrs_db.len()).collect());
-        }
-        GridResult {
-            snr_db: snrs_db.to_vec(),
-            stats: rows,
-        }
-    }
-
-    /// Evaluates an arbitrary batch of operating points. Each point draws
-    /// its die from `derive_seed(point.seed, STREAM_FAULT_MAP)`.
-    pub fn run_batch(&self, sim: &LinkSimulator, specs: &[PointSpec]) -> Vec<HarqStats> {
-        let cfg = *sim.config();
-        let points: Vec<CustomPoint> = specs.iter().map(CustomPoint::from).collect();
-        self.run_specs(sim, &points, None, None, &move |point, fault_seed| {
-            build_buffer(&cfg, &specs[point].storage, fault_seed)
-        })
-    }
-
-    /// Evaluates points whose LLR buffers come from a caller factory —
-    /// the escape hatch for backends outside [`StorageConfig`] (e.g.
-    /// transient soft-error wrappers). The factory receives the point
-    /// index and the point's fault-stream seed, and must be
-    /// deterministic in them.
-    pub fn run_batch_with_buffers<F>(
-        &self,
-        sim: &LinkSimulator,
-        points: &[CustomPoint],
-        make_buffer: F,
-    ) -> Vec<HarqStats>
-    where
-        F: Fn(usize, u64) -> Box<dyn LlrBuffer + Send> + Sync,
-    {
-        self.run_specs(sim, points, None, None, &make_buffer)
-    }
-
-    /// `offsets`, when given, shifts each point's packet range to start
-    /// at an absolute packet index (`None`: every point starts at packet
-    /// 0) — the chunked-campaign path. `groups`, when given, assigns
-    /// each point a buffer-sharing group: points in one group must
-    /// deterministically build identical buffers (same storage, same die
-    /// seed), and each worker then builds that buffer once per group
-    /// instead of once per point. `None` means every point is its own
-    /// group.
-    fn run_specs(
-        &self,
-        sim: &LinkSimulator,
-        specs: &[CustomPoint],
-        offsets: Option<&[usize]>,
-        groups: Option<&[usize]>,
-        make_buffer: &(dyn Fn(usize, u64) -> Box<dyn LlrBuffer + Send> + Sync),
-    ) -> Vec<HarqStats> {
-        let cfg = *sim.config();
-        // Flatten every point into packet shards over absolute indices.
+        // Flatten every chunk into packet shards over absolute indices.
         let mut tasks: Vec<Shard> = Vec::new();
-        for (point, spec) in specs.iter().enumerate() {
-            let first = offsets.map_or(0, |o| o[point]);
-            let mut start = first;
-            while start < first + spec.n_packets {
-                let count = self.shard_packets.min(first + spec.n_packets - start);
+        for (chunk, spec) in chunks.iter().enumerate() {
+            let end = spec.first_packet + spec.n_packets;
+            let mut start = spec.first_packet;
+            while start < end {
+                let count = self.shard_packets.min(end - start);
                 tasks.push(Shard {
-                    point,
+                    chunk,
                     start,
                     count,
                 });
@@ -505,19 +420,13 @@ impl SimulationEngine {
         // left; a single worker runs it inline, more run it in threads.
         let next = AtomicUsize::new(0);
         let run_worker = || {
-            let mut worker = Worker::new(
-                &cfg,
-                sim.clone(),
-                specs,
-                groups,
-                make_buffer,
-                self.batch_lanes,
-            );
+            let mut worker =
+                Worker::new(&cfg, sim.clone(), chunks, &dies, &groups, self.batch_lanes);
             let mut out = Vec::new();
             loop {
                 let t = next.fetch_add(1, Ordering::Relaxed);
                 let Some(task) = tasks.get(t) else { break };
-                out.push((task.point, worker.run_shard(task)));
+                out.push((task.chunk, worker.run_shard(task)));
             }
             out
         };
@@ -535,37 +444,37 @@ impl SimulationEngine {
 
         // Fold worker partials; order is irrelevant for the result
         // because HarqStats::merge is a sum of counters.
-        let mut merged: Vec<HarqStats> = specs
+        let mut merged: Vec<HarqStats> = chunks
             .iter()
             .map(|_| HarqStats::new(cfg.max_transmissions, cfg.payload_bits))
             .collect();
-        for (point, stats) in partials.drain(..).flatten() {
-            merged[point].merge(&stats);
+        for (chunk, stats) in partials.drain(..).flatten() {
+            merged[chunk].merge(&stats);
         }
         merged
     }
 }
 
-/// One contiguous range of packets of one operating point; `start` is an
-/// absolute index into the point's packet stream (non-zero for resumed
-/// chunks).
+/// One contiguous range of packets of one chunk; `start` is an absolute
+/// index into the point's packet stream (non-zero for resumed chunks).
 struct Shard {
-    point: usize,
+    chunk: usize,
     start: usize,
     count: usize,
 }
 
 /// Per-thread execution state: a simulator handle, one buffer *set* per
-/// point touched (up to `batch_lanes` interchangeable buffers, each
-/// built by the same deterministic factory — the same die), and the
-/// reusable per-lane and per-wave scratch of the wave path.
+/// buffer group touched (up to `batch_lanes` interchangeable buffers,
+/// each built from the group's storage and die seed — the same die), and
+/// the reusable per-lane and per-wave scratch of the wave path.
 struct Worker<'a> {
     cfg: &'a SystemConfig,
     sim: LinkSimulator,
-    specs: &'a [CustomPoint],
-    /// Buffer-sharing group per point (`None`: one group per point).
-    groups: Option<&'a [usize]>,
-    make_buffer: &'a (dyn Fn(usize, u64) -> Box<dyn LlrBuffer + Send> + Sync),
+    chunks: &'a [ChunkSpec],
+    /// Resolved die seed per chunk.
+    dies: &'a [u64],
+    /// Buffer-sharing group per chunk.
+    groups: &'a [usize],
     // determinism: unordered-ok(keyed entry access only; never iterated)
     buffers: HashMap<usize, Vec<Box<dyn LlrBuffer + Send>>>,
     batch_lanes: usize,
@@ -580,17 +489,17 @@ impl<'a> Worker<'a> {
     fn new(
         cfg: &'a SystemConfig,
         sim: LinkSimulator,
-        specs: &'a [CustomPoint],
-        groups: Option<&'a [usize]>,
-        make_buffer: &'a (dyn Fn(usize, u64) -> Box<dyn LlrBuffer + Send> + Sync),
+        chunks: &'a [ChunkSpec],
+        dies: &'a [u64],
+        groups: &'a [usize],
         batch_lanes: usize,
     ) -> Self {
         Self {
             cfg,
             sim,
-            specs,
+            chunks,
+            dies,
             groups,
-            make_buffer,
             // determinism: unordered-ok(keyed entry access only; never iterated)
             buffers: HashMap::new(),
             batch_lanes,
@@ -608,25 +517,24 @@ impl<'a> Worker<'a> {
     /// packet `p + l` — its seed-tree position, whatever the width — and
     /// batched decoding is bit-identical per lane, so the recorded
     /// statistics are the same at every width (1 included). Lanes of a
-    /// group's buffer set are interchangeable: the factory is
-    /// deterministic in `(point, fault_seed)` — the same die — and all
+    /// group's buffer set are interchangeable: [`build_buffer`] is
+    /// deterministic in `(storage, die seed)` — the same die — and all
     /// per-packet buffer randomness is re-anchored through
     /// [`LlrBuffer::begin_packet`] (the property the engine's
     /// thread-invariance already rests on), so N copies behave exactly
     /// like one buffer reused serially.
     fn run_shard(&mut self, shard: &Shard) -> HarqStats {
-        let spec = self.specs[shard.point];
-        let make_buffer = self.make_buffer;
-        let group = self.groups.map_or(shard.point, |g| g[shard.point]);
+        let chunks = self.chunks;
+        let spec = &chunks[shard.chunk];
+        let die = self.dies[shard.chunk];
         let mut stats = HarqStats::new(self.cfg.max_transmissions, self.cfg.payload_bits);
         let end = shard.start + shard.count;
         let mut p = shard.start;
         while p < end {
             let width = self.batch_lanes.min(end - p);
-            let set = self.buffers.entry(group).or_default();
+            let set = self.buffers.entry(self.groups[shard.chunk]).or_default();
             while set.len() < width {
-                let fault_seed = derive_seed(spec.seed, STREAM_FAULT_MAP);
-                set.push(make_buffer(shard.point, fault_seed));
+                set.push(build_buffer(self.cfg, &spec.storage, die));
             }
             self.rngs.clear();
             for (l, buf) in set.iter_mut().take(width).enumerate() {
@@ -706,6 +614,12 @@ mod tests {
                     n_packets: 7,
                     seed: 43,
                 },
+                PointSpec {
+                    storage: StorageConfig::Transient { p_upset: 0.01 },
+                    snr_db: 14.0,
+                    n_packets: 9,
+                    seed: 5,
+                },
             ],
         )
     }
@@ -727,12 +641,13 @@ mod tests {
         let stats = engine_stats(3, 4);
         assert_eq!(stats[0].packets, 10);
         assert_eq!(stats[1].packets, 7);
+        assert_eq!(stats[2].packets, 9);
     }
 
     #[test]
     fn batch_width_does_not_change_results() {
-        // Faulty storage included on purpose: buffer-set replication
-        // must behave exactly like one buffer reused serially.
+        // Faulty and transient storage included on purpose: buffer-set
+        // replication must behave exactly like one buffer reused serially.
         let cfg = SystemConfig::fast_test();
         let sim = LinkSimulator::new(cfg);
         let specs = [
@@ -747,6 +662,12 @@ mod tests {
                 snr_db: 16.0,
                 n_packets: 9,
                 seed: 22,
+            },
+            PointSpec {
+                storage: StorageConfig::Transient { p_upset: 0.01 },
+                snr_db: 14.0,
+                n_packets: 9,
+                seed: 5,
             },
         ];
         let run = |threads: usize, lanes: usize| {
@@ -785,25 +706,38 @@ mod tests {
 
     #[test]
     fn batch_with_custom_buffers_is_deterministic() {
+        // The soft-error buffer, once supplied by a caller factory, is now
+        // `StorageConfig::Transient`. It must build exactly what that
+        // factory built (a quantized buffer under transient upsets seeded
+        // with the point's die seed) at any thread count.
         let cfg = SystemConfig::fast_test();
         let sim = LinkSimulator::new(cfg);
-        let spec = vec![CustomPoint {
+        let spec = PointSpec {
+            storage: StorageConfig::Transient { p_upset: 0.01 },
             snr_db: 14.0,
             n_packets: 9,
             seed: 5,
-        }];
+        };
+        let mut buffer = crate::buffer::TransientLlrBuffer::new(
+            crate::buffer::QuantizedLlrBuffer::new(cfg.coded_len(), cfg.quantizer()),
+            cfg.quantizer(),
+            0.01,
+            derive_seed(spec.seed, STREAM_FAULT_MAP),
+        );
+        let mut by_hand = HarqStats::new(cfg.max_transmissions, cfg.payload_bits);
+        for p in 0..spec.n_packets {
+            let pseed = packet_seed(spec.seed, p as u64);
+            buffer.begin_packet(pseed);
+            let mut rng = StdRng::seed_from_u64(pseed);
+            let outcome = sim.simulate_packet(spec.snr_db, &mut buffer, &mut rng);
+            by_hand.record(outcome.success_after, cfg.max_transmissions);
+        }
         let run = |threads| {
             SimulationEngine::with_threads(threads)
                 .shard_packets(2)
-                .run_batch_with_buffers(&sim, &spec, |_, fault_seed| {
-                    Box::new(crate::buffer::TransientLlrBuffer::new(
-                        crate::buffer::QuantizedLlrBuffer::new(cfg.coded_len(), cfg.quantizer()),
-                        cfg.quantizer(),
-                        0.01,
-                        fault_seed,
-                    ))
-                })
+                .run_batch(&sim, std::slice::from_ref(&spec))
         };
+        assert_eq!(run(1), vec![by_hand]);
         assert_eq!(run(1), run(4));
     }
 

@@ -19,11 +19,11 @@ pub mod soft_errors;
 
 use serde::{Deserialize, Serialize};
 
-use hspa_phy::harq::{HarqStats, LlrBuffer};
+use hspa_phy::harq::HarqStats;
 use hspa_phy::turbo::AccuracyTier;
 
-use crate::campaign::{Campaign, CampaignPoint, CampaignSettings, CustomCampaignPoint};
-use crate::engine::{CustomPoint, GridResult, PointSpec, SimulationEngine};
+use crate::campaign::{Campaign, CampaignPoint, CampaignSettings};
+use crate::engine::{ChunkSpec, GridResult, PointSpec, SimulationEngine};
 use crate::montecarlo::StorageConfig;
 use crate::simulator::LinkSimulator;
 
@@ -175,14 +175,7 @@ impl Runner {
             Runner::Adaptive(campaign) => {
                 let points: Vec<CampaignPoint> = specs
                     .iter()
-                    .map(|s| CampaignPoint {
-                        label: format!("{} @ {} dB", s.storage.label(), s.snr_db),
-                        storage: s.storage.clone(),
-                        snr_db: s.snr_db,
-                        max_packets: s.n_packets,
-                        seed: s.seed,
-                        fault_seed: None,
-                    })
+                    .map(|s| CampaignPoint::from(&ChunkSpec::from(s)))
                     .collect();
                 campaign.run(sim, &points).stats()
             }
@@ -226,46 +219,6 @@ impl Runner {
             }
         }
     }
-
-    /// Batch over caller-built buffers
-    /// (cf. [`SimulationEngine::run_batch_with_buffers`]).
-    /// `fingerprints[i]` must canonically describe the buffer the
-    /// factory builds for point `i` — it keys the campaign store.
-    pub fn run_batch_with_buffers<F>(
-        &self,
-        sim: &LinkSimulator,
-        points: &[CustomPoint],
-        fingerprints: &[String],
-        make_buffer: F,
-    ) -> Vec<HarqStats>
-    where
-        F: Fn(usize, u64) -> Box<dyn LlrBuffer + Send> + Sync,
-    {
-        assert_eq!(
-            points.len(),
-            fingerprints.len(),
-            "one fingerprint per custom point"
-        );
-        match self {
-            Runner::OneShot(engine) => engine.run_batch_with_buffers(sim, points, make_buffer),
-            Runner::Adaptive(campaign) => {
-                let cpoints: Vec<CustomCampaignPoint> = points
-                    .iter()
-                    .zip(fingerprints)
-                    .map(|(p, fp)| CustomCampaignPoint {
-                        label: format!("{fp} @ {} dB", p.snr_db),
-                        fingerprint: fp.clone(),
-                        snr_db: p.snr_db,
-                        max_packets: p.n_packets,
-                        seed: p.seed,
-                    })
-                    .collect();
-                campaign
-                    .run_with_buffers(sim, &cpoints, make_buffer)
-                    .stats()
-            }
-        }
-    }
 }
 
 /// The default SNR grid (dB) used by the throughput figures.
@@ -298,12 +251,20 @@ mod tests {
         // reproduce the fixed-budget engine bit-for-bit.
         let cfg = SystemConfig::fast_test();
         let sim = LinkSimulator::new(cfg);
-        let specs = vec![PointSpec {
-            storage: StorageConfig::unprotected(0.10, cfg.llr_bits),
-            snr_db: 9.0,
-            n_packets: 13,
-            seed: 5,
-        }];
+        let specs = vec![
+            PointSpec {
+                storage: StorageConfig::unprotected(0.10, cfg.llr_bits),
+                snr_db: 9.0,
+                n_packets: 13,
+                seed: 5,
+            },
+            PointSpec {
+                storage: StorageConfig::Transient { p_upset: 0.01 },
+                snr_db: 14.0,
+                n_packets: 13,
+                seed: 6,
+            },
+        ];
         let dir =
             std::env::temp_dir().join(format!("experiments-runner-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

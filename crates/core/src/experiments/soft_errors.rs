@@ -12,9 +12,9 @@ use serde::{Deserialize, Serialize};
 
 use silicon::cell::SoftErrorModel;
 
-use crate::buffer::{QuantizedLlrBuffer, TransientLlrBuffer};
 use crate::config::SystemConfig;
-use crate::engine::CustomPoint;
+use crate::engine::PointSpec;
+use crate::montecarlo::StorageConfig;
 use crate::report::{render_table, Series};
 use crate::simulator::LinkSimulator;
 
@@ -39,38 +39,19 @@ pub struct SoftErrorResult {
 /// Runs the study at `snr_db`.
 pub fn run(cfg: &SystemConfig, budget: ExperimentBudget, snr_db: f64) -> SoftErrorResult {
     let sim = LinkSimulator::new(*cfg);
-    let quantizer = cfg.quantizer();
-    // The transient buffer is outside StorageConfig, so the engine's
-    // buffer-factory escape hatch supplies it: one upset rate per point,
-    // reseeded per packet (begin_packet) so sharding cannot shift draws.
-    let specs: Vec<CustomPoint> = UPSET_RATES
+    // One upset rate per point; the transient buffer reseeds its upset
+    // stream per packet (begin_packet), so sharding cannot shift draws.
+    let specs: Vec<PointSpec> = UPSET_RATES
         .iter()
         .enumerate()
-        .map(|(i, _)| CustomPoint {
+        .map(|(i, &p_upset)| PointSpec {
+            storage: StorageConfig::Transient { p_upset },
             snr_db,
             n_packets: budget.packets_per_point,
             seed: budget.seed.wrapping_add(1 + i as u64),
         })
         .collect();
-    // Custom buffers are opaque to the campaign store, so each point
-    // carries a canonical fingerprint of the factory's configuration.
-    let fingerprints: Vec<String> = UPSET_RATES
-        .iter()
-        .map(|&p| format!("transient-upset|p={p:e}|quantized"))
-        .collect();
-    let stats = budget.runner("soft-errors").run_batch_with_buffers(
-        &sim,
-        &specs,
-        &fingerprints,
-        |point, fault_seed| {
-            Box::new(TransientLlrBuffer::new(
-                QuantizedLlrBuffer::new(cfg.coded_len(), quantizer),
-                quantizer,
-                UPSET_RATES[point],
-                fault_seed,
-            ))
-        },
-    );
+    let stats = budget.runner("soft-errors").run_batch(&sim, &specs);
     let throughput = stats.iter().map(|s| s.normalized_throughput()).collect();
     SoftErrorResult {
         snr_db,

@@ -65,5 +65,5 @@ pub mod telemetry;
 pub use buffer::{EccLlrBuffer, FaultyLlrBuffer, QuantizedLlrBuffer, TransientLlrBuffer};
 pub use campaign::{Campaign, CampaignPoint, CampaignReport, CampaignSettings, ShardSpec};
 pub use config::SystemConfig;
-pub use engine::{ChunkSpec, CustomChunk, CustomPoint, GridResult, PointSpec, SimulationEngine};
+pub use engine::{ChunkSpec, GridResult, PointSpec, SimulationEngine};
 pub use montecarlo::{run_point, DefectSpec, StorageConfig};

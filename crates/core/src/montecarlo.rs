@@ -17,7 +17,7 @@ use silicon::ecc::Secded;
 use silicon::fault_map::{FaultKind, FaultMap};
 use silicon::ProtectionPlan;
 
-use crate::buffer::{EccLlrBuffer, FaultyLlrBuffer, QuantizedLlrBuffer};
+use crate::buffer::{EccLlrBuffer, FaultyLlrBuffer, QuantizedLlrBuffer, TransientLlrBuffer};
 use crate::config::SystemConfig;
 use crate::engine::SimulationEngine;
 use crate::simulator::LinkSimulator;
@@ -57,6 +57,12 @@ pub enum StorageConfig {
         /// Failure mode of defective cells.
         fault_kind: FaultKind,
     },
+    /// Quantized, defect-free storage hit by transient soft errors: each
+    /// stored bit flips on each read with probability `p_upset`.
+    Transient {
+        /// Per-bit, per-read upset probability.
+        p_upset: f64,
+    },
 }
 
 impl StorageConfig {
@@ -84,28 +90,22 @@ impl StorageConfig {
         match self {
             StorageConfig::Perfect => "ideal".into(),
             StorageConfig::Quantized => "quantized".into(),
-            StorageConfig::Faulty { plan, defects, .. } => {
-                let prot = plan.protected_bits();
-                let d = match defects {
-                    DefectSpec::Fraction(f) => format!("{:.2}%", f * 100.0),
-                    DefectSpec::Count(n) => format!("{n} cells"),
-                    DefectSpec::AtVdd(v) => format!("Vdd={v:.2}V"),
-                };
-                if prot == 0 {
-                    format!("6T, Nf={d}")
-                } else {
-                    format!("hybrid {prot}MSB/8T, Nf={d}")
-                }
-            }
-            StorageConfig::Ecc { defects, .. } => {
-                let d = match defects {
-                    DefectSpec::Fraction(f) => format!("{:.2}%", f * 100.0),
-                    DefectSpec::Count(n) => format!("{n} cells"),
-                    DefectSpec::AtVdd(v) => format!("Vdd={v:.2}V"),
-                };
-                format!("SECDED, Nf={d}")
-            }
+            StorageConfig::Faulty { plan, defects, .. } => match plan.protected_bits() {
+                0 => format!("6T, Nf={}", defects_label(defects)),
+                prot => format!("hybrid {prot}MSB/8T, Nf={}", defects_label(defects)),
+            },
+            StorageConfig::Ecc { defects, .. } => format!("SECDED, Nf={}", defects_label(defects)),
+            StorageConfig::Transient { p_upset } => format!("transient, p_upset={p_upset:e}"),
         }
+    }
+}
+
+/// The defect population as it appears in storage labels.
+fn defects_label(defects: &DefectSpec) -> String {
+    match defects {
+        DefectSpec::Fraction(f) => format!("{:.2}%", f * 100.0),
+        DefectSpec::Count(n) => format!("{n} cells"),
+        DefectSpec::AtVdd(v) => format!("Vdd={v:.2}V"),
     }
 }
 
@@ -124,7 +124,8 @@ fn defect_count(defects: DefectSpec, cells: u64) -> usize {
 
 /// Builds the fault-injected buffer for a storage configuration.
 ///
-/// `seed` controls the fault-map draw (one die per run).
+/// `seed` controls the fault-map draw (one die per run); for
+/// [`StorageConfig::Transient`] it roots the per-packet upset streams.
 pub fn build_buffer(
     cfg: &SystemConfig,
     storage: &StorageConfig,
@@ -193,6 +194,12 @@ pub fn build_buffer(
             };
             Box::new(EccLlrBuffer::new(map, quantizer))
         }
+        StorageConfig::Transient { p_upset } => Box::new(TransientLlrBuffer::new(
+            QuantizedLlrBuffer::new(cfg.coded_len(), quantizer),
+            quantizer,
+            *p_upset,
+            seed,
+        )),
     }
 }
 

@@ -7,8 +7,8 @@
 //! * `// identity: excluded(<reason>)` — field deliberately left out of
 //!   the campaign fingerprint (operational knob, display label, ...).
 //! * `// identity: hashed(<reason>)` — field enters the fingerprint by
-//!   a route the linter cannot see (e.g. passed as the `custom`
-//!   descriptor string).
+//!   a route the linter cannot see (e.g. rendered by a helper the
+//!   fingerprint function calls).
 //! * `// determinism: wallclock(<reason>)` — wall-clock read that never
 //!   influences simulation results (telemetry timing, stall watchdogs).
 //! * `// determinism: unordered-ok(<reason>)` — `HashMap`/`HashSet`

@@ -100,7 +100,7 @@ impl LintConfig {
                 p("crates/lint/fixtures"),
             ],
             fingerprint_file: Some(p("crates/core/src/campaign/hash.rs")),
-            fingerprint_fns: vec!["point_fingerprint".into(), "custom_fingerprint".into()],
+            fingerprint_fns: vec!["point_fingerprint".into()],
             identity_structs: vec![
                 IdentityStruct {
                     name: "CampaignSettings".into(),
@@ -108,10 +108,6 @@ impl LintConfig {
                 },
                 IdentityStruct {
                     name: "CampaignPoint".into(),
-                    mode: IdentityMode::TokenCoverage,
-                },
-                IdentityStruct {
-                    name: "CustomCampaignPoint".into(),
                     mode: IdentityMode::TokenCoverage,
                 },
                 IdentityStruct {

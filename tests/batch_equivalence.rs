@@ -229,7 +229,8 @@ fn reference_scalar_paths_agree_under_faults() {
 /// the same die. Lanes are compared one by one, not as aggregate
 /// statistics, so a lane mix-up cannot hide: each storage runs at an
 /// SNR where HARQ retransmits and outcomes differ from packet to packet
-/// (the faulty arrays need more SNR than the clean ones to get there).
+/// (the faulty and upset-prone arrays need more SNR than the clean ones
+/// to get there).
 #[test]
 fn wave_lanes_match_single_packet_outcomes() {
     use rand::rngs::StdRng;
@@ -257,6 +258,7 @@ fn wave_lanes_match_single_packet_outcomes() {
                 },
                 8.0,
             ),
+            (StorageConfig::Transient { p_upset: 0.01 }, 8.0),
         ];
         for (storage, snr_db) in &storages {
             let mut buffer = build_buffer(&cfg, storage, DIE_SEED);
