@@ -15,8 +15,7 @@ use hspa_phy::equalizer::MmseEqualizer;
 use hspa_phy::harq::LlrBuffer;
 use hspa_phy::modulation::Modulation;
 use hspa_phy::turbo::{
-    AccuracyTier, DecodeResult, DecoderConfig, TurboBatchScratch, TurboCode, TurboInterleaver,
-    TurboScratch,
+    AccuracyTier, DecoderConfig, TurboBatchScratch, TurboCode, TurboInterleaver,
 };
 use resilience_core::{EccLlrBuffer, FaultyLlrBuffer, QuantizedLlrBuffer};
 use silicon::ecc::Secded;
@@ -47,11 +46,10 @@ fn bench_turbo(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar vs lockstep SISO: the same decode work fed through the serial
-/// `decode_into` path and through `TurboBatchScratch` at 1, 4 and 8
-/// lanes. Per-iteration work is held constant — a batched iteration
-/// decodes `lanes` codewords — so `time / lanes` is the per-codeword
-/// cost and the lockstep speedup reads directly off the report.
+/// The lockstep SISO kernel per tier at 1, 4 and 8 lanes. A batched
+/// iteration decodes `lanes` codewords, so `time / lanes` is the
+/// per-codeword cost and the gain from lane width reads directly off the
+/// report.
 fn bench_siso_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("siso");
     let k = 624usize;
@@ -71,15 +69,6 @@ fn bench_siso_batch(c: &mut Criterion) {
                 .collect()
         })
         .collect();
-
-    let mut scratch = TurboScratch::new();
-    let mut out = DecodeResult::new();
-    group.bench_function("scalar_decode6it_624", |b| {
-        b.iter(|| {
-            code.decode_into(black_box(&lane_llrs[0]), 6, &mut scratch, &mut out);
-            black_box(out.iterations_run)
-        });
-    });
 
     let mut batch = TurboBatchScratch::new();
     for tier in [AccuracyTier::Exact, AccuracyTier::Fast32] {

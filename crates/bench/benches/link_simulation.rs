@@ -271,9 +271,8 @@ fn main() {
     // recorded exactly that as "parallel": {"threads": 1}).
     let parallel_threads = host_cpus.max(2);
     let batch = resilience_core::engine::SimulationEngine::DEFAULT_BATCH;
-    // `serial` is the 1-lane-wave (batch = 1) Exact path. A lone lane
-    // still decodes with the scalar SISO, so it stays comparable to the
-    // committed baselines from before lockstep batching existed.
+    // `serial` is the 1-lane-wave (batch = 1) Exact path: every packet
+    // decodes alone, on the 1-lane instantiation of the lockstep kernel.
     // `batched_serial` is the engine's actual default configuration and
     // carries its own regression gate in nightly CI.
     let serial = measure_engine(1, 1, AccuracyTier::Exact, packets_per_point);

@@ -478,8 +478,7 @@ impl LinkSimulator {
                 }
             });
 
-            // The per-lane CRC verdicts count as decode time, like the
-            // scalar path's post-decode check.
+            // The per-lane CRC verdicts count as decode time.
             wave.next_active.clear();
             stage!(scratches[0], decode, {
                 for (i, &l) in wave.active.iter().enumerate() {

@@ -103,7 +103,7 @@ impl LlrArith for f32 {
 
 /// Lane-wise `a + b` over a fixed-width lane array; elementwise, so the
 /// per-lane value stream is identical at every width (the basis of the
-/// batched decoder's lane-for-lane bit-identity with the scalar path).
+/// batched decoder's lane-for-lane bit-identity at every lane width).
 #[inline(always)]
 pub fn lanes_add<T: LlrArith, const L: usize>(a: [T; L], b: [T; L]) -> [T; L] {
     let mut out = a;
@@ -226,7 +226,7 @@ mod tests {
         assert_eq!(<f64 as LlrArith>::max_star(1.0, 2.0), 2.0);
         assert_eq!(<f64 as LlrArith>::max_star(2.0, 1.0), 2.0);
         // Ties keep the first operand, matching `if b > a { b } else { a }`
-        // — the exact tie rule the scalar decoder has always used.
+        // — the tie rule of the turbo decoder's reference `fmax`.
         assert_eq!(
             <f64 as LlrArith>::max_star(-0.0, 0.0).to_bits(),
             (-0.0f64).to_bits()

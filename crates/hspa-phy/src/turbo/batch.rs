@@ -15,19 +15,19 @@
 //! Every operation in the lockstep kernels is elementwise across lanes
 //! (adds, subtractions, negations, maxima, broadcast scaling) or a
 //! lane-local gather through the interleaver, so lane `l` of a batched
-//! decode performs **the same scalar operation sequence** as
-//! [`super::TurboCode::decode_into`] on that codeword alone. Rust never
-//! contracts or reorders IEEE-754 arithmetic, so the outputs — hard
-//! bits, posterior LLR bit patterns, iteration counts — are identical to
-//! the serial path for any batch size. `tests/batch_equivalence.rs` pins
-//! the property with proptests; the golden corpus pins the serial
-//! reference.
+//! decode performs **the same scalar operation sequence** as a 1-lane
+//! decode of that codeword alone ([`super::TurboCode::decode_into`]).
+//! Rust never contracts or reorders IEEE-754 arithmetic, so the outputs
+//! — hard bits, posterior LLR bit patterns, iteration counts — are
+//! identical for any batch size. `tests/batch_equivalence.rs` pins the
+//! property against a scalar reference decoder (`tests/support/`) with
+//! proptests; the golden corpus pins the `Exact` tier's outputs.
 //!
 //! # Early finishers and lane draining
 //!
 //! Lanes stop independently (agreement early stop, optional per-lane
-//! CRC check): a finished lane's outputs are frozen at the moment its
-//! scalar counterpart would have returned. At every iteration boundary
+//! CRC check): a finished lane's outputs are frozen at the moment a
+//! 1-lane decode of it would have returned. At every iteration boundary
 //! the group *drains*: surviving lanes are repacked to the front and the
 //! kernel narrows (8 → 4 → 2 → 1 lanes) so finished lanes stop costing
 //! vector width — a group whose lanes converge at iterations
@@ -35,17 +35,15 @@
 //! eight 8-wide. Repacking moves lane data without touching its values
 //! and every kernel op is elementwise, so draining preserves the
 //! lane-for-lane bit-identity. Batches wider than the widest kernel run
-//! as groups of 8 (a final partial group starts at the narrowest width
-//! that fits); a single leftover lane uses the scalar reference decoder.
+//! as groups of 8; a final partial group, a lone lane included, starts at
+//! the narrowest width that fits.
 
 use dsp::maxstar::{
     lanes_add, lanes_half, lanes_load, lanes_max, lanes_neg, lanes_scale, lanes_store, lanes_sub,
     LlrArith,
 };
 
-use super::decoder::{
-    AccuracyTier, DecodeResult, DecoderConfig, MaxLogMapDecoder, TurboScratch, EXTRINSIC_SCALE,
-};
+use super::decoder::{AccuracyTier, DecoderConfig, EXTRINSIC_SCALE};
 use super::interleaver::TurboInterleaver;
 use super::rsc::{RSC_STATES, TAIL_BITS};
 
@@ -101,10 +99,9 @@ impl<T> LaneBuffers<T> {
 /// [`super::TurboCode::decode_batch`]; per-lane results are read back
 /// through [`TurboBatchScratch::bits`] / [`TurboBatchScratch::llrs`] /
 /// [`TurboBatchScratch::iterations_run`]. Every buffer (LLR staging,
-/// both precisions' trellis workspaces, the scalar remainder workspace
-/// and the output arrays) is reused in place, so steady-state batched
-/// decoding performs zero heap allocations —
-/// `tests/alloc_regression.rs` pins the invariant via
+/// both precisions' trellis workspaces and the output arrays) is reused
+/// in place, so steady-state batched decoding performs zero heap
+/// allocations — `tests/alloc_regression.rs` pins the invariant via
 /// [`TurboBatchScratch::heap_capacities`].
 #[derive(Debug, Clone, Default)]
 pub struct TurboBatchScratch {
@@ -123,9 +120,6 @@ pub struct TurboBatchScratch {
     bits_tmp: Vec<u8>,
     f64_lanes: LaneBuffers<f64>,
     f32_lanes: LaneBuffers<f32>,
-    /// Scalar-path workspace for the odd remainder lane.
-    scalar: TurboScratch,
-    scalar_out: DecodeResult,
 }
 
 impl TurboBatchScratch {
@@ -204,9 +198,6 @@ impl TurboBatchScratch {
         ]);
         self.f64_lanes.heap_capacities(out);
         self.f32_lanes.heap_capacities(out);
-        self.scalar.heap_capacities(out);
-        out.push(self.scalar_out.bits.capacity());
-        out.push(self.scalar_out.llrs.capacity());
     }
 }
 
@@ -234,8 +225,6 @@ pub(super) fn decode_batch(
         bits_tmp,
         f64_lanes,
         f32_lanes,
-        scalar,
-        scalar_out,
         ..
     } = batch;
     let lanes = *lanes;
@@ -245,70 +234,23 @@ pub(super) fn decode_batch(
     reuse_buf(out_bits, lanes * k, 0);
     reuse_buf(out_llrs, lanes * k, 0.0);
     reuse_buf(out_iters, lanes, 0);
-    if lanes == 0 {
-        return;
-    }
-    let perm = interleaver.permutation();
-    let inv = interleaver.inverse();
+    let mut ctx = GroupCtx {
+        k,
+        n: k + TAIL_BITS,
+        perm: interleaver.permutation(),
+        inv: interleaver.inverse(),
+        iters: cfg.iterations.max(1),
+        out_bits: &mut out_bits[..],
+        out_llrs: &mut out_llrs[..],
+        out_iters: &mut out_iters[..],
+        bits_tmp: &mut *bits_tmp,
+        stop,
+    };
     match cfg.tier {
         AccuracyTier::Exact | AccuracyTier::EarlyStop => {
-            let mut ctx = GroupCtx {
-                k,
-                n: k + TAIL_BITS,
-                perm,
-                inv,
-                iters: cfg.iterations.max(1),
-                out_bits: &mut out_bits[..],
-                out_llrs: &mut out_llrs[..],
-                out_iters: &mut out_iters[..],
-                bits_tmp: &mut *bits_tmp,
-                stop,
-            };
-            let base = run_lockstep::<f64>(staging, coded_len, lanes, f64_lanes, &mut ctx);
-            if base < lanes {
-                // Odd remainder lane: the reference scalar decoder (by
-                // construction exactly "today's path").
-                let lane = base;
-                let llrs = &staging[lane * coded_len..][..coded_len];
-                let dec = MaxLogMapDecoder::new(k, interleaver);
-                match stop {
-                    Some(stop_fn) => {
-                        let wrapped = |bits: &[u8]| stop_fn(lane, bits);
-                        dec.decode_into_with_stop(
-                            llrs,
-                            cfg.iterations,
-                            scalar,
-                            scalar_out,
-                            &wrapped,
-                        );
-                    }
-                    None => dec.decode_into(llrs, cfg.iterations, scalar, scalar_out),
-                }
-                out_bits[lane * k..][..k].copy_from_slice(&scalar_out.bits);
-                out_llrs[lane * k..][..k].copy_from_slice(&scalar_out.llrs);
-                out_iters[lane] = scalar_out.iterations_run;
-            }
+            run_lockstep::<f64>(staging, coded_len, lanes, f64_lanes, &mut ctx)
         }
-        AccuracyTier::Fast32 => {
-            let mut ctx = GroupCtx {
-                k,
-                n: k + TAIL_BITS,
-                perm,
-                inv,
-                iters: cfg.iterations.max(1),
-                out_bits: &mut out_bits[..],
-                out_llrs: &mut out_llrs[..],
-                out_iters: &mut out_iters[..],
-                bits_tmp: &mut *bits_tmp,
-                stop,
-            };
-            let base = run_lockstep::<f32>(staging, coded_len, lanes, f32_lanes, &mut ctx);
-            if base < lanes {
-                // The single-lane instantiation of the same kernel *is*
-                // the scalar Fast32 reference.
-                run_group::<f32, 1>(staging, coded_len, base, 1, f32_lanes, &mut ctx);
-            }
-        }
+        AccuracyTier::Fast32 => run_lockstep::<f32>(staging, coded_len, lanes, f32_lanes, &mut ctx),
     }
 }
 
@@ -367,44 +309,31 @@ fn lane_width(live: usize) -> usize {
 
 /// Runs lockstep groups of 8 lanes, then one final group at the
 /// narrowest width that fits the remainder (unused slots in a padded
-/// group are dead weight that the first drain discards). Returns the
-/// index of the first unprocessed lane: `lanes`, unless exactly one lane
-/// remains, which callers route to their scalar reference path.
+/// group are dead weight that the first drain discards).
 fn run_lockstep<T: LlrArith>(
     staging: &[f64],
     coded_len: usize,
     lanes: usize,
     bufs: &mut LaneBuffers<T>,
     ctx: &mut GroupCtx<'_, '_>,
-) -> usize {
-    let mut base = 0;
-    while lanes - base >= 8 {
-        run_group::<T, 8>(staging, coded_len, base, 8, bufs, ctx);
-        base += 8;
-    }
-    match lanes - base {
-        0 | 1 => base,
-        2 => {
-            run_group::<T, 2>(staging, coded_len, base, 2, bufs, ctx);
-            lanes
-        }
-        r @ (3 | 4) => {
-            run_group::<T, 4>(staging, coded_len, base, r, bufs, ctx);
-            lanes
-        }
-        r => {
-            run_group::<T, 8>(staging, coded_len, base, r, bufs, ctx);
-            lanes
+) {
+    for base in (0..lanes).step_by(MAX_GROUP) {
+        let count = (lanes - base).min(MAX_GROUP);
+        match lane_width(count) {
+            1 => run_group::<T, 1>(staging, coded_len, base, count, bufs, ctx),
+            2 => run_group::<T, 2>(staging, coded_len, base, count, bufs, ctx),
+            4 => run_group::<T, 4>(staging, coded_len, base, count, bufs, ctx),
+            _ => run_group::<T, 8>(staging, coded_len, base, count, bufs, ctx),
         }
     }
 }
 
-/// Decodes lanes `base..base + count` (`count <= L`) in lockstep,
-/// mirroring `MaxLogMapDecoder::decode_internal` lane for lane: same
-/// demux, same iteration control (agreement break before the optional
-/// stop check), same output snapshots. A lane's outputs are recorded the
-/// moment its scalar counterpart would have returned; at the next
-/// iteration boundary the group drains finished lanes and narrows.
+/// Decodes lanes `base..base + count` (`count <= L`) in lockstep. Per
+/// lane this is the turbo loop of the scalar reference decoder: demux,
+/// then per iteration SISO 1, the optional stop check, SISO 2, the
+/// agreement check and the optional stop check again. A lane's outputs
+/// are recorded the moment it finishes; at the next iteration boundary
+/// the group drains finished lanes and narrows.
 fn run_group<T: LlrArith, const L: usize>(
     staging: &[f64],
     coded_len: usize,
@@ -441,10 +370,10 @@ fn run_group<T: LlrArith, const L: usize>(
     );
 
     // Demux each lane's codeword into the SoA observation streams
-    // (exactly the scalar decoder's sys/parity/tail split, narrowed to T
-    // at the boundary). Step-major loop order: each 64-byte lane row of
-    // the four destination streams is filled in one visit instead of
-    // being re-dirtied once per lane. Dead slots `count..L` hold garbage
+    // (systematic, parity and tail split per constituent decoder,
+    // narrowed to T at the boundary). Step-major loop order: each
+    // 64-byte lane row of the four destination streams is filled in one
+    // visit instead of being re-dirtied once per lane. Dead slots `count..L` hold garbage
     // that live lanes never see (every kernel op is elementwise).
     for t in 0..k {
         let pt = ctx.perm[t];
@@ -545,7 +474,7 @@ fn iterate_group<T: LlrArith, const L: usize>(
         // blocks settles every slot's flag at once with branchless sign
         // compares the compiler vectorizes, instead of `m` strided scalar
         // scans. Same predicate per slot (an order-independent `all`), so
-        // the same decision as the scalar loop.
+        // the same decision as a per-lane scan.
         let mut disagree = [false; L];
         for t in 0..k {
             let a: [T; L] = lanes_load(&bufs.post1, t * L);
@@ -558,8 +487,7 @@ fn iterate_group<T: LlrArith, const L: usize>(
             if done[s] {
                 continue;
             }
-            // Agreement early stop first, then the optional stop check —
-            // the scalar loop's exact order.
+            // Agreement early stop first, then the optional stop check.
             if !disagree[s] {
                 record_lane::<T, L>(&bufs.posterior, s, lane_of_slot[s], k, ctx, it);
                 done[s] = true;
@@ -611,7 +539,7 @@ fn iterate_group<T: LlrArith, const L: usize>(
         it += 1;
     }
     // Iteration budget exhausted: unfinished lanes return the latest
-    // posterior with the full iteration count, like the scalar decoder.
+    // posterior with the full iteration count.
     for s in 0..m {
         if !done[s] {
             record_lane::<T, L>(&bufs.posterior, s, lane_of_slot[s], k, ctx, it);
@@ -664,22 +592,25 @@ fn hard_lane<T: LlrArith, const L: usize>(src: &[T], l: usize, k: usize, out: &m
 
 /// One lockstep SISO Max-Log-MAP pass over `L` terminated RSC trellises.
 ///
-/// A lane-array transliteration of the scalar `siso` in
-/// `decoder.rs` — same branch-metric factoring (`[g0, g1]` stored,
-/// `g2 = -g1`, `g3 = -g0`), same hand-unrolled gather wiring of the
-/// fixed 8-state trellis, same fused backward/output sweep, and every
-/// three-term sum keeps the `(alpha + gamma) + beta` association — so
-/// each lane's value stream is bit-identical to the scalar pass. All
-/// buffers are `[step][state/metric][lane]` flat arrays; with
-/// `L ∈ {8, 4, 2}` the lane arrays compile to full-width SIMD on the
-/// fixed trellis (see `crates/bench/benches/kernels.rs` for the
-/// scalar-vs-lockstep microbenchmarks).
+/// Branch metrics factor to two values per step (`g0 = ½(spa + lp)`,
+/// `g1 = ½(spa − lp)`; `g2 = -g1` and `g3 = -g0` are exact negations),
+/// the fixed 8-state trellis of `(1+D+D³)/(1+D²+D³)` is hand-unrolled in
+/// gather form (each state reads its two fixed predecessors or
+/// successors), the backward sweep is fused with the extrinsic/posterior
+/// output, and every three-term sum keeps the `(alpha + gamma) + beta`
+/// association. Each lane's value stream is therefore bit-identical to
+/// the table-driven three-sweep BCJR that the scalar reference decoder
+/// in `tests/support/` is checked against. All buffers are
+/// `[step][state/metric][lane]` flat arrays; with `L ∈ {8, 4, 2}` the
+/// lane arrays compile to full-width SIMD on the fixed trellis (see
+/// `crates/bench/benches/kernels.rs` for the per-width
+/// microbenchmarks).
 ///
-/// Unlike the scalar pass, neither alpha nor the branch metrics are
-/// materialized for the whole trellis: the forward recursion stores one
-/// checkpoint row per [`ALPHA_WINDOW`] steps (`alpha_ckpt`) and the
-/// output sweep regenerates each window of rows into the small `alpha`
-/// buffer on demand, newest window first, while beta carries across
+/// Neither alpha nor the branch metrics are materialized for the whole
+/// trellis: the forward recursion stores one checkpoint row per
+/// [`ALPHA_WINDOW`] steps (`alpha_ckpt`) and the output sweep
+/// regenerates each window of rows into the small `alpha` buffer on
+/// demand, newest window first, while beta carries across
 /// windows uninterrupted. Branch metrics are recomputed from the
 /// `sys`/`par`/`apriori` streams wherever they are needed — the
 /// recompute repeats the forward recursion's exact op sequence on the
@@ -939,63 +870,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_batch_matches_scalar_lane_for_lane() {
-        let k = 80;
-        let code = TurboCode::new(k).unwrap();
-        for lanes in [1usize, 2, 3, 4, 5, 7, 8, 9, 11, 16] {
-            let cases: Vec<_> = (0..lanes)
-                .map(|l| noisy_codeword(&code, 1000 + l as u64))
-                .collect();
-            let mut batch = TurboBatchScratch::new();
-            batch.begin_batch(code.coded_len());
-            for (_, llrs) in &cases {
-                batch.push_lane(llrs);
-            }
-            code.decode_batch(DecoderConfig::exact(6), &mut batch, None);
-            for (l, (_, llrs)) in cases.iter().enumerate() {
-                let scalar = code.decode(llrs, 6);
-                assert_eq!(batch.bits(l), &scalar.bits[..], "bits, lanes={lanes} l={l}");
-                assert_eq!(batch.llrs(l), &scalar.llrs[..], "llrs, lanes={lanes} l={l}");
-                assert_eq!(
-                    batch.iterations_run(l),
-                    scalar.iterations_run,
-                    "iters, lanes={lanes} l={l}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn early_stop_batch_matches_scalar_stop_path() {
-        let k = 100;
-        let code = TurboCode::new(k).unwrap();
-        let cases: Vec<_> = (0..5).map(|l| noisy_codeword(&code, 50 + l)).collect();
-        let mut batch = TurboBatchScratch::new();
-        batch.begin_batch(code.coded_len());
-        for (_, llrs) in &cases {
-            batch.push_lane(llrs);
-        }
-        let expected: Vec<Vec<u8>> = cases.iter().map(|(bits, _)| bits.clone()).collect();
-        let stop = |lane: usize, cand: &[u8]| cand == expected[lane];
-        code.decode_batch(
-            DecoderConfig::new(8, AccuracyTier::EarlyStop),
-            &mut batch,
-            Some(&stop),
-        );
-        let mut scratch = TurboScratch::new();
-        let mut out = DecodeResult::new();
-        for (l, (bits, llrs)) in cases.iter().enumerate() {
-            let want = bits.clone();
-            code.decode_into_with_stop(llrs, 8, &mut scratch, &mut out, &|cand: &[u8]| {
-                cand == want
-            });
-            assert_eq!(batch.bits(l), &out.bits[..], "lane {l}");
-            assert_eq!(batch.llrs(l), &out.llrs[..], "lane {l}");
-            assert_eq!(batch.iterations_run(l), out.iterations_run, "lane {l}");
-        }
-    }
-
-    #[test]
     fn fast32_batch_matches_fast32_single_lane() {
         let k = 120;
         let code = TurboCode::new(k).unwrap();
@@ -1043,24 +917,31 @@ mod tests {
         let k = 80;
         let code = TurboCode::new(k).unwrap();
         let mut batch = TurboBatchScratch::new();
-        let decode_round = |batch: &mut TurboBatchScratch, seed: u64| {
+        let decode_round = |batch: &mut TurboBatchScratch, lanes: u64, seed: u64| {
             batch.begin_batch(code.coded_len());
-            for l in 0..8 {
+            for l in 0..lanes {
                 let (_, llrs) = noisy_codeword(&code, seed + l);
                 batch.push_lane(&llrs);
             }
             code.decode_batch(DecoderConfig::exact(6), batch, None);
         };
-        decode_round(&mut batch, 1);
+        // Warm up on two full 8-lane groups: that sizes staging and the
+        // outputs for every later round, yet never starts a group at
+        // width 1, so the first 1-lane round below runs that kernel
+        // instantiation cold, and the 9-lane round pairs a full group
+        // with a lone lane.
+        decode_round(&mut batch, 16, 1);
         let mut warm = Vec::new();
         batch.heap_capacities(&mut warm);
-        for round in 2..6 {
-            decode_round(&mut batch, round * 100);
+        for (round, lanes) in [1, 9, 8].into_iter().cycle().take(9).enumerate() {
+            decode_round(&mut batch, lanes, 100 * (round as u64 + 2));
             let mut caps = Vec::new();
             batch.heap_capacities(&mut caps);
-            assert_eq!(warm, caps, "round {round} grew a batch buffer");
+            assert_eq!(
+                warm, caps,
+                "round {round} ({lanes} lanes) grew a batch buffer"
+            );
         }
-        let _ = &mut warm;
     }
 
     #[test]

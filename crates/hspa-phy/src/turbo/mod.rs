@@ -4,7 +4,8 @@
 //! convolutional (RSC) encoders with transfer function
 //! `g1(D)/g0(D) = (1 + D + D³)/(1 + D² + D³)`, joined by the
 //! standard-compliant internal block interleaver. Decoding is iterative
-//! Max-Log-MAP with extrinsic scaling.
+//! Max-Log-MAP with extrinsic scaling, on one lockstep kernel that
+//! decodes a lone codeword as a 1-lane batch.
 //!
 //! ## Codeword layout
 //!
@@ -25,13 +26,15 @@ mod interleaver;
 mod rsc;
 
 pub use batch::{BatchStopCheck, TurboBatchScratch};
-pub use decoder::{
-    AccuracyTier, DecodeResult, DecoderConfig, MaxLogMapDecoder, TurboScratch, EXTRINSIC_SCALE,
-};
+pub use decoder::{AccuracyTier, DecodeResult, DecoderConfig, EXTRINSIC_SCALE};
 pub use interleaver::TurboInterleaver;
 pub use rsc::{Rsc, NEXT_STATE, PARITY, RSC_STATES, TAIL_BITS};
 
 use std::fmt;
+
+/// Reusable workspace of [`TurboCode::decode_into`]: the 1-lane batch a
+/// single codeword is decoded in.
+pub type TurboScratch = TurboBatchScratch;
 
 /// Error constructing a turbo code component.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,20 +143,20 @@ impl TurboCode {
     }
 
     /// Decodes channel LLRs (one per coded bit, in [`TurboCode::encode`]
-    /// layout) with `iterations` turbo iterations.
+    /// layout) with `iterations` turbo iterations at the `Exact` tier.
     ///
     /// # Panics
     ///
     /// Panics if `llrs.len() != coded_len()`.
     pub fn decode(&self, llrs: &[f64], iterations: usize) -> DecodeResult {
-        assert_eq!(llrs.len(), self.coded_len(), "LLR length mismatch");
-        let decoder = MaxLogMapDecoder::new(self.k, &self.interleaver);
-        decoder.decode(llrs, iterations)
+        let mut out = DecodeResult::new();
+        self.decode_into(llrs, iterations, &mut TurboScratch::new(), &mut out);
+        out
     }
 
-    /// Allocation-free [`TurboCode::decode`]: intermediate state lives in
-    /// `scratch`, the result is written into `out`. Bit-identical to
-    /// `decode`.
+    /// Allocation-free [`TurboCode::decode`]: a 1-lane
+    /// [`TurboCode::decode_batch`] in `scratch`, with lane 0 copied into
+    /// `out`. Bit-identical to `decode`.
     ///
     /// # Panics
     ///
@@ -165,42 +168,23 @@ impl TurboCode {
         scratch: &mut TurboScratch,
         out: &mut DecodeResult,
     ) {
-        assert_eq!(llrs.len(), self.coded_len(), "LLR length mismatch");
-        let decoder = MaxLogMapDecoder::new(self.k, &self.interleaver);
-        decoder.decode_into(llrs, iterations, scratch, out);
-    }
-
-    /// [`TurboCode::decode_into`] with an external validity check (the
-    /// transport-block CRC in the link simulator): iteration stops as
-    /// soon as the current hard decisions satisfy `stop`, skipping the
-    /// second SISO pass when decoder 1 alone already produced a valid
-    /// block. See [`MaxLogMapDecoder::decode_into_with_stop`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `llrs.len() != coded_len()`.
-    pub fn decode_into_with_stop(
-        &self,
-        llrs: &[f64],
-        iterations: usize,
-        scratch: &mut TurboScratch,
-        out: &mut DecodeResult,
-        stop: &dyn Fn(&[u8]) -> bool,
-    ) {
-        assert_eq!(llrs.len(), self.coded_len(), "LLR length mismatch");
-        let decoder = MaxLogMapDecoder::new(self.k, &self.interleaver);
-        decoder.decode_into_with_stop(llrs, iterations, scratch, out, stop);
+        scratch.begin_batch(self.coded_len());
+        scratch.push_lane(llrs);
+        self.decode_batch(DecoderConfig::exact(iterations), scratch, None);
+        out.bits.clear();
+        out.bits.extend_from_slice(scratch.bits(0));
+        out.llrs.clear();
+        out.llrs.extend_from_slice(scratch.llrs(0));
+        out.iterations_run = scratch.iterations_run(0);
     }
 
     /// Decodes every lane staged in `batch` together, in lockstep groups
-    /// of 8/4/2 lanes plus a scalar remainder, under the accuracy tier
-    /// and iteration budget in `cfg`. Lane `l`'s outputs (bits,
-    /// posterior LLR bit patterns, iteration count) are bit-identical to
-    /// the corresponding serial decode of that lane alone — the `Exact`
-    /// tier matches [`TurboCode::decode_into`], `EarlyStop` matches
-    /// [`TurboCode::decode_into_with_stop`] (the optional `stop` check
-    /// receives the lane index alongside the candidate bits), and
-    /// `Fast32` matches its own single-lane `f32` reference.
+    /// of 8 lanes and one final group of 1, 2, 4 or 8 lanes, under the
+    /// accuracy tier and iteration budget in `cfg`. Lane `l`'s outputs
+    /// (bits, posterior LLR bit patterns, iteration count) are
+    /// bit-identical to a 1-lane decode of that lane alone, whatever the
+    /// batch width; the optional `stop` check (the `EarlyStop` tier's
+    /// CRC) receives the lane index alongside the candidate bits.
     ///
     /// # Panics
     ///

@@ -1,24 +1,27 @@
 //! Property tests: batched lockstep decoding is bit-identical, lane for
-//! lane, to N independent scalar decodes — hard decisions, the raw
-//! `f64` bit patterns of every posterior LLR, and the per-lane
-//! iteration counts all must match exactly, for random block lengths,
-//! random noise, random injected fault patterns, and every tier.
+//! lane, to N independent decodes by the scalar reference decoder in
+//! `support` — hard decisions, the raw `f64` bit patterns of every
+//! posterior LLR, and the per-lane iteration counts all must match
+//! exactly, for random block lengths, random noise, random injected
+//! fault patterns, and every tier.
 //!
 //! This is the contract that lets the engine turn batching on by
 //! default: a batched campaign must be indistinguishable from an
 //! unbatched one at the level of individual bits, not just statistics.
+//! The library has one decode kernel, so every `Exact`/`EarlyStop`
+//! comparison here is against the oracle, never kernel against kernel.
+
+mod support;
 
 use proptest::prelude::*;
 
-use hspa_phy::turbo::{
-    AccuracyTier, DecodeResult, DecoderConfig, MaxLogMapDecoder, TurboBatchScratch, TurboCode,
-    TurboScratch,
-};
+use hspa_phy::turbo::{AccuracyTier, DecodeResult, DecoderConfig, TurboBatchScratch, TurboCode};
+use support::{MaxLogMapDecoder, ReferenceScratch};
 
 /// BPSK/AWGN LLRs with a crude injected fault pattern: a slice of the
 /// positions (chosen by `fault_seed`) gets its LLR sign flipped and
 /// another slice gets saturated — the kinds of corruption a faulty LLR
-/// memory produces, applied identically to the scalar and batched runs.
+/// memory produces, applied identically to the oracle and batched runs.
 fn corrupted_llrs(
     coded: &[u8],
     snr_db: f64,
@@ -49,8 +52,7 @@ fn corrupted_llrs(
     llrs
 }
 
-/// One lane's scalar reference decode (the exact path the unbatched
-/// engine runs), plus the inputs so the batch can replay it.
+/// One lane's oracle decode, plus the inputs so the batch can replay it.
 struct Lane {
     llrs: Vec<f64>,
     reference: DecodeResult,
@@ -66,7 +68,8 @@ fn build_lanes(
     iterations: usize,
     stop: Option<&dyn Fn(&[u8]) -> bool>,
 ) -> Vec<Lane> {
-    let mut scratch = TurboScratch::new();
+    let oracle = MaxLogMapDecoder::new(code.k(), code.interleaver());
+    let mut scratch = ReferenceScratch::new();
     (0..lanes)
         .map(|lane| {
             let lseed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ lane as u64;
@@ -76,9 +79,9 @@ fn build_lanes(
             let llrs = corrupted_llrs(&coded, snr_db, lseed ^ 0x5eed, lseed ^ 0xfa17, fault_pct);
             let mut reference = DecodeResult::new();
             match stop {
-                None => code.decode_into(&llrs, iterations, &mut scratch, &mut reference),
+                None => oracle.decode_into(&llrs, iterations, &mut scratch, &mut reference),
                 Some(f) => {
-                    code.decode_into_with_stop(&llrs, iterations, &mut scratch, &mut reference, f)
+                    oracle.decode_into_with_stop(&llrs, iterations, &mut scratch, &mut reference, f)
                 }
             }
             Lane { llrs, reference }
@@ -86,7 +89,7 @@ fn build_lanes(
         .collect()
 }
 
-/// Asserts lane `i` of `batch` equals its scalar reference bit for bit.
+/// Asserts lane `i` of `batch` equals its oracle decode bit for bit.
 fn assert_lane_identical(
     batch: &TurboBatchScratch,
     i: usize,
@@ -108,7 +111,7 @@ fn assert_lane_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Exact tier: batched == N independent scalar `decode_into` calls.
+    /// Exact tier: batched == N independent oracle `decode_into` calls.
     #[test]
     fn batched_exact_equals_scalar_lanes(
         k in 40usize..400,
@@ -132,7 +135,7 @@ proptest! {
     }
 
     /// EarlyStop tier: batched (with a per-lane stop callback) == N
-    /// scalar `decode_into_with_stop` calls using the same predicate.
+    /// oracle `decode_into_with_stop` calls using the same predicate.
     #[test]
     fn batched_earlystop_equals_scalar_lanes(
         k in 40usize..300,
@@ -162,9 +165,9 @@ proptest! {
         }
     }
 
-    /// Fast32 tier: an N-lane batch equals N one-lane batches — the f32
-    /// kernel has no separate scalar implementation, so one-lane batches
-    /// are its reference semantics (and are themselves pinned by the
+    /// Fast32 tier: an N-lane batch equals N one-lane batches — the
+    /// oracle is `f64`, so one-lane batches are the f32 kernel's reference
+    /// semantics (and are themselves pinned by the
     /// `GOLDEN_DECODES_FAST32` table in `decode_golden.rs`).
     #[test]
     fn batched_fast32_equals_single_lane_batches(
@@ -176,8 +179,8 @@ proptest! {
     ) {
         let cfg = DecoderConfig::new(8, AccuracyTier::Fast32);
         let code = TurboCode::new(k).expect("valid k");
-        // Reuse build_lanes for input generation only; the f64 scalar
-        // reference it computes is ignored here.
+        // Reuse build_lanes for input generation only; the f64 oracle
+        // decode it computes is ignored here.
         let lane_data = build_lanes(&code, lanes, snr_x10 as f64 / 10.0, seed, fault_pct, 8, None);
         let mut batch = TurboBatchScratch::new();
         batch.begin_batch(code.coded_len());
@@ -204,22 +207,101 @@ proptest! {
     }
 }
 
-/// Scalar decoder sanity: `decode` and `decode_into` agree under the
-/// same fault-injected inputs the proptests use (guards the reference
-/// side of the equivalence, not just the batched side).
+/// Oracle sanity under the fault-injected inputs the proptests use: a
+/// reused oracle workspace reproduces a fresh one, and both agree with
+/// the library's single-codeword `TurboCode::decode` (a 1-lane kernel
+/// decode), so the reference side of the equivalence is checked too.
 #[test]
 fn reference_scalar_paths_agree_under_faults() {
     let code = TurboCode::new(120).expect("valid k");
-    let decoder = MaxLogMapDecoder::new(code.k(), code.interleaver());
-    let mut scratch = TurboScratch::new();
+    let oracle = MaxLogMapDecoder::new(code.k(), code.interleaver());
+    let mut scratch = ReferenceScratch::new();
     let mut out = DecodeResult::new();
     for seed in 0..6u64 {
         let mut rng = dsp::rng::seeded(seed);
         let bits = dsp::rng::random_bits(&mut rng, code.k());
         let coded = code.encode(&bits);
         let llrs = corrupted_llrs(&coded, -1.0, seed ^ 0x5eed, seed ^ 0xfa17, 15);
-        decoder.decode_into(&llrs, 8, &mut scratch, &mut out);
-        assert_eq!(out, code.decode(&llrs, 8), "seed {seed}");
+        oracle.decode_into(&llrs, 8, &mut scratch, &mut out);
+        assert_eq!(out, oracle.decode(&llrs, 8), "seed {seed}: scratch reuse");
+        assert_eq!(out, code.decode(&llrs, 8), "seed {seed}: kernel");
+    }
+}
+
+/// Lightly noisy codeword: BPSK at ±2 plus unit Gaussian noise, the
+/// regime where lanes stop at different iterations.
+fn noisy_codeword(code: &TurboCode, seed: u64) -> (Vec<u8>, Vec<f64>) {
+    let mut rng = dsp::rng::seeded(seed);
+    let bits = dsp::rng::random_bits(&mut rng, code.k());
+    let llrs = code
+        .encode(&bits)
+        .iter()
+        .map(|&b| (if b == 0 { 2.0 } else { -2.0 }) + dsp::rng::standard_normal(&mut rng))
+        .collect();
+    (bits, llrs)
+}
+
+/// Deterministic companion of the `Exact` proptest over every batch
+/// shape the kernel schedules differently: one lane, each final-group
+/// width, and full groups plus a lone or partial remainder.
+#[test]
+fn exact_batch_matches_scalar_lane_for_lane() {
+    let k = 80;
+    let code = TurboCode::new(k).unwrap();
+    let oracle = MaxLogMapDecoder::new(k, code.interleaver());
+    for lanes in [1usize, 2, 3, 4, 5, 7, 8, 9, 11, 16] {
+        let cases: Vec<_> = (0..lanes)
+            .map(|l| noisy_codeword(&code, 1000 + l as u64))
+            .collect();
+        let mut batch = TurboBatchScratch::new();
+        batch.begin_batch(code.coded_len());
+        for (_, llrs) in &cases {
+            batch.push_lane(llrs);
+        }
+        code.decode_batch(DecoderConfig::exact(6), &mut batch, None);
+        for (l, (_, llrs)) in cases.iter().enumerate() {
+            let want = oracle.decode(llrs, 6);
+            assert_eq!(batch.bits(l), &want.bits[..], "bits, lanes={lanes} l={l}");
+            assert_eq!(batch.llrs(l), &want.llrs[..], "llrs, lanes={lanes} l={l}");
+            assert_eq!(
+                batch.iterations_run(l),
+                want.iterations_run,
+                "iters, lanes={lanes} l={l}"
+            );
+        }
+    }
+}
+
+/// `EarlyStop` with a stop check that accepts exactly the transmitted
+/// block: lanes finish after decoder 1 or decoder 2 of different
+/// iterations, each exactly where the oracle's stop path returns.
+#[test]
+fn early_stop_batch_matches_scalar_stop_path() {
+    let k = 100;
+    let code = TurboCode::new(k).unwrap();
+    let oracle = MaxLogMapDecoder::new(k, code.interleaver());
+    let cases: Vec<_> = (0..5).map(|l| noisy_codeword(&code, 50 + l)).collect();
+    let mut batch = TurboBatchScratch::new();
+    batch.begin_batch(code.coded_len());
+    for (_, llrs) in &cases {
+        batch.push_lane(llrs);
+    }
+    let expected: Vec<Vec<u8>> = cases.iter().map(|(bits, _)| bits.clone()).collect();
+    let stop = |lane: usize, cand: &[u8]| cand == expected[lane];
+    code.decode_batch(
+        DecoderConfig::new(8, AccuracyTier::EarlyStop),
+        &mut batch,
+        Some(&stop),
+    );
+    let mut scratch = ReferenceScratch::new();
+    let mut out = DecodeResult::new();
+    for (l, (bits, llrs)) in cases.iter().enumerate() {
+        oracle.decode_into_with_stop(llrs, 8, &mut scratch, &mut out, &|cand: &[u8]| {
+            cand == &bits[..]
+        });
+        assert_eq!(batch.bits(l), &out.bits[..], "lane {l}");
+        assert_eq!(batch.llrs(l), &out.llrs[..], "lane {l}");
+        assert_eq!(batch.iterations_run(l), out.iterations_run, "lane {l}");
     }
 }
 
