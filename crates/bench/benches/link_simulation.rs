@@ -8,7 +8,7 @@
 //!    `resilience_core::telemetry`).
 //! 2. Engine throughput (packets/sec) over a realistic operating grid:
 //!    1-lane waves (`--batch 1`, comparable to pre-batching baselines),
-//!    the default lockstep wave (`SimulationEngine::DEFAULT_BATCH`
+//!    the default decoder lane pool (`SimulationEngine::DEFAULT_BATCH`
 //!    lanes) for each accuracy tier, and
 //!    `max(2, available CPUs)` workers — all written to
 //!    `BENCH_engine.json` so future changes have a machine-readable

@@ -1,11 +1,11 @@
 //! Per-stage time breakdown of the packet hot path.
 //!
-//! Drives `simulate_wave_with` — the one packet path — at a fixed lane
-//! width (default 16, the engine's default wave), so the numbers show
-//! where a lockstep wave actually spends its time (the batched `decode`
-//! stage is recorded against lane 0 and reported per packet here).
-//! `-- 1` profiles 1-lane waves, which is what `simulate_packet_with`
-//! and `--batch 1` run. A lane count that is not a positive integer
+//! Drives `simulate_wave_with` — the one packet path — over waves of a
+//! fixed packet count (default 16, decoded through an 8-slot lane pool),
+//! so the numbers show where the packet path actually spends its time
+//! (the pooled `decode` stage is recorded against packet 0 and reported
+//! per packet here). `-- 1` profiles 1-packet waves, which is what
+//! `simulate_packet_with` and `--batch 1` run. A lane count that is not a positive integer
 //! exits with status 2.
 //!
 //! Stage timing is always on (see `telemetry`), so a plain release run

@@ -7,7 +7,7 @@
 //! quantized, defective, or ECC-protected.
 
 use dsp::LlrQuantizer;
-use hspa_phy::harq::LlrBuffer;
+use hspa_phy::harq::{LlrBuffer, PerfectLlrBuffer};
 use silicon::ecc::Secded;
 use silicon::fault_map::FaultMap;
 use silicon::FaultyMemory;
@@ -349,6 +349,70 @@ impl<B: LlrBuffer> LlrBuffer for TransientLlrBuffer<B> {
     }
 }
 
+/// Every storage backend [`crate::montecarlo::build_storage`] builds, as
+/// one `Clone`-able type. A die's fault masks are read-only and all
+/// per-packet state is reset by [`LlrBuffer::reset`] and re-anchored by
+/// [`LlrBuffer::begin_packet`], so a clone serves a packet exactly like a
+/// fresh build of the same die: the engine builds each die once and hands
+/// every further in-flight packet a clone.
+#[derive(Debug, Clone)]
+pub enum StorageBuffer {
+    /// Ideal float storage.
+    Perfect(PerfectLlrBuffer),
+    /// Quantized, fault-free storage.
+    Quantized(QuantizedLlrBuffer),
+    /// Quantized storage on a faulty array.
+    Faulty(FaultyLlrBuffer),
+    /// SECDED-protected storage on a faulty array.
+    Ecc(EccLlrBuffer),
+    /// Quantized storage under transient upsets.
+    Transient(TransientLlrBuffer<QuantizedLlrBuffer>),
+}
+
+/// Evaluates `$body` with `$b` bound to the backend inside a
+/// [`StorageBuffer`].
+macro_rules! with_backend {
+    ($buffer:expr, $b:ident => $body:expr) => {
+        match $buffer {
+            StorageBuffer::Perfect($b) => $body,
+            StorageBuffer::Quantized($b) => $body,
+            StorageBuffer::Faulty($b) => $body,
+            StorageBuffer::Ecc($b) => $body,
+            StorageBuffer::Transient($b) => $body,
+        }
+    };
+}
+
+impl LlrBuffer for StorageBuffer {
+    fn capacity(&self) -> usize {
+        with_backend!(self, b => b.capacity())
+    }
+
+    fn store(&mut self, llrs: &[f64]) {
+        with_backend!(self, b => b.store(llrs))
+    }
+
+    fn load(&self) -> Vec<f64> {
+        with_backend!(self, b => b.load())
+    }
+
+    fn load_into(&self, out: &mut Vec<f64>) {
+        with_backend!(self, b => b.load_into(out))
+    }
+
+    fn store_load(&mut self, data: &mut Vec<f64>) {
+        with_backend!(self, b => b.store_load(data))
+    }
+
+    fn reset(&mut self) {
+        with_backend!(self, b => b.reset())
+    }
+
+    fn begin_packet(&mut self, packet_seed: u64) {
+        with_backend!(self, b => b.begin_packet(packet_seed))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,6 +595,49 @@ mod tests {
                 let map = FaultMap::random_exact(words, ecc_bits, ecc_cells / 10, kind, 12);
                 check(EccLlrBuffer::new(map, q), &label("secded"));
             }
+        }
+
+        // The engine builds each die once and lends packets clones, so a
+        // clone of a used buffer, once `begin_packet` and `reset` start
+        // its packet, must serve that packet exactly like a fresh build
+        // of the same die — on every storage kind, upsets included.
+        use crate::montecarlo::{build_storage, DefectSpec, StorageConfig};
+        let cfg = crate::config::SystemConfig::fast_test();
+        let storages = [
+            StorageConfig::Perfect,
+            StorageConfig::Quantized,
+            StorageConfig::unprotected(0.10, cfg.llr_bits),
+            StorageConfig::msb_protected(4, 0.10, cfg.llr_bits),
+            StorageConfig::Ecc {
+                defects: DefectSpec::Fraction(0.10),
+                fault_kind: FaultKind::StuckAt1,
+            },
+            StorageConfig::Transient { p_upset: 0.05 },
+        ];
+        let v: Vec<f64> = (0..cfg.coded_len())
+            .map(|i| (i as f64 * 0.37).cos() * 30.0)
+            .collect();
+        let serve = |buf: &mut StorageBuffer, packet: u64| {
+            buf.begin_packet(packet);
+            buf.reset();
+            let mut data = v.clone();
+            buf.store_load(&mut data);
+            buf.store_load(&mut data);
+            let mut loaded = Vec::new();
+            buf.load_into(&mut loaded);
+            (data, loaded)
+        };
+        for storage in &storages {
+            let mut used = build_storage(&cfg, storage, 0xd1e);
+            serve(&mut used, 1);
+            let mut clone = used.clone();
+            let mut fresh = build_storage(&cfg, storage, 0xd1e);
+            assert_eq!(
+                serve(&mut clone, 2),
+                serve(&mut fresh, 2),
+                "{}: clone vs fresh build",
+                storage.label()
+            );
         }
     }
 

@@ -36,15 +36,17 @@
 //! into shards of [`SimulationEngine::shard_packets`] packets and lets
 //! workers pull shards from a shared atomic counter (work stealing), so a
 //! single expensive point — low SNR, many retransmissions — cannot
-//! serialize the run. Each worker keeps one storage buffer set per
-//! buffer group (chunks with the same [`StorageConfig`] and die seed:
-//! the *same die*, per the paper's worst-case methodology) plus one
-//! [`PacketScratch`] per lane, runs each shard as lockstep waves of
-//! [`SimulationEngine::batch_lanes`] packets, and merges its partial
-//! statistics locally; the main thread folds worker partials in task
-//! order.
+//! serialize the run. Each worker drives one work-conserving decoder
+//! lane pool of up to [`SimulationEngine::batch_lanes`] (at most
+//! [`POOL_LANES`]) in-flight packets, each running its own HARQ state
+//! machine; a packet that finishes hands its lane to the next packet of
+//! the worker's queue, which pulls the next shard whenever no packet is
+//! left to start. Per buffer group (chunks with the same
+//! [`StorageConfig`] and die seed: the *same die*, per the paper's
+//! worst-case methodology) the worker builds the die once and lends
+//! in-flight packets clones of it. Outcomes are summed per chunk in the
+//! worker; the main thread folds worker partials.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::StdRng;
@@ -52,12 +54,14 @@ use rand::SeedableRng;
 
 use dsp::rng::{derive_seed, packet_seed, STREAM_FAULT_MAP};
 use hspa_phy::harq::{HarqStats, LlrBuffer};
+use hspa_phy::turbo::{TurboBatchScratch, POOL_LANES};
 
-use hspa_phy::turbo::TurboBatchScratch;
-
+use crate::buffer::StorageBuffer;
 use crate::config::SystemConfig;
-use crate::montecarlo::{build_buffer, StorageConfig};
-use crate::simulator::{LinkSimulator, PacketOutcome, PacketScratch, WaveScratch};
+use crate::montecarlo::{build_storage, StorageConfig};
+use crate::simulator::{
+    LinkSimulator, PacketOutcome, PacketQueue, PacketScratch, StageNanos, WaveScratch,
+};
 use crate::telemetry::{self, Counter, Histogram};
 
 /// One Monte-Carlo operating point for [`SimulationEngine::run_batch`].
@@ -210,20 +214,20 @@ impl Default for SimulationEngine {
 }
 
 impl SimulationEngine {
-    /// Default shard granularity: small enough to balance uneven points,
-    /// large enough to amortize per-shard buffer setup — and exactly one
-    /// default decode wave, since a wave never spans shards.
+    /// Default shard granularity: small enough to balance uneven points
+    /// across workers, large enough that pulling shards and flushing
+    /// telemetry (once per shard) stay negligible. A worker's lane pool
+    /// runs across shard boundaries, so the size never narrows it.
     const DEFAULT_SHARD: usize = 16;
 
-    /// Default decode batch width: two full lockstep groups of the
-    /// widest SIMD kernel. Waves wider than one group keep HARQ
-    /// retransmission attempts (whose surviving lanes thin out) filling
-    /// full-width groups, and lane draining absorbs the per-group
-    /// iteration spread; sweeping widths 8..64 on the benchmark grid put
-    /// 16 lanes ahead of 32 by ~5% (smaller staging footprint, same
-    /// group utilization). Results are bit-identical at every width
-    /// (1 included), so batching is on by default.
-    pub const DEFAULT_BATCH: usize = 16;
+    /// Default decode lane-pool width: every slot of the widest lockstep
+    /// kernel ([`POOL_LANES`]). A pool refills each lane with the next
+    /// codeword (the same packet's next HARQ attempt or the next
+    /// packet's first) at every iteration boundary, so it stays at full
+    /// width until its worker runs out of packets; wider settings add
+    /// nothing. Results are bit-identical at every width (1 included),
+    /// so batching is on by default.
+    pub const DEFAULT_BATCH: usize = POOL_LANES;
 
     /// Engine using every available CPU.
     pub fn auto() -> Self {
@@ -261,8 +265,9 @@ impl SimulationEngine {
         self
     }
 
-    /// Overrides the decode batch width (builder style). `1` runs 1-lane
-    /// waves, packet by packet; any width produces bit-identical
+    /// Overrides the decode batch width (builder style): the most
+    /// packets a worker keeps in flight, capped at [`POOL_LANES`]. `1`
+    /// runs packet by packet; any width produces bit-identical
     /// statistics, so this is a pure throughput knob and is deliberately
     /// *not* part of campaign point fingerprints.
     ///
@@ -385,52 +390,24 @@ impl SimulationEngine {
     /// random 1–4-way partitions).
     pub fn run_chunks(&self, sim: &LinkSimulator, chunks: &[ChunkSpec]) -> Vec<HarqStats> {
         let cfg = *sim.config();
-        let dies: Vec<u64> = chunks
-            .iter()
-            .map(|c| {
-                c.fault_seed
-                    .unwrap_or_else(|| derive_seed(c.seed, STREAM_FAULT_MAP))
-            })
-            .collect();
-        let groups: Vec<usize> = (0..chunks.len())
-            .map(|i| {
-                (0..i)
-                    .find(|&j| dies[j] == dies[i] && chunks[j].storage == chunks[i].storage)
-                    .unwrap_or(i)
-            })
-            .collect();
-        // Flatten every chunk into packet shards over absolute indices.
-        let mut tasks: Vec<Shard> = Vec::new();
-        for (chunk, spec) in chunks.iter().enumerate() {
-            let end = spec.first_packet + spec.n_packets;
-            let mut start = spec.first_packet;
-            while start < end {
-                let count = self.shard_packets.min(end - start);
-                tasks.push(Shard {
-                    chunk,
-                    start,
-                    count,
-                });
-                start += count;
-            }
-        }
-
-        let workers = self.threads.min(tasks.len()).max(1);
+        let plan = Plan::new(chunks, self.shard_packets);
+        let workers = self.threads.min(plan.tasks.len()).max(1);
+        let lanes = self.batch_lanes.min(POOL_LANES);
         // One worker pulls shards off the shared counter until none are
         // left; a single worker runs it inline, more run it in threads.
         let next = AtomicUsize::new(0);
         let run_worker = || {
-            let mut worker =
-                Worker::new(&cfg, sim.clone(), chunks, &dies, &groups, self.batch_lanes);
-            let mut out = Vec::new();
-            loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(t) else { break };
-                out.push((task.chunk, worker.run_shard(task)));
-            }
-            out
+            let mut worker = Worker::new(&cfg, chunks, &plan, &next, lanes);
+            sim.run_harq(
+                &mut worker,
+                lanes,
+                &mut TurboBatchScratch::new(),
+                &mut WaveScratch::new(),
+            );
+            worker.flush();
+            worker.stats
         };
-        let mut partials: Vec<Vec<(usize, HarqStats)>> = if workers == 1 {
+        let partials: Vec<Vec<HarqStats>> = if workers == 1 {
             vec![run_worker()]
         } else {
             std::thread::scope(|scope| {
@@ -448,8 +425,10 @@ impl SimulationEngine {
             .iter()
             .map(|_| HarqStats::new(cfg.max_transmissions, cfg.payload_bits))
             .collect();
-        for (chunk, stats) in partials.drain(..).flatten() {
-            merged[chunk].merge(&stats);
+        for partial in &partials {
+            for (into, stats) in merged.iter_mut().zip(partial) {
+                into.merge(stats);
+            }
         }
         merged
     }
@@ -463,122 +442,258 @@ struct Shard {
     count: usize,
 }
 
-/// Per-thread execution state: a simulator handle, one buffer *set* per
-/// buffer group touched (up to `batch_lanes` interchangeable buffers,
-/// each built from the group's storage and die seed — the same die), and
-/// the reusable per-lane and per-wave scratch of the wave path.
+/// The layout of one [`SimulationEngine::run_chunks`] call: every
+/// chunk's resolved die and buffer group, and the shards workers pull.
+struct Plan {
+    /// Resolved die seed per chunk.
+    dies: Vec<u64>,
+    /// Buffer-sharing group per chunk: the first chunk with the same
+    /// storage and die seed.
+    groups: Vec<usize>,
+    /// Every chunk flattened into packet shards over absolute indices.
+    tasks: Vec<Shard>,
+}
+
+impl Plan {
+    fn new(chunks: &[ChunkSpec], shard_packets: usize) -> Self {
+        let dies: Vec<u64> = chunks
+            .iter()
+            .map(|c| {
+                c.fault_seed
+                    .unwrap_or_else(|| derive_seed(c.seed, STREAM_FAULT_MAP))
+            })
+            .collect();
+        let groups = (0..chunks.len())
+            .map(|i| {
+                (0..i)
+                    .find(|&j| dies[j] == dies[i] && chunks[j].storage == chunks[i].storage)
+                    .unwrap_or(i)
+            })
+            .collect();
+        let mut tasks = Vec::new();
+        for (chunk, spec) in chunks.iter().enumerate() {
+            let end = spec.first_packet + spec.n_packets;
+            let mut start = spec.first_packet;
+            while start < end {
+                let count = shard_packets.min(end - start);
+                tasks.push(Shard {
+                    chunk,
+                    start,
+                    count,
+                });
+                start += count;
+            }
+        }
+        Self {
+            dies,
+            groups,
+            tasks,
+        }
+    }
+}
+
+/// One die on a worker: the buffer built from its storage and die seed,
+/// kept pristine, and the free list of clones lent to packets.
+struct Die {
+    built: StorageBuffer,
+    free: Vec<StorageBuffer>,
+}
+
+impl Die {
+    // alloc: cold(one build per die per worker and run)
+    fn build(cfg: &SystemConfig, storage: &StorageConfig, die_seed: u64) -> Self {
+        Self {
+            built: build_storage(cfg, storage, die_seed),
+            free: Vec::new(),
+        }
+    }
+}
+
+/// One in-flight packet context of a worker's lane pool.
+struct Flight {
+    scratch: PacketScratch,
+    rng: StdRng,
+    /// The die clone this packet stores its LLRs in (`None` when idle).
+    buffer: Option<StorageBuffer>,
+    chunk: usize,
+}
+
+/// Per-thread execution state: the queue of shards a worker pulls from,
+/// its lane pool's packet contexts, one [`Die`] per buffer group it has
+/// touched, its per-chunk statistics, and the telemetry tallies it
+/// flushes once per shard.
+///
+/// Packet `p` of a chunk draws the stream of its seed-tree position
+/// (`packet_seed(seed, p)`) and stores its LLRs in a clone of the
+/// chunk's die. Clones are interchangeable: [`build_storage`] is
+/// deterministic in `(storage, die seed)`, the fault masks are
+/// read-only, and all per-packet buffer state is reset at block start
+/// and re-anchored through [`LlrBuffer::begin_packet`] (the property the
+/// engine's thread-invariance already rests on). With pooled decoding
+/// bit-identical per lane, the statistics are the same at every width
+/// (1 included) and under any shard-to-worker assignment.
 struct Worker<'a> {
     cfg: &'a SystemConfig,
-    sim: LinkSimulator,
     chunks: &'a [ChunkSpec],
-    /// Resolved die seed per chunk.
-    dies: &'a [u64],
-    /// Buffer-sharing group per chunk.
-    groups: &'a [usize],
-    // determinism: unordered-ok(keyed entry access only; never iterated)
-    buffers: HashMap<usize, Vec<Box<dyn LlrBuffer + Send>>>,
-    batch_lanes: usize,
-    lane_scratch: Vec<PacketScratch>,
-    rngs: Vec<StdRng>,
-    outcomes: Vec<PacketOutcome>,
-    batch: TurboBatchScratch,
-    wave: WaveScratch,
+    plan: &'a Plan,
+    next: &'a AtomicUsize,
+    /// The shard being started: its chunk, next packet and end.
+    chunk: usize,
+    packet: usize,
+    end: usize,
+    /// No shard is left to pull.
+    drained: bool,
+    flights: Vec<Flight>,
+    /// Contexts free to start a packet in.
+    idle: Vec<usize>,
+    /// The die of each buffer group, built on first use.
+    die_buffers: Vec<Option<Die>>,
+    /// Outcomes summed per chunk.
+    stats: Vec<HarqStats>,
+    /// Telemetry tallies since the last flush.
+    packets_done: u64,
+    decode: StageNanos,
+    passes: [u64; POOL_LANES],
 }
 
 impl<'a> Worker<'a> {
     fn new(
         cfg: &'a SystemConfig,
-        sim: LinkSimulator,
         chunks: &'a [ChunkSpec],
-        dies: &'a [u64],
-        groups: &'a [usize],
-        batch_lanes: usize,
+        plan: &'a Plan,
+        next: &'a AtomicUsize,
+        lanes: usize,
     ) -> Self {
         Self {
             cfg,
-            sim,
             chunks,
-            dies,
-            groups,
-            // determinism: unordered-ok(keyed entry access only; never iterated)
-            buffers: HashMap::new(),
-            batch_lanes,
-            lane_scratch: (0..batch_lanes).map(|_| PacketScratch::new()).collect(),
-            rngs: Vec::new(),
-            outcomes: Vec::new(),
-            batch: TurboBatchScratch::new(),
-            wave: WaveScratch::new(),
+            plan,
+            next,
+            chunk: 0,
+            packet: 0,
+            end: 0,
+            drained: false,
+            flights: (0..lanes)
+                .map(|_| Flight {
+                    scratch: PacketScratch::new(),
+                    rng: StdRng::seed_from_u64(0),
+                    buffer: None,
+                    chunk: 0,
+                })
+                .collect(),
+            idle: (0..lanes).rev().collect(),
+            die_buffers: chunks.iter().map(|_| None).collect(),
+            stats: chunks
+                .iter()
+                .map(|_| HarqStats::new(cfg.max_transmissions, cfg.payload_bits))
+                .collect(),
+            packets_done: 0,
+            decode: StageNanos::default(),
+            passes: [0; POOL_LANES],
         }
     }
 
-    /// Runs one shard as waves: consecutive packets of the shard fill up
-    /// to `batch_lanes` lanes, each against its own buffer/RNG, and
-    /// decode together. Lane `l` of a wave draws the stream of absolute
-    /// packet `p + l` — its seed-tree position, whatever the width — and
-    /// batched decoding is bit-identical per lane, so the recorded
-    /// statistics are the same at every width (1 included). Lanes of a
-    /// group's buffer set are interchangeable: [`build_buffer`] is
-    /// deterministic in `(storage, die seed)` — the same die — and all
-    /// per-packet buffer randomness is re-anchored through
-    /// [`LlrBuffer::begin_packet`] (the property the engine's
-    /// thread-invariance already rests on), so N copies behave exactly
-    /// like one buffer reused serially.
-    fn run_shard(&mut self, shard: &Shard) -> HarqStats {
-        let chunks = self.chunks;
-        let spec = &chunks[shard.chunk];
-        let die = self.dies[shard.chunk];
-        let mut stats = HarqStats::new(self.cfg.max_transmissions, self.cfg.payload_bits);
-        let end = shard.start + shard.count;
-        let mut p = shard.start;
-        while p < end {
-            let width = self.batch_lanes.min(end - p);
-            let set = self.buffers.entry(self.groups[shard.chunk]).or_default();
-            while set.len() < width {
-                set.push(build_buffer(self.cfg, &spec.storage, die));
-            }
-            self.rngs.clear();
-            for (l, buf) in set.iter_mut().take(width).enumerate() {
-                let pseed = packet_seed(spec.seed, (p + l) as u64);
-                buf.begin_packet(pseed);
-                self.rngs.push(StdRng::seed_from_u64(pseed));
-            }
-            self.outcomes.clear();
-            self.outcomes.resize(
-                width,
-                PacketOutcome {
-                    success_after: None,
-                    transmissions_used: 0,
-                },
-            );
-            self.sim.simulate_wave_with(
-                spec.snr_db,
-                &mut set[..width],
-                &mut self.rngs[..width],
-                &mut self.lane_scratch[..width],
-                &mut self.batch,
-                &mut self.wave,
-                &mut self.outcomes[..width],
-            );
-            telemetry::counter_add(Counter::WavesDecoded, 1);
-            telemetry::hist_record(Histogram::WaveLaneOccupancy, width as u64);
-            for outcome in &self.outcomes {
-                stats.record(outcome.success_after, self.cfg.max_transmissions);
-            }
-            p += width;
+    /// Flushes the telemetry tallies (packets, per-stage nanoseconds,
+    /// live lanes per decoder pass) into the global counters and resets
+    /// them — once per shard, so the packet hot path touches no atomics.
+    fn flush(&mut self) {
+        telemetry::counter_add(
+            Counter::PacketsSimulated,
+            std::mem::take(&mut self.packets_done),
+        );
+        flush_stage_nanos(&mut self.decode);
+        for flight in &mut self.flights {
+            flush_stage_nanos(&mut flight.scratch.stage_nanos);
         }
-        telemetry::counter_add(Counter::PacketsSimulated, shard.count as u64);
-        for scratch in &mut self.lane_scratch {
-            flush_stage_nanos(scratch);
+        for (live, passes) in self.passes.iter_mut().enumerate() {
+            telemetry::hist_record_n(
+                Histogram::WaveLaneOccupancy,
+                live as u64 + 1,
+                std::mem::take(passes),
+            );
         }
-        stats
     }
 }
 
-/// Flushes a scratch's per-stage timing tallies into the global
-/// telemetry counters and resets them — once per shard, so the packet
-/// hot path itself touches no atomics.
-fn flush_stage_nanos(scratch: &mut PacketScratch) {
-    let n = scratch.stage_nanos;
+impl PacketQueue for Worker<'_> {
+    type Buffer = StorageBuffer;
+
+    fn start(&mut self) -> Option<(usize, f64)> {
+        while self.packet == self.end {
+            if self.drained {
+                return None;
+            }
+            self.flush();
+            let Some(task) = self
+                .plan
+                .tasks
+                .get(self.next.fetch_add(1, Ordering::Relaxed))
+            else {
+                self.drained = true;
+                return None;
+            };
+            (self.chunk, self.packet, self.end) = (task.chunk, task.start, task.start + task.count);
+        }
+        let chunks = self.chunks;
+        let spec = &chunks[self.chunk];
+        let pseed = packet_seed(spec.seed, self.packet as u64);
+        self.packet += 1;
+        let ctx = self
+            .idle
+            .pop()
+            .expect("the pool never starts more packets than it has lanes");
+        let (cfg, die_seed) = (self.cfg, self.plan.dies[self.chunk]);
+        let die = self.die_buffers[self.plan.groups[self.chunk]]
+            .get_or_insert_with(|| Die::build(cfg, &spec.storage, die_seed));
+        // alloc: cold(at most one clone per lane and die per run; finished packets return theirs to the free list)
+        let mut buffer = die.free.pop().unwrap_or_else(|| die.built.clone());
+        buffer.begin_packet(pseed);
+        let flight = &mut self.flights[ctx];
+        flight.buffer = Some(buffer);
+        flight.rng = StdRng::seed_from_u64(pseed);
+        flight.chunk = self.chunk;
+        Some((ctx, spec.snr_db))
+    }
+
+    fn parts(&mut self, ctx: usize) -> (&mut StorageBuffer, &mut StdRng, &mut PacketScratch) {
+        let flight = &mut self.flights[ctx];
+        (
+            flight.buffer.as_mut().expect("context in flight"),
+            &mut flight.rng,
+            &mut flight.scratch,
+        )
+    }
+
+    fn scratch(&self, ctx: usize) -> &PacketScratch {
+        &self.flights[ctx].scratch
+    }
+
+    fn finish(&mut self, ctx: usize, outcome: PacketOutcome) {
+        let flight = &mut self.flights[ctx];
+        self.stats[flight.chunk].record(outcome.success_after, self.cfg.max_transmissions);
+        let buffer = flight.buffer.take().expect("context in flight");
+        self.die_buffers[self.plan.groups[flight.chunk]]
+            .as_mut()
+            .expect("a packet's die is built when it starts")
+            .free
+            .push(buffer);
+        self.idle.push(ctx);
+        self.packets_done += 1;
+    }
+
+    fn add_decode_nanos(&mut self, nanos: u64) {
+        self.decode.decode += nanos;
+    }
+
+    fn pass(&mut self, live: usize) {
+        self.passes[live - 1] += 1;
+    }
+}
+
+/// Flushes per-stage timing tallies into the global telemetry counters
+/// and resets them.
+fn flush_stage_nanos(nanos: &mut StageNanos) {
+    let n = std::mem::take(nanos);
     telemetry::counter_add(Counter::StageEncodeNanos, n.encode);
     telemetry::counter_add(Counter::StageModulateNanos, n.modulate);
     telemetry::counter_add(Counter::StageChannelNanos, n.channel);
@@ -586,7 +701,6 @@ fn flush_stage_nanos(scratch: &mut PacketScratch) {
     telemetry::counter_add(Counter::StageDemapNanos, n.demap);
     telemetry::counter_add(Counter::StageHarqNanos, n.harq);
     telemetry::counter_add(Counter::StageDecodeNanos, n.decode);
-    scratch.reset_stage_nanos();
 }
 
 #[cfg(test)]
@@ -684,6 +798,109 @@ mod tests {
                 "threads={threads} lanes={lanes} must match 1-lane waves"
             );
         }
+
+        // One `run_chunks` call mixing storages, SNRs and dies, with
+        // resumed chunks and sizes that are not multiples of the width,
+        // so a worker's pool holds packets of several groups at once.
+        // Every chunk must equal its own 1-lane serial run.
+        let chunks = mixed_chunks(&cfg);
+        let alone: Vec<HarqStats> = chunks
+            .iter()
+            .map(|c| {
+                SimulationEngine::serial()
+                    .batch_lanes(1)
+                    .run_chunks(&sim, std::slice::from_ref(c))
+                    .pop()
+                    .expect("one chunk in, one stats out")
+            })
+            .collect();
+        for threads in [1, 2, 4] {
+            for lanes in [1, 2, 3, 8, 16] {
+                let mixed = SimulationEngine::with_threads(threads)
+                    .shard_packets(4)
+                    .batch_lanes(lanes)
+                    .run_chunks(&sim, &chunks);
+                assert_eq!(
+                    alone, mixed,
+                    "mixed chunks, threads={threads} lanes={lanes}"
+                );
+            }
+        }
+    }
+
+    /// Chunks over four buffer groups (two share a die seed but not a
+    /// storage), three of them resumed mid-stream.
+    fn mixed_chunks(cfg: &SystemConfig) -> Vec<ChunkSpec> {
+        let chunk = |storage, snr_db, first_packet, n_packets, seed, fault_seed| ChunkSpec {
+            storage,
+            snr_db,
+            first_packet,
+            n_packets,
+            seed,
+            fault_seed,
+        };
+        let faulty = StorageConfig::unprotected(0.10, cfg.llr_bits);
+        vec![
+            chunk(faulty.clone(), 8.0, 0, 7, 31, None),
+            chunk(faulty.clone(), 12.0, 5, 11, 32, Some(77)),
+            chunk(StorageConfig::Quantized, 4.0, 3, 5, 33, None),
+            chunk(
+                StorageConfig::Transient { p_upset: 0.01 },
+                14.0,
+                9,
+                6,
+                34,
+                Some(77),
+            ),
+            chunk(
+                StorageConfig::msb_protected(4, 0.10, cfg.llr_bits),
+                6.0,
+                0,
+                13,
+                35,
+                Some(77),
+            ),
+            chunk(faulty, 16.0, 2, 9, 36, Some(77)),
+        ]
+    }
+
+    #[test]
+    fn warm_worker_pool_is_allocation_free() {
+        // A worker whose pool has run its mixed-group shards once must
+        // run them again without growing any heap buffer: packet
+        // scratches, the decoder pool, the retransmission queue, and the
+        // dies' clone free lists (no new clones either).
+        let cfg = SystemConfig::fast_test();
+        let sim = LinkSimulator::new(cfg);
+        let chunks = mixed_chunks(&cfg);
+        let plan = Plan::new(&chunks, 4);
+        let next = AtomicUsize::new(0);
+        let mut worker = Worker::new(&cfg, &chunks, &plan, &next, POOL_LANES);
+        let mut batch = TurboBatchScratch::new();
+        let mut wave = WaveScratch::new();
+        let mut run = |worker: &mut Worker<'_>| {
+            next.store(0, Ordering::Relaxed);
+            worker.drained = false;
+            sim.run_harq(worker, POOL_LANES, &mut batch, &mut wave);
+            let mut caps = Vec::new();
+            for flight in &worker.flights {
+                caps.extend(flight.scratch.heap_capacities());
+            }
+            caps.push(worker.idle.capacity());
+            for die in worker.die_buffers.iter().flatten() {
+                caps.extend([die.free.len(), die.free.capacity()]);
+            }
+            batch.heap_capacities(&mut caps);
+            wave.heap_capacities(&mut caps);
+            caps
+        };
+        let warm = run(&mut worker);
+        for round in 0..3 {
+            assert_eq!(warm, run(&mut worker), "round {round} grew a buffer");
+        }
+        let packets: u64 = chunks.iter().map(|c| c.n_packets as u64).sum();
+        let done: u64 = worker.stats.iter().map(|s| s.packets).sum();
+        assert_eq!(done, 4 * packets, "every run simulates every packet");
     }
 
     #[test]

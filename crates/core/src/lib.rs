@@ -62,7 +62,9 @@ pub mod report;
 pub mod simulator;
 pub mod telemetry;
 
-pub use buffer::{EccLlrBuffer, FaultyLlrBuffer, QuantizedLlrBuffer, TransientLlrBuffer};
+pub use buffer::{
+    EccLlrBuffer, FaultyLlrBuffer, QuantizedLlrBuffer, StorageBuffer, TransientLlrBuffer,
+};
 pub use campaign::{Campaign, CampaignPoint, CampaignReport, CampaignSettings, ShardSpec};
 pub use config::SystemConfig;
 pub use engine::{ChunkSpec, GridResult, PointSpec, SimulationEngine};

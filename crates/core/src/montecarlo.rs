@@ -17,7 +17,9 @@ use silicon::ecc::Secded;
 use silicon::fault_map::{FaultKind, FaultMap};
 use silicon::ProtectionPlan;
 
-use crate::buffer::{EccLlrBuffer, FaultyLlrBuffer, QuantizedLlrBuffer, TransientLlrBuffer};
+use crate::buffer::{
+    EccLlrBuffer, FaultyLlrBuffer, QuantizedLlrBuffer, StorageBuffer, TransientLlrBuffer,
+};
 use crate::config::SystemConfig;
 use crate::engine::SimulationEngine;
 use crate::simulator::LinkSimulator;
@@ -126,16 +128,25 @@ fn defect_count(defects: DefectSpec, cells: u64) -> usize {
 ///
 /// `seed` controls the fault-map draw (one die per run); for
 /// [`StorageConfig::Transient`] it roots the per-packet upset streams.
+/// A boxed [`build_storage`].
 pub fn build_buffer(
     cfg: &SystemConfig,
     storage: &StorageConfig,
     seed: u64,
 ) -> Box<dyn LlrBuffer + Send> {
+    Box::new(build_storage(cfg, storage, seed))
+}
+
+/// Builds the buffer of one die, as the `Clone`-able [`StorageBuffer`]
+/// (see [`build_buffer`] for `seed`).
+pub fn build_storage(cfg: &SystemConfig, storage: &StorageConfig, seed: u64) -> StorageBuffer {
     let words = cfg.coded_len() as u32;
     let quantizer = cfg.quantizer();
     match storage {
-        StorageConfig::Perfect => Box::new(PerfectLlrBuffer::new(cfg.coded_len())),
-        StorageConfig::Quantized => Box::new(QuantizedLlrBuffer::new(cfg.coded_len(), quantizer)),
+        StorageConfig::Perfect => StorageBuffer::Perfect(PerfectLlrBuffer::new(cfg.coded_len())),
+        StorageConfig::Quantized => {
+            StorageBuffer::Quantized(QuantizedLlrBuffer::new(cfg.coded_len(), quantizer))
+        }
         StorageConfig::Faulty {
             plan,
             defects,
@@ -163,7 +174,7 @@ pub fn build_buffer(
                     }
                 }
             };
-            Box::new(FaultyLlrBuffer::new(map, quantizer))
+            StorageBuffer::Faulty(FaultyLlrBuffer::new(map, quantizer))
         }
         StorageConfig::Ecc {
             defects,
@@ -192,9 +203,9 @@ pub fn build_buffer(
                     }
                 }
             };
-            Box::new(EccLlrBuffer::new(map, quantizer))
+            StorageBuffer::Ecc(EccLlrBuffer::new(map, quantizer))
         }
-        StorageConfig::Transient { p_upset } => Box::new(TransientLlrBuffer::new(
+        StorageConfig::Transient { p_upset } => StorageBuffer::Transient(TransientLlrBuffer::new(
             QuantizedLlrBuffer::new(cfg.coded_len(), quantizer),
             quantizer,
             *p_upset,

@@ -13,9 +13,12 @@
 //! [`crate::FaultyLlrBuffer`] realizes the paper's fault-injection
 //! methodology with zero changes to the protocol code.
 //!
-//! The chain is coded once, in [`LinkSimulator::simulate_wave_with`],
-//! which runs a lockstep wave of packets through one batched decode;
-//! [`LinkSimulator::simulate_packet_with`] is its 1-lane wave.
+//! The chain is coded once, as the per-packet HARQ state machine behind
+//! [`LinkSimulator::simulate_wave_with`], which runs a set of packets
+//! through one work-conserving decoder lane pool;
+//! [`LinkSimulator::simulate_packet_with`] is its 1-lane case, and the
+//! engine's workers drive the same state machine from their shard
+//! queues.
 //!
 //! # Parallel execution
 //!
@@ -45,7 +48,7 @@ use hspa_phy::equalizer::EqScratch;
 use hspa_phy::harq::{HarqProcess, LlrBuffer};
 use hspa_phy::interleave::ChannelInterleaver;
 use hspa_phy::rate_match::RateMatcher;
-use hspa_phy::turbo::{AccuracyTier, DecoderConfig, TurboBatchScratch, TurboCode};
+use hspa_phy::turbo::{AccuracyTier, DecoderConfig, LaneFeed, TurboBatchScratch, TurboCode};
 
 use crate::config::{ChannelKind, SystemConfig};
 
@@ -121,8 +124,9 @@ pub struct DspScratch {
     block: Vec<u8>,
     coded: Vec<u8>,
     realization: ChannelRealization,
-    /// The 1-lane decoder batch of `simulate_packet_with` (lanes of an
-    /// engine wave share the wave's batch and leave this one empty).
+    /// The 1-lane decoder pool workspace of `simulate_packet_with`
+    /// (packets of a wave or an engine worker share that pool's
+    /// workspace and leave this one empty).
     turbo_batch: TurboBatchScratch,
     eq: EqScratch,
 }
@@ -162,6 +166,8 @@ pub struct PacketScratch {
     dsp: DspScratch,
     /// The 1-lane wave bookkeeping of `simulate_packet_with`.
     wave: WaveScratch,
+    /// The HARQ state of the packet this scratch carries.
+    in_flight: InFlight,
     /// Per-stage time breakdown (always advancing; see [`StageNanos`]).
     pub stage_nanos: StageNanos,
 }
@@ -322,24 +328,26 @@ impl LinkSimulator {
         out[0]
     }
 
-    /// Simulates a wave of `N` transport blocks in lockstep: every lane
-    /// runs the per-lane front end (encode, rate match, channel,
-    /// equalize, demap, HARQ combine) against its own buffer and RNG,
-    /// then all still-active lanes decode together through
-    /// [`TurboCode::decode_batch`]; lanes whose CRC passes (or whose
-    /// retransmission budget is spent) drop out of subsequent attempts.
+    /// Simulates a set of `N` transport blocks through one decoder lane
+    /// pool: up to [`hspa_phy::turbo::POOL_LANES`] packets are in flight
+    /// at once, each running its own HARQ state machine (encode, then per
+    /// attempt the front end — rate match, channel, equalize, demap, HARQ
+    /// combine — a decode job, and the CRC verdict that ends the packet or
+    /// queues its next attempt). Whenever a lane finishes, its slot takes the packet's
+    /// next attempt or the next packet's first one at the next decoder
+    /// iteration boundary ([`TurboCode::decode_pool`]).
     ///
-    /// Lane `l` consumes exactly the RNG/buffer operation sequence of a
-    /// 1-lane wave over `buffers[l]` and `rngs[l]` — that is, of
+    /// Packet `l` consumes exactly the RNG/buffer operation sequence of a
+    /// 1-lane run over `buffers[l]` and `rngs[l]` — that is, of
     /// `simulate_packet_with(snr_db, &mut buffers[l], &mut rngs[l], ..)` —
-    /// and, because batched decoding is bit-identical lane for lane,
-    /// produces exactly the same [`PacketOutcome`] at every wave width.
-    /// The engine relies on this to keep campaign results byte-identical
+    /// and, because pooled decoding is bit-identical lane for lane,
+    /// produces exactly the same [`PacketOutcome`] whatever `N` is. The
+    /// engine relies on this to keep campaign results byte-identical
     /// across batch widths.
     ///
-    /// Front-end stages accumulate into each lane's [`StageNanos`]; the
-    /// batched decode and the CRC verdicts serve the whole wave and are
-    /// recorded against lane 0's.
+    /// Front-end stages accumulate into each packet's [`StageNanos`];
+    /// decoding and the CRC verdicts serve the whole pool and are
+    /// recorded against packet 0's.
     ///
     /// # Panics
     ///
@@ -356,154 +364,320 @@ impl LinkSimulator {
         wave: &mut WaveScratch,
         out: &mut [PacketOutcome],
     ) {
-        let core = &*self.core;
-        let cfg = &core.config;
         let lanes = buffers.len();
         assert_eq!(rngs.len(), lanes, "one RNG per lane");
         assert_eq!(scratches.len(), lanes, "one scratch per lane");
         assert_eq!(out.len(), lanes, "one outcome per lane");
+        let mut queue = WaveQueue {
+            snr_db,
+            next: 0,
+            buffers,
+            rngs,
+            scratches,
+            out,
+        };
+        self.run_harq(&mut queue, lanes, batch, wave);
+    }
 
-        wave.block_phase.clear();
-        wave.active.clear();
-        for l in 0..lanes {
-            let scratch = &mut scratches[l];
-            let rng = &mut rngs[l];
-            stage!(scratch, encode, {
-                random_bits_into(rng, cfg.payload_bits, &mut scratch.dsp.payload);
-                core.crc
-                    .attach_into(&scratch.dsp.payload, &mut scratch.dsp.block);
+    /// Runs the HARQ state machines of every packet `queue` starts
+    /// through one lane pool of `lanes` slots (at most
+    /// [`hspa_phy::turbo::POOL_LANES`]), until the queue is empty and
+    /// every packet has its outcome.
+    pub(crate) fn run_harq<Q: PacketQueue>(
+        &self,
+        queue: &mut Q,
+        lanes: usize,
+        batch: &mut TurboBatchScratch,
+        wave: &mut WaveScratch,
+    ) {
+        let core = &*self.core;
+        let cfg = &core.config;
+        wave.retx.clear();
+        let mut feed = HarqFeed {
+            core,
+            queue,
+            retx: &mut wave.retx,
+            // determinism: wallclock(stage timing telemetry; nanos feed counters, never the decoded bits)
+            mark: std::time::Instant::now(),
+        };
+        let dcfg = DecoderConfig::new(cfg.decoder_iterations, cfg.accuracy_tier);
+        match cfg.accuracy_tier {
+            AccuracyTier::EarlyStop => {
+                let stop = |_tag: usize, bits: &[u8]| core.crc.check(bits);
                 core.code
-                    .encode_into(&scratch.dsp.block, &mut scratch.dsp.coded);
-            });
-            // New HARQ process per lane (= HarqProcess::start_block).
-            buffers[l].reset();
-            wave.block_phase.push(core.channel.block_phase(rng));
-            out[l] = PacketOutcome {
-                success_after: None,
-                transmissions_used: 0,
-            };
-            wave.active.push(l);
-        }
-
-        for attempt in 0..cfg.max_transmissions {
-            if wave.active.is_empty() {
-                break;
+                    .decode_pool(dcfg, batch, lanes, &mut feed, Some(&stop));
             }
-            batch.begin_batch(cfg.coded_len());
-            for &l in &wave.active {
-                let scratch = &mut scratches[l];
-                let rng = &mut rngs[l];
-                let rv = cfg.combining.rv(attempt);
-                stage!(scratch, modulate, {
-                    core.rate_matcher
-                        .rate_match_into(&scratch.dsp.coded, rv, &mut scratch.tx_bits);
-                    core.interleaver
-                        .interleave_into(&scratch.tx_bits, &mut scratch.tx_interleaved);
-                    cfg.modulation
-                        .modulate_into(&scratch.tx_interleaved, &mut scratch.symbols);
-                });
-                stage!(scratch, channel, {
-                    core.channel.realize_attempt_into(
-                        snr_db,
-                        wave.block_phase[l],
-                        attempt,
-                        rng,
-                        &mut scratch.dsp.realization,
-                    );
-                    scratch.dsp.realization.apply_into(
-                        &scratch.symbols,
-                        rng,
-                        &mut scratch.received,
-                    );
-                });
-                let eff_noise: f64 = stage!(scratch, equalize, {
-                    if scratch.dsp.realization.taps.len() == 1 {
-                        let h = scratch.dsp.realization.taps[0];
-                        let g = h.norm_sqr();
-                        let inv = h.conj() / (g.max(1e-12));
-                        scratch.equalized.clear();
-                        scratch
-                            .equalized
-                            .extend(scratch.received.iter().map(|&y| y * inv));
-                        scratch.dsp.realization.noise_var / g.max(1e-12)
-                    } else {
-                        scratch
-                            .dsp
-                            .eq
-                            .design(&scratch.dsp.realization, cfg.equalizer_taps)
-                            .expect("MMSE design is PD for positive noise");
-                        scratch
-                            .dsp
-                            .eq
-                            .equalize_into(&scratch.received, &mut scratch.equalized);
-                        scratch.dsp.eq.noise_var()
-                    }
-                });
-                stage!(scratch, demap, {
-                    cfg.modulation.demodulate_soft_into(
-                        &scratch.equalized,
-                        eff_noise.max(1e-9),
-                        &mut scratch.llrs,
-                    );
-                    core.interleaver
-                        .deinterleave_into(&scratch.llrs, &mut scratch.llrs_deinterleaved);
-                });
-                // Staging the combined LLRs into the decoder batch is the
-                // wave path's hand-off out of the HARQ buffer.
-                stage!(scratch, harq, {
-                    let mut harq =
-                        HarqProcess::new(&core.rate_matcher, cfg.combining, &mut buffers[l]);
-                    harq.combine_transmission_into(
-                        attempt,
-                        &scratch.llrs_deinterleaved,
-                        &mut scratch.combined,
-                    );
-                    batch.push_lane(&scratch.combined);
-                });
+            AccuracyTier::Exact | AccuracyTier::Fast32 => {
+                core.code.decode_pool(dcfg, batch, lanes, &mut feed, None);
             }
-
-            let dcfg = DecoderConfig::new(cfg.decoder_iterations, cfg.accuracy_tier);
-            // The whole wave decodes in one batched call, so its time is
-            // recorded against lane 0's scratch (per-lane attribution is
-            // meaningless for a lockstep group).
-            stage!(scratches[0], decode, {
-                match cfg.accuracy_tier {
-                    AccuracyTier::EarlyStop => {
-                        let stop = |_lane: usize, bits: &[u8]| core.crc.check(bits);
-                        core.code.decode_batch(dcfg, batch, Some(&stop));
-                    }
-                    AccuracyTier::Exact | AccuracyTier::Fast32 => {
-                        core.code.decode_batch(dcfg, batch, None);
-                    }
-                }
-            });
-
-            // The per-lane CRC verdicts count as decode time.
-            wave.next_active.clear();
-            stage!(scratches[0], decode, {
-                for (i, &l) in wave.active.iter().enumerate() {
-                    out[l].transmissions_used = attempt + 1;
-                    if core.crc.check(batch.bits(i)) {
-                        out[l].success_after = Some(attempt + 1);
-                    } else {
-                        wave.next_active.push(l);
-                    }
-                }
-            });
-            std::mem::swap(&mut wave.active, &mut wave.next_active);
         }
+        let tail = feed.mark.elapsed().as_nanos() as u64;
+        feed.queue.add_decode_nanos(tail);
+        debug_assert!(wave.retx.is_empty(), "every retransmission was admitted");
     }
 }
 
-/// Reusable wave-level bookkeeping of
-/// [`LinkSimulator::simulate_wave_with`]: per-lane block phases and the
-/// active-lane worklist. Steady state is allocation-free, pinned by
+impl LinkCore {
+    /// Starts a new transport block in `scratch`: payload, CRC attach and
+    /// turbo encode, a fresh HARQ process on `buffer`
+    /// (= `HarqProcess::start_block`) and the channel's block phase.
+    fn begin_block<B: LlrBuffer>(
+        &self,
+        snr_db: f64,
+        buffer: &mut B,
+        rng: &mut StdRng,
+        scratch: &mut PacketScratch,
+    ) {
+        stage!(scratch, encode, {
+            random_bits_into(rng, self.config.payload_bits, &mut scratch.dsp.payload);
+            self.crc
+                .attach_into(&scratch.dsp.payload, &mut scratch.dsp.block);
+            self.code
+                .encode_into(&scratch.dsp.block, &mut scratch.dsp.coded);
+        });
+        buffer.reset();
+        scratch.in_flight = InFlight {
+            snr_db,
+            block_phase: self.channel.block_phase(rng),
+            attempt: 0,
+        };
+    }
+
+    /// The per-attempt front end of the packet in `scratch`: rate match,
+    /// interleave, modulate, channel, equalize, demap, then HARQ-combine
+    /// through `buffer` into `scratch.combined` — the codeword its decode
+    /// job reads.
+    fn front_end<B: LlrBuffer>(
+        &self,
+        buffer: &mut B,
+        rng: &mut StdRng,
+        scratch: &mut PacketScratch,
+    ) {
+        let cfg = &self.config;
+        let InFlight {
+            snr_db,
+            block_phase,
+            attempt,
+        } = scratch.in_flight;
+        let rv = cfg.combining.rv(attempt);
+        stage!(scratch, modulate, {
+            self.rate_matcher
+                .rate_match_into(&scratch.dsp.coded, rv, &mut scratch.tx_bits);
+            self.interleaver
+                .interleave_into(&scratch.tx_bits, &mut scratch.tx_interleaved);
+            cfg.modulation
+                .modulate_into(&scratch.tx_interleaved, &mut scratch.symbols);
+        });
+        stage!(scratch, channel, {
+            self.channel.realize_attempt_into(
+                snr_db,
+                block_phase,
+                attempt,
+                rng,
+                &mut scratch.dsp.realization,
+            );
+            scratch
+                .dsp
+                .realization
+                .apply_into(&scratch.symbols, rng, &mut scratch.received);
+        });
+        let eff_noise: f64 = stage!(scratch, equalize, {
+            if scratch.dsp.realization.taps.len() == 1 {
+                let h = scratch.dsp.realization.taps[0];
+                let g = h.norm_sqr();
+                let inv = h.conj() / (g.max(1e-12));
+                scratch.equalized.clear();
+                scratch
+                    .equalized
+                    .extend(scratch.received.iter().map(|&y| y * inv));
+                scratch.dsp.realization.noise_var / g.max(1e-12)
+            } else {
+                scratch
+                    .dsp
+                    .eq
+                    .design(&scratch.dsp.realization, cfg.equalizer_taps)
+                    .expect("MMSE design is PD for positive noise");
+                scratch
+                    .dsp
+                    .eq
+                    .equalize_into(&scratch.received, &mut scratch.equalized);
+                scratch.dsp.eq.noise_var()
+            }
+        });
+        stage!(scratch, demap, {
+            cfg.modulation.demodulate_soft_into(
+                &scratch.equalized,
+                eff_noise.max(1e-9),
+                &mut scratch.llrs,
+            );
+            self.interleaver
+                .deinterleave_into(&scratch.llrs, &mut scratch.llrs_deinterleaved);
+        });
+        stage!(scratch, harq, {
+            let mut harq = HarqProcess::new(&self.rate_matcher, cfg.combining, buffer);
+            harq.combine_transmission_into(
+                attempt,
+                &scratch.llrs_deinterleaved,
+                &mut scratch.combined,
+            );
+        });
+    }
+}
+
+/// The HARQ state of the packet a [`PacketScratch`] is carrying: its
+/// operating SNR, the channel's block phase, and the attempt it is on.
+#[derive(Debug, Clone, Copy, Default)]
+struct InFlight {
+    snr_db: f64,
+    block_phase: f64,
+    attempt: usize,
+}
+
+/// Where [`LinkSimulator::run_harq`] takes its packets from: a fixed
+/// wave ([`LinkSimulator::simulate_wave_with`]) or an engine worker's
+/// shard queue. A packet lives in a *context* — its buffer, RNG and
+/// [`PacketScratch`] — from [`PacketQueue::start`] to
+/// [`PacketQueue::finish`]; at most one pool's worth of contexts are in
+/// flight at once.
+pub(crate) trait PacketQueue {
+    /// The LLR storage of a context.
+    type Buffer: LlrBuffer;
+
+    /// Starts the next waiting packet in a free context, with its buffer
+    /// re-anchored ([`LlrBuffer::begin_packet`]) and its RNG seeded, and
+    /// returns that context and the packet's SNR; `None` when no packet
+    /// is waiting.
+    fn start(&mut self) -> Option<(usize, f64)>;
+
+    /// The buffer, RNG and scratch of in-flight context `ctx`.
+    fn parts(&mut self, ctx: usize) -> (&mut Self::Buffer, &mut StdRng, &mut PacketScratch);
+
+    /// The scratch of in-flight context `ctx`.
+    fn scratch(&self, ctx: usize) -> &PacketScratch;
+
+    /// The packet in `ctx` is done; the context is free again.
+    fn finish(&mut self, ctx: usize, outcome: PacketOutcome);
+
+    /// Decoder wall time (kernel, repacking, CRC verdicts) to account.
+    fn add_decode_nanos(&mut self, nanos: u64);
+
+    /// A lockstep decoder pass is about to run with `live` lanes.
+    fn pass(&mut self, _live: usize) {}
+}
+
+/// The per-packet HARQ state machine as a [`LaneFeed`]: admission runs a
+/// packet's next front end (retransmissions first, so at most one pool's
+/// worth of packets is ever in flight), and each finished decode gets its
+/// CRC verdict.
+struct HarqFeed<'a, Q: PacketQueue> {
+    core: &'a LinkCore,
+    queue: &'a mut Q,
+    /// Contexts whose next attempt waits for a slot.
+    retx: &'a mut Vec<usize>,
+    /// End of the last admission: the time from here to the next one is
+    /// decode time.
+    mark: std::time::Instant,
+}
+
+impl<Q: PacketQueue> LaneFeed for HarqFeed<'_, Q> {
+    fn admit(&mut self) -> Option<usize> {
+        self.queue
+            .add_decode_nanos(self.mark.elapsed().as_nanos() as u64);
+        let core = self.core;
+        let admitted = match self.retx.pop() {
+            Some(ctx) => Some(ctx),
+            None => self.queue.start().map(|(ctx, snr_db)| {
+                let (buffer, rng, scratch) = self.queue.parts(ctx);
+                core.begin_block(snr_db, buffer, rng, scratch);
+                ctx
+            }),
+        };
+        if let Some(ctx) = admitted {
+            let (buffer, rng, scratch) = self.queue.parts(ctx);
+            core.front_end(buffer, rng, scratch);
+        }
+        // determinism: wallclock(stage timing telemetry; nanos feed counters, never the decoded bits)
+        self.mark = std::time::Instant::now();
+        admitted
+    }
+
+    fn codeword(&self, tag: usize) -> &[f64] {
+        &self.queue.scratch(tag).combined
+    }
+
+    fn finish(&mut self, tag: usize, bits: &[u8], _llrs: &[f64], _iterations: usize) {
+        let scratch = self.queue.parts(tag).2;
+        let used = scratch.in_flight.attempt + 1;
+        let delivered = self.core.crc.check(bits);
+        if !delivered && used < self.core.config.max_transmissions {
+            scratch.in_flight.attempt = used;
+            self.retx.push(tag);
+        } else {
+            self.queue.finish(
+                tag,
+                PacketOutcome {
+                    success_after: delivered.then_some(used),
+                    transmissions_used: used,
+                },
+            );
+        }
+    }
+
+    fn pass(&mut self, live: usize) {
+        self.queue.pass(live);
+    }
+}
+
+/// The fixed packet set of [`LinkSimulator::simulate_wave_with`] as a
+/// [`PacketQueue`]: context `l` is lane `l`, started in order.
+struct WaveQueue<'a, B> {
+    snr_db: f64,
+    next: usize,
+    buffers: &'a mut [B],
+    rngs: &'a mut [StdRng],
+    scratches: &'a mut [PacketScratch],
+    out: &'a mut [PacketOutcome],
+}
+
+impl<B: LlrBuffer> PacketQueue for WaveQueue<'_, B> {
+    type Buffer = B;
+
+    fn start(&mut self) -> Option<(usize, f64)> {
+        let lane = self.next;
+        (lane < self.buffers.len()).then(|| {
+            self.next += 1;
+            (lane, self.snr_db)
+        })
+    }
+
+    fn parts(&mut self, ctx: usize) -> (&mut B, &mut StdRng, &mut PacketScratch) {
+        (
+            &mut self.buffers[ctx],
+            &mut self.rngs[ctx],
+            &mut self.scratches[ctx],
+        )
+    }
+
+    fn scratch(&self, ctx: usize) -> &PacketScratch {
+        &self.scratches[ctx]
+    }
+
+    fn finish(&mut self, ctx: usize, outcome: PacketOutcome) {
+        self.out[ctx] = outcome;
+    }
+
+    fn add_decode_nanos(&mut self, nanos: u64) {
+        self.scratches[0].stage_nanos.decode += nanos;
+    }
+}
+
+/// Reusable bookkeeping of [`LinkSimulator::simulate_wave_with`] and the
+/// engine's lane pools: the queue of packets whose next HARQ attempt
+/// waits for a decoder slot. Steady state is allocation-free, pinned by
 /// [`WaveScratch::heap_capacities`].
 #[derive(Debug, Clone, Default)]
 pub struct WaveScratch {
-    block_phase: Vec<f64>,
-    active: Vec<usize>,
-    next_active: Vec<usize>,
+    retx: Vec<usize>,
 }
 
 impl WaveScratch {
@@ -514,11 +688,7 @@ impl WaveScratch {
 
     /// Appends the capacity of every owned heap buffer to `out`.
     pub fn heap_capacities(&self, out: &mut Vec<usize>) {
-        out.extend([
-            self.block_phase.capacity(),
-            self.active.capacity(),
-            self.next_active.capacity(),
-        ]);
+        out.push(self.retx.capacity());
     }
 }
 

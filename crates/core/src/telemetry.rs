@@ -40,7 +40,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Bucket count of every histogram (15 finite upper bounds + overflow).
+/// Bucket capacity of a histogram: up to 15 finite upper bounds plus
+/// the overflow bucket.
 pub const HIST_BUCKETS: usize = 16;
 
 /// Prefix of every exposed metric name.
@@ -57,8 +58,6 @@ const PROM_PREFIX: &str = "resilience_";
 pub enum Counter {
     /// Packets actually simulated (store hits excluded).
     PacketsSimulated,
-    /// Lockstep decode waves executed by the batched engine path.
-    WavesDecoded,
     /// Chunks served from the result store on fetch.
     StoreChunkHits,
     /// Chunk fetches that missed the store and had to simulate.
@@ -114,9 +113,8 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in exposition order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 24] = [
         Counter::PacketsSimulated,
-        Counter::WavesDecoded,
         Counter::StoreChunkHits,
         Counter::StoreChunkMisses,
         Counter::StorePacketsServed,
@@ -148,7 +146,6 @@ impl Counter {
     pub fn name(self) -> &'static str {
         match self {
             Counter::PacketsSimulated => "packets_simulated",
-            Counter::WavesDecoded => "waves_decoded",
             Counter::StoreChunkHits => "store_chunk_hits",
             Counter::StoreChunkMisses => "store_chunk_misses",
             Counter::StorePacketsServed => "store_packets_served",
@@ -210,12 +207,13 @@ impl Gauge {
     }
 }
 
-/// Fixed-bucket histograms (15 finite upper bounds + an overflow
+/// Fixed-bucket histograms (up to 15 finite upper bounds + an overflow
 /// bucket; cumulative `le` semantics on exposition).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Histogram {
-    /// Active lanes per batched decode wave (linear bounds `1..=15`;
-    /// a full 16-lane wave lands in the overflow bucket).
+    /// Live lanes per lockstep decoder pass (one turbo iteration of an
+    /// engine worker's lane pool; linear bounds `1..=7`, so a full
+    /// 8-lane pass lands in the overflow bucket).
     WaveLaneOccupancy,
     /// Packets per scheduled chunk (power-of-two bounds, matching the
     /// controller's doubling schedule).
@@ -236,11 +234,12 @@ impl Histogram {
         }
     }
 
-    /// The 15 finite upper bounds; values above the last land in the
-    /// overflow bucket.
-    pub fn bounds(self) -> &'static [u64; HIST_BUCKETS - 1] {
+    /// The finite upper bounds (at most `HIST_BUCKETS - 1`); values
+    /// above the last land in the overflow bucket, at index
+    /// `bounds().len()`.
+    pub fn bounds(self) -> &'static [u64] {
         match self {
-            Histogram::WaveLaneOccupancy => &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+            Histogram::WaveLaneOccupancy => &[1, 2, 3, 4, 5, 6, 7],
             Histogram::ChunkPackets => &[
                 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384,
             ],
@@ -250,11 +249,11 @@ impl Histogram {
 
 /// Index of the bucket `value` falls into (first bound `>= value`,
 /// else the overflow bucket).
-fn bucket_index(bounds: &[u64; HIST_BUCKETS - 1], value: u64) -> usize {
+fn bucket_index(bounds: &[u64], value: u64) -> usize {
     bounds
         .iter()
         .position(|&b| value <= b)
-        .unwrap_or(HIST_BUCKETS - 1)
+        .unwrap_or(bounds.len())
 }
 
 // ---------------------------------------------------------------------------
@@ -297,11 +296,11 @@ impl Shard {
         self.counters[c as usize].fetch_add(v, Ordering::Relaxed);
     }
 
-    fn hist_record(&self, h: Histogram, value: u64) {
+    fn hist_record(&self, h: Histogram, value: u64, samples: u64) {
         let hs = &self.hists[h as usize];
-        hs.buckets[bucket_index(h.bounds(), value)].fetch_add(1, Ordering::Relaxed);
-        hs.count.fetch_add(1, Ordering::Relaxed);
-        hs.sum.fetch_add(value, Ordering::Relaxed);
+        hs.buckets[bucket_index(h.bounds(), value)].fetch_add(samples, Ordering::Relaxed);
+        hs.count.fetch_add(samples, Ordering::Relaxed);
+        hs.sum.fetch_add(value * samples, Ordering::Relaxed);
     }
 
     /// Adds `other`'s tallies into `self` (used to retire the shard of
@@ -395,7 +394,17 @@ pub fn counter_add(c: Counter, v: u64) {
 /// Records one `value` sample into histogram `h`.
 #[inline]
 pub fn hist_record(h: Histogram, value: u64) {
-    let _ = LOCAL.try_with(|l| l.0.hist_record(h, value));
+    hist_record_n(h, value, 1);
+}
+
+/// Records `samples` samples of the same `value` into histogram `h` —
+/// how hot loops flush a tally kept in their own scratch.
+#[inline]
+pub fn hist_record_n(h: Histogram, value: u64, samples: u64) {
+    if samples == 0 {
+        return;
+    }
+    let _ = LOCAL.try_with(|l| l.0.hist_record(h, value, samples));
 }
 
 /// Sets gauge `g` to `v`.
@@ -557,18 +566,17 @@ impl Snapshot {
             let name = h.name();
             let hs = self.hist(h);
             out.push_str(&format!("# TYPE {PROM_PREFIX}{name} histogram\n"));
+            let bounds = h.bounds();
             let mut cumulative = 0u64;
-            for (i, &bucket) in hs.buckets.iter().enumerate() {
+            for (i, &bucket) in hs.buckets[..=bounds.len()].iter().enumerate() {
                 cumulative += bucket;
-                if i < HIST_BUCKETS - 1 {
-                    out.push_str(&format!(
-                        "{PROM_PREFIX}{name}_bucket{{le=\"{}\"}} {cumulative}\n",
-                        h.bounds()[i]
-                    ));
-                } else {
-                    out.push_str(&format!(
+                match bounds.get(i) {
+                    Some(le) => out.push_str(&format!(
+                        "{PROM_PREFIX}{name}_bucket{{le=\"{le}\"}} {cumulative}\n"
+                    )),
+                    None => out.push_str(&format!(
                         "{PROM_PREFIX}{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"
-                    ));
+                    )),
                 }
             }
             out.push_str(&format!(
@@ -937,9 +945,12 @@ mod tests {
         assert_eq!(bucket_index(bounds, 0), 0);
         assert_eq!(bucket_index(bounds, 1), 0);
         assert_eq!(bucket_index(bounds, 2), 1);
-        assert_eq!(bucket_index(bounds, 15), 14);
-        assert_eq!(bucket_index(bounds, 16), HIST_BUCKETS - 1, "overflow");
-        assert_eq!(bucket_index(bounds, u64::MAX), HIST_BUCKETS - 1);
+        assert_eq!(bucket_index(bounds, 7), 6);
+        assert_eq!(bucket_index(bounds, 8), 7, "a full pass overflows");
+        assert_eq!(bucket_index(bounds, u64::MAX), 7);
+        for h in Histogram::ALL {
+            assert!(h.bounds().len() < HIST_BUCKETS, "{} fits", h.name());
+        }
     }
 
     #[test]
@@ -959,24 +970,24 @@ mod tests {
         let b = Shard::new();
         a.counter_add(Counter::PacketsSimulated, 5);
         b.counter_add(Counter::PacketsSimulated, 7);
-        a.hist_record(Histogram::WaveLaneOccupancy, 16);
-        b.hist_record(Histogram::WaveLaneOccupancy, 3);
+        a.hist_record(Histogram::WaveLaneOccupancy, 8, 1);
+        b.hist_record(Histogram::WaveLaneOccupancy, 3, 2);
         a.absorb(&b);
         let mut snap = Snapshot::default();
         a.add_into(&mut snap);
         assert_eq!(snap.counter(Counter::PacketsSimulated), 12);
         let h = snap.hist(Histogram::WaveLaneOccupancy);
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 19);
-        assert_eq!(h.buckets[HIST_BUCKETS - 1], 1, "full wave overflows");
-        assert_eq!(h.buckets[2], 1, "3 lanes in bucket le=3");
+        assert_eq!(h.count, 3);
+        assert_eq!(h.sum, 14);
+        assert_eq!(h.buckets[7], 1, "a full pass overflows");
+        assert_eq!(h.buckets[2], 2, "3 lanes in bucket le=3");
     }
 
     #[test]
     fn snapshot_merge_adds_everything() {
         let shard = Shard::new();
         shard.counter_add(Counter::StoreChunkHits, 3);
-        shard.hist_record(Histogram::ChunkPackets, 8);
+        shard.hist_record(Histogram::ChunkPackets, 8, 1);
         let mut left = Snapshot::default();
         shard.add_into(&mut left);
         let mut right = Snapshot::default();
@@ -1006,14 +1017,16 @@ mod tests {
     #[test]
     fn prometheus_exposition_is_cumulative_and_complete() {
         let shard = Shard::new();
-        shard.counter_add(Counter::WavesDecoded, 2);
-        shard.hist_record(Histogram::WaveLaneOccupancy, 1);
-        shard.hist_record(Histogram::WaveLaneOccupancy, 16);
+        shard.counter_add(Counter::PacketsSimulated, 2);
+        shard.hist_record(Histogram::WaveLaneOccupancy, 1, 1);
+        shard.hist_record(Histogram::WaveLaneOccupancy, 8, 1);
         let mut snap = Snapshot::default();
         shard.add_into(&mut snap);
         let text = snap.render_prometheus();
-        assert!(text.contains("resilience_waves_decoded 2\n"));
+        assert!(text.contains("resilience_packets_simulated 2\n"));
         assert!(text.contains("resilience_wave_lane_occupancy_bucket{le=\"1\"} 1\n"));
+        assert!(text.contains("resilience_wave_lane_occupancy_bucket{le=\"7\"} 1\n"));
+        assert!(!text.contains("resilience_wave_lane_occupancy_bucket{le=\"8\"}"));
         assert!(text.contains("resilience_wave_lane_occupancy_bucket{le=\"+Inf\"} 2\n"));
         assert!(text.contains("resilience_wave_lane_occupancy_count 2\n"));
         for c in Counter::ALL {

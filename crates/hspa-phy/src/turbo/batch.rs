@@ -5,10 +5,9 @@
 //! but carry loop dependencies), and extremely well *across* packets:
 //! N independent codewords of the same block length can run the exact
 //! same forward/backward recursions in lockstep, with every metric held
-//! as an N-lane array. [`TurboBatchScratch`] stages up to N packets and
-//! [`super::TurboCode::decode_batch`] decodes them together over a
-//! structure-of-arrays trellis whose innermost dimension is the lane, so
-//! the hand-unrolled 8-state sweeps compile to lane-wide SIMD.
+//! as an N-lane array. The trellis is a structure of arrays whose
+//! innermost dimension is the lane, so the hand-unrolled 8-state sweeps
+//! compile to lane-wide SIMD.
 //!
 //! # Lane-for-lane bit-identity
 //!
@@ -23,20 +22,32 @@
 //! property against a scalar reference decoder (`tests/support/`) with
 //! proptests; the golden corpus pins the `Exact` tier's outputs.
 //!
-//! # Early finishers and lane draining
+//! # The lane pool
 //!
-//! Lanes stop independently (agreement early stop, optional per-lane
-//! CRC check): a finished lane's outputs are frozen at the moment a
-//! 1-lane decode of it would have returned. At every iteration boundary
-//! the group *drains*: surviving lanes are repacked to the front and the
-//! kernel narrows (8 → 4 → 2 → 1 lanes) so finished lanes stop costing
-//! vector width — a group whose lanes converge at iterations
-//! `[1,1,…,8]` pays ≈ one 8-wide iteration plus seven 1-wide ones, not
-//! eight 8-wide. Repacking moves lane data without touching its values
-//! and every kernel op is elementwise, so draining preserves the
-//! lane-for-lane bit-identity. Batches wider than the widest kernel run
-//! as groups of 8; a final partial group, a lone lane included, starts at
-//! the narrowest width that fits.
+//! Decoding is work-conserving. A pool of up to [`POOL_LANES`] slots
+//! runs turbo iterations in lockstep, and every slot keeps its own
+//! iteration counter. Lanes finish independently (agreement early stop,
+//! the optional per-lane stop check, or the iteration budget), and a
+//! finished lane's outputs go to the feed ([`LaneFeed::finish`]) at
+//! the point where a 1-lane decode of it would have returned. At the
+//! next iteration boundary the pool asks the feed for replacements
+//! ([`LaneFeed::admit`]). Each new codeword is demuxed into a free slot
+//! with an all-zero a-priori stream and starts at iteration 1 beside
+//! lanes that are mid-decode. The pool then runs at the narrowest kernel
+//! width that fits its live lanes (1, 2, 4 or 8): it narrows when lanes
+//! drain without replacements and widens again when admissions outgrow
+//! it. A feed that always has work waiting keeps every slot full; only
+//! the final drain runs narrow. This is iteration-level scheduling, as
+//! in Orca (Yu et al., OSDI 2022), applied to turbo iterations.
+//!
+//! Only the four observation streams and `apriori1` carry state from one
+//! iteration to the next; every other buffer is rewritten before it is
+//! read. So admission writes exactly those streams for the new slot, and
+//! a width change moves exactly those streams. Both copy lane values
+//! verbatim, and every kernel op is elementwise, so neither can change a
+//! lane's value stream. [`super::TurboCode::decode_batch`] is the pool
+//! fed from its staged lanes in order; [`super::TurboCode::decode_pool`]
+//! lets a caller such as the link simulator feed it directly.
 
 use dsp::maxstar::{
     lanes_add, lanes_half, lanes_load, lanes_max, lanes_neg, lanes_scale, lanes_store, lanes_sub,
@@ -47,14 +58,42 @@ use super::decoder::{AccuracyTier, DecoderConfig, EXTRINSIC_SCALE};
 use super::interleaver::TurboInterleaver;
 use super::rsc::{RSC_STATES, TAIL_BITS};
 
-/// Per-lane validity check for batched decoding: receives the lane index
-/// and that lane's current hard decisions (the CRC in the simulator).
+/// Per-lane validity check for batched decoding: receives the lane's
+/// tag (the lane index in [`super::TurboCode::decode_batch`]) and that
+/// lane's current hard decisions (the CRC in the simulator).
 pub type BatchStopCheck<'c> = Option<&'c dyn Fn(usize, &[u8]) -> bool>;
+
+/// The widest lockstep kernel, and so the most codewords a lane pool
+/// decodes at once.
+pub const POOL_LANES: usize = 8;
+
+/// The source of a lane pool's codewords
+/// ([`super::TurboCode::decode_pool`]): it supplies codewords while
+/// slots are free and receives each lane's outputs the moment the lane
+/// finishes.
+pub trait LaneFeed {
+    /// Tag of the next codeword to decode, or `None` when nothing is
+    /// waiting. Called at iteration boundaries while a slot is free.
+    fn admit(&mut self) -> Option<usize>;
+
+    /// Channel LLRs of admitted codeword `tag`
+    /// ([`super::TurboCode::coded_len`] values), read at admission.
+    fn codeword(&self, tag: usize) -> &[f64];
+
+    /// Lane `tag` finished after `iterations` turbo iterations, with
+    /// these hard decisions and posterior LLRs (widened to `f64` on the
+    /// `Fast32` tier).
+    fn finish(&mut self, tag: usize, bits: &[u8], llrs: &[f64], iterations: usize);
+
+    /// A lockstep pass (one turbo iteration) is about to run with
+    /// `live` lanes. A telemetry hook; the default ignores it.
+    fn pass(&mut self, _live: usize) {}
+}
 
 /// One precision's structure-of-arrays trellis workspace. All vectors
 /// are `[step][state/metric][lane]` with the lane contiguous innermost,
-/// sized for the widest lockstep group and reused (never shrunk) across
-/// groups and batches.
+/// sized for the widest width the pool may reach and reused (never
+/// shrunk) across decodes.
 #[derive(Debug, Clone, Default)]
 struct LaneBuffers<T> {
     sys1: Vec<T>,
@@ -92,17 +131,28 @@ impl<T> LaneBuffers<T> {
     }
 }
 
-/// Reusable workspace and output storage of one batched decode.
+/// The lane pool's own workspace: both precisions' trellis buffers and
+/// the hard decisions and posterior of the lane being handed out.
+#[derive(Debug, Clone, Default)]
+struct PoolScratch {
+    bits: Vec<u8>,
+    llrs: Vec<f64>,
+    f64_lanes: LaneBuffers<f64>,
+    f32_lanes: LaneBuffers<f32>,
+}
+
+/// Reusable workspace of a lane pool, and the staged lanes and outputs
+/// of [`super::TurboCode::decode_batch`].
 ///
-/// Usage: [`TurboBatchScratch::begin_batch`] with the codeword length,
-/// [`TurboBatchScratch::push_lane`] once per packet, then
-/// [`super::TurboCode::decode_batch`]; per-lane results are read back
-/// through [`TurboBatchScratch::bits`] / [`TurboBatchScratch::llrs`] /
-/// [`TurboBatchScratch::iterations_run`]. Every buffer (LLR staging,
-/// both precisions' trellis workspaces and the output arrays) is reused
-/// in place, so steady-state batched decoding performs zero heap
-/// allocations — `tests/alloc_regression.rs` pins the invariant via
-/// [`TurboBatchScratch::heap_capacities`].
+/// Usage of the batch form: [`TurboBatchScratch::begin_batch`] with the
+/// codeword length, [`TurboBatchScratch::push_lane`] once per packet,
+/// then [`super::TurboCode::decode_batch`]; per-lane results are read
+/// back through [`TurboBatchScratch::bits`] /
+/// [`TurboBatchScratch::llrs`] / [`TurboBatchScratch::iterations_run`].
+/// Every buffer (LLR staging, both precisions' trellis workspaces and the
+/// output arrays) is reused in place, so steady-state decoding performs
+/// zero heap allocations — `tests/alloc_regression.rs` pins the
+/// invariant via [`TurboBatchScratch::heap_capacities`].
 #[derive(Debug, Clone, Default)]
 pub struct TurboBatchScratch {
     k: usize,
@@ -116,10 +166,7 @@ pub struct TurboBatchScratch {
     out_llrs: Vec<f64>,
     /// Turbo iterations executed per lane.
     out_iters: Vec<usize>,
-    /// Hard-decision staging for per-lane stop checks (`k`).
-    bits_tmp: Vec<u8>,
-    f64_lanes: LaneBuffers<f64>,
-    f32_lanes: LaneBuffers<f32>,
+    pool: PoolScratch,
 }
 
 impl TurboBatchScratch {
@@ -194,15 +241,50 @@ impl TurboBatchScratch {
             self.out_bits.capacity(),
             self.out_llrs.capacity(),
             self.out_iters.capacity(),
-            self.bits_tmp.capacity(),
+            self.pool.bits.capacity(),
+            self.pool.llrs.capacity(),
         ]);
-        self.f64_lanes.heap_capacities(out);
-        self.f32_lanes.heap_capacities(out);
+        self.pool.f64_lanes.heap_capacities(out);
+        self.pool.f32_lanes.heap_capacities(out);
     }
 }
 
-/// Decodes every staged lane of `batch` in lockstep groups (entry point
-/// behind [`super::TurboCode::decode_batch`]).
+/// The staged lanes of a batch as a [`LaneFeed`]: admitted in order,
+/// outputs written to the batch's lane-major arrays.
+struct StagedLanes<'a> {
+    k: usize,
+    coded_len: usize,
+    lanes: usize,
+    next: usize,
+    staging: &'a [f64],
+    out_bits: &'a mut [u8],
+    out_llrs: &'a mut [f64],
+    out_iters: &'a mut [usize],
+}
+
+impl LaneFeed for StagedLanes<'_> {
+    fn admit(&mut self) -> Option<usize> {
+        let lane = self.next;
+        (lane < self.lanes).then(|| {
+            self.next += 1;
+            lane
+        })
+    }
+
+    fn codeword(&self, tag: usize) -> &[f64] {
+        &self.staging[tag * self.coded_len..][..self.coded_len]
+    }
+
+    fn finish(&mut self, tag: usize, bits: &[u8], llrs: &[f64], iterations: usize) {
+        self.out_bits[tag * self.k..][..self.k].copy_from_slice(bits);
+        self.out_llrs[tag * self.k..][..self.k].copy_from_slice(llrs);
+        self.out_iters[tag] = iterations;
+    }
+}
+
+/// Decodes every staged lane of `batch` through one lane pool of up to
+/// [`POOL_LANES`] slots (entry point behind
+/// [`super::TurboCode::decode_batch`]).
 pub(super) fn decode_batch(
     k: usize,
     interleaver: &TurboInterleaver,
@@ -222,9 +304,7 @@ pub(super) fn decode_batch(
         out_bits,
         out_llrs,
         out_iters,
-        bits_tmp,
-        f64_lanes,
-        f32_lanes,
+        pool,
         ..
     } = batch;
     let lanes = *lanes;
@@ -234,36 +314,74 @@ pub(super) fn decode_batch(
     reuse_buf(out_bits, lanes * k, 0);
     reuse_buf(out_llrs, lanes * k, 0.0);
     reuse_buf(out_iters, lanes, 0);
-    let mut ctx = GroupCtx {
+    let mut feed = StagedLanes {
+        k,
+        coded_len,
+        lanes,
+        next: 0,
+        staging,
+        out_bits,
+        out_llrs,
+        out_iters,
+    };
+    run_pool(k, interleaver, cfg, pool, lanes, &mut feed, stop);
+}
+
+/// Runs a lane pool of `lanes` slots (clamped to `1..=POOL_LANES`) until
+/// `feed` has nothing left to admit and every lane has finished (entry
+/// point behind [`super::TurboCode::decode_pool`]).
+pub(super) fn decode_pool<F: LaneFeed + ?Sized>(
+    k: usize,
+    interleaver: &TurboInterleaver,
+    cfg: DecoderConfig,
+    scratch: &mut TurboBatchScratch,
+    lanes: usize,
+    feed: &mut F,
+    stop: BatchStopCheck<'_>,
+) {
+    run_pool(k, interleaver, cfg, &mut scratch.pool, lanes, feed, stop);
+}
+
+fn run_pool<F: LaneFeed + ?Sized>(
+    k: usize,
+    interleaver: &TurboInterleaver,
+    cfg: DecoderConfig,
+    pool: &mut PoolScratch,
+    lanes: usize,
+    feed: &mut F,
+    stop: BatchStopCheck<'_>,
+) {
+    let PoolScratch {
+        bits,
+        llrs,
+        f64_lanes,
+        f32_lanes,
+    } = pool;
+    reuse_buf(bits, k, 0);
+    reuse_buf(llrs, k, 0.0);
+    let mut ctx = PoolCtx {
         k,
         n: k + TAIL_BITS,
         perm: interleaver.permutation(),
         inv: interleaver.inverse(),
         iters: cfg.iterations.max(1),
-        out_bits: &mut out_bits[..],
-        out_llrs: &mut out_llrs[..],
-        out_iters: &mut out_iters[..],
-        bits_tmp: &mut *bits_tmp,
+        bits,
+        llrs,
         stop,
     };
+    let cap = lanes.clamp(1, POOL_LANES);
     match cfg.tier {
-        AccuracyTier::Exact | AccuracyTier::EarlyStop => {
-            run_lockstep::<f64>(staging, coded_len, lanes, f64_lanes, &mut ctx)
-        }
-        AccuracyTier::Fast32 => run_lockstep::<f32>(staging, coded_len, lanes, f32_lanes, &mut ctx),
+        AccuracyTier::Exact | AccuracyTier::EarlyStop => drive(f64_lanes, cap, &mut ctx, feed),
+        AccuracyTier::Fast32 => drive(f32_lanes, cap, &mut ctx, feed),
     }
 }
-
-/// The widest lockstep group; `done`/lane-map scratch arrays are sized
-/// for it regardless of the instantiated kernel width.
-const MAX_GROUP: usize = 8;
 
 /// Trellis-window length (in steps) of the checkpointed alpha recompute
 /// inside [`siso_group`]. The forward recursion stores an alpha row only
 /// at the head of each window; the fused backward/output pass
 /// regenerates one window of rows at a time into a buffer that stays L1
 /// resident (32 steps × 8 states × 8 lanes × 8 bytes = 16 KiB at the
-/// widest `f64` group) instead of streaming the full `n × 8 × L` trellis
+/// widest `f64` width) instead of streaming the full `n × 8 × L` trellis
 /// through the cache hierarchy twice per SISO pass — the kernel is
 /// memory-bound, so the ~2.4× cut in trellis traffic buys more than the
 /// extra `k` recompute steps cost. Regeneration replays the identical
@@ -271,26 +389,34 @@ const MAX_GROUP: usize = 8;
 /// output derived from them — are bit-identical to the one-pass form.
 const ALPHA_WINDOW: usize = 32;
 
-/// Loop-invariant context of one batched decode: problem shape,
-/// interleaver views, iteration budget, per-lane stop check and the
-/// lane-major output arrays — shared by every width a draining group
-/// passes through.
-struct GroupCtx<'a, 'c> {
+/// Loop-invariant context of one pool run: problem shape, interleaver
+/// views, iteration budget, per-lane stop check and the one-lane output
+/// staging handed to [`LaneFeed::finish`].
+struct PoolCtx<'a, 'c> {
     k: usize,
     n: usize,
     perm: &'a [usize],
     inv: &'a [usize],
     iters: usize,
-    out_bits: &'a mut [u8],
-    out_llrs: &'a mut [f64],
-    out_iters: &'a mut [usize],
-    bits_tmp: &'a mut Vec<u8>,
+    bits: &'a mut [u8],
+    llrs: &'a mut [f64],
     stop: BatchStopCheck<'c>,
+}
+
+/// Slot bookkeeping of the pool at its current width: which lane (feed
+/// tag) each slot holds, the iteration it runs next, and whether it is
+/// live. Slots at or beyond `width` are never live.
+#[derive(Debug, Clone, Copy)]
+struct Slots {
+    width: usize,
+    live: [bool; POOL_LANES],
+    tag: [usize; POOL_LANES],
+    iter: [usize; POOL_LANES],
 }
 
 /// Sizes `buf` to exactly `len` elements without zeroing contents that
 /// are already there: the hot path re-dimensions the same buffers to the
-/// same sizes every wave, where this is free. `fill` only seeds growth.
+/// same sizes every decode, where this is free. `fill` only seeds growth.
 fn reuse_buf<T: Copy>(buf: &mut Vec<T>, len: usize, fill: T) {
     if buf.len() != len {
         buf.resize(len, fill);
@@ -303,255 +429,274 @@ fn lane_width(live: usize) -> usize {
         0 | 1 => 1,
         2 => 2,
         3 | 4 => 4,
-        _ => MAX_GROUP,
+        _ => POOL_LANES,
     }
 }
 
-/// Runs lockstep groups of 8 lanes, then one final group at the
-/// narrowest width that fits the remainder (unused slots in a padded
-/// group are dead weight that the first drain discards).
-fn run_lockstep<T: LlrArith>(
-    staging: &[f64],
-    coded_len: usize,
-    lanes: usize,
+/// The pool loop. At each iteration boundary it admits codewords into
+/// free slots (up to `cap` live lanes), settles the narrowest width that
+/// fits, and runs one lockstep pass at that width; it returns once the
+/// feed is empty and every lane has finished.
+fn drive<T: LlrArith, F: LaneFeed + ?Sized>(
     bufs: &mut LaneBuffers<T>,
-    ctx: &mut GroupCtx<'_, '_>,
+    cap: usize,
+    ctx: &mut PoolCtx<'_, '_>,
+    feed: &mut F,
 ) {
-    for base in (0..lanes).step_by(MAX_GROUP) {
-        let count = (lanes - base).min(MAX_GROUP);
-        match lane_width(count) {
-            1 => run_group::<T, 1>(staging, coded_len, base, count, bufs, ctx),
-            2 => run_group::<T, 2>(staging, coded_len, base, count, bufs, ctx),
-            4 => run_group::<T, 4>(staging, coded_len, base, count, bufs, ctx),
-            _ => run_group::<T, 8>(staging, coded_len, base, count, bufs, ctx),
-        }
-    }
-}
-
-/// Decodes lanes `base..base + count` (`count <= L`) in lockstep. Per
-/// lane this is the turbo loop of the scalar reference decoder: demux,
-/// then per iteration SISO 1, the optional stop check, SISO 2, the
-/// agreement check and the optional stop check again. A lane's outputs
-/// are recorded the moment it finishes; at the next iteration boundary
-/// the group drains finished lanes and narrows.
-fn run_group<T: LlrArith, const L: usize>(
-    staging: &[f64],
-    coded_len: usize,
-    base: usize,
-    count: usize,
-    bufs: &mut LaneBuffers<T>,
-    ctx: &mut GroupCtx<'_, '_>,
-) {
-    debug_assert!(count >= 1 && count <= L);
-    let k = ctx.k;
-    let n = ctx.n;
+    let (k, n) = (ctx.k, ctx.n);
+    let w_max = lane_width(cap);
     // Only `apriori1` carries a semantic initial value (all-zero
-    // a-priori); every other buffer is fully written before it is read —
-    // the kernel does compute on whatever garbage sits in dead slots
-    // `count..L`, but those slots are never read out, so the buffers are
-    // resized without the ~400 KiB of per-group zero fill.
-    reuse_buf(&mut bufs.sys1, n * L, T::ZERO);
-    reuse_buf(&mut bufs.p1, n * L, T::ZERO);
-    reuse_buf(&mut bufs.sys2, n * L, T::ZERO);
-    reuse_buf(&mut bufs.p2, n * L, T::ZERO);
-    bufs.apriori1.clear();
-    bufs.apriori1.resize(k * L, T::ZERO);
-    reuse_buf(&mut bufs.apriori2, k * L, T::ZERO);
-    reuse_buf(&mut bufs.ext1, k * L, T::ZERO);
-    reuse_buf(&mut bufs.ext2, k * L, T::ZERO);
-    reuse_buf(&mut bufs.post1, k * L, T::ZERO);
-    reuse_buf(&mut bufs.post2, k * L, T::ZERO);
-    reuse_buf(&mut bufs.posterior, k * L, T::ZERO);
-    reuse_buf(&mut bufs.alpha, ALPHA_WINDOW * RSC_STATES * L, T::NEG_INF);
+    // a-priori), written per slot at admission; every other buffer is
+    // fully written before it is read. The kernel does compute on
+    // whatever garbage sits in free slots, but those slots are never read
+    // out, so the buffers are resized without a zero fill.
+    for buf in [&mut bufs.sys1, &mut bufs.p1, &mut bufs.sys2, &mut bufs.p2] {
+        reuse_buf(buf, n * w_max, T::ZERO);
+    }
+    for buf in [
+        &mut bufs.apriori1,
+        &mut bufs.apriori2,
+        &mut bufs.ext1,
+        &mut bufs.ext2,
+        &mut bufs.post1,
+        &mut bufs.post2,
+        &mut bufs.posterior,
+    ] {
+        reuse_buf(buf, k * w_max, T::ZERO);
+    }
+    reuse_buf(
+        &mut bufs.alpha,
+        ALPHA_WINDOW * RSC_STATES * w_max,
+        T::NEG_INF,
+    );
     reuse_buf(
         &mut bufs.alpha_ckpt,
-        k.div_ceil(ALPHA_WINDOW) * RSC_STATES * L,
+        k.div_ceil(ALPHA_WINDOW) * RSC_STATES * w_max,
         T::NEG_INF,
     );
 
-    // Demux each lane's codeword into the SoA observation streams
-    // (systematic, parity and tail split per constituent decoder,
-    // narrowed to T at the boundary). Step-major loop order: each
-    // 64-byte lane row of the four destination streams is filled in one
-    // visit instead of being re-dirtied once per lane. Dead slots `count..L` hold garbage
-    // that live lanes never see (every kernel op is elementwise).
+    let mut slots = Slots {
+        width: 1,
+        live: [false; POOL_LANES],
+        tag: [0; POOL_LANES],
+        iter: [0; POOL_LANES],
+    };
+    loop {
+        let live = slots.live.iter().filter(|&&l| l).count();
+        let mut fresh = [0usize; POOL_LANES];
+        let mut admitted = 0;
+        while live + admitted < cap {
+            let Some(tag) = feed.admit() else { break };
+            fresh[admitted] = tag;
+            admitted += 1;
+        }
+        let total = live + admitted;
+        if total == 0 {
+            return;
+        }
+        let w = lane_width(total);
+        if live > 0 && w != slots.width {
+            repack(bufs, &mut slots, w, k, n);
+        }
+        slots.width = w;
+        admit_lanes(bufs, &mut slots, &fresh[..admitted], ctx, feed);
+        feed.pass(total);
+        match w {
+            1 => pool_pass::<T, 1, F>(bufs, &mut slots, ctx, feed),
+            2 => pool_pass::<T, 2, F>(bufs, &mut slots, ctx, feed),
+            4 => pool_pass::<T, 4, F>(bufs, &mut slots, ctx, feed),
+            _ => pool_pass::<T, POOL_LANES, F>(bufs, &mut slots, ctx, feed),
+        }
+    }
+}
+
+/// Moves the pool's inter-iteration state from `slots.width` to width
+/// `w`. Narrowing packs the live slots to the front, in order; widening
+/// spreads every step row in place, so each slot keeps its index.
+fn repack<T: Copy>(bufs: &mut LaneBuffers<T>, slots: &mut Slots, w: usize, k: usize, n: usize) {
+    let from = slots.width;
+    if w < from {
+        let mut keep = [0usize; POOL_LANES];
+        let mut m = 0;
+        for s in 0..from {
+            if slots.live[s] {
+                keep[m] = s;
+                m += 1;
+            }
+        }
+        let keep = &keep[..m];
+        for buf in [&mut bufs.sys1, &mut bufs.p1, &mut bufs.sys2, &mut bufs.p2] {
+            narrow_stream(buf, n, from, w, keep);
+        }
+        narrow_stream(&mut bufs.apriori1, k, from, w, keep);
+        let old = *slots;
+        slots.live = [false; POOL_LANES];
+        for (ns, &os) in keep.iter().enumerate() {
+            slots.live[ns] = true;
+            slots.tag[ns] = old.tag[os];
+            slots.iter[ns] = old.iter[os];
+        }
+    } else {
+        for buf in [&mut bufs.sys1, &mut bufs.p1, &mut bufs.sys2, &mut bufs.p2] {
+            widen_stream(buf, n, from, w);
+        }
+        widen_stream(&mut bufs.apriori1, k, from, w);
+    }
+}
+
+/// Demuxes the admitted codewords `tags` into free slots of the width
+/// `slots.width` observation streams (systematic, parity and tail split
+/// per constituent decoder, narrowed to `T` at the boundary) and zeroes
+/// each one's `apriori1` slot: a new lane starts from the all-zero
+/// a-priori of a 1-lane decode. Step-major loop order, so each lane row
+/// of the four streams is filled in one visit however many lanes enter.
+fn admit_lanes<T: LlrArith, F: LaneFeed + ?Sized>(
+    bufs: &mut LaneBuffers<T>,
+    slots: &mut Slots,
+    tags: &[usize],
+    ctx: &PoolCtx<'_, '_>,
+    feed: &F,
+) {
+    if tags.is_empty() {
+        return;
+    }
+    let (k, w) = (ctx.k, slots.width);
+    let mut entering = [(0usize, &[][..]); POOL_LANES];
+    let mut s = 0;
+    for (i, &tag) in tags.iter().enumerate() {
+        while slots.live[s] {
+            s += 1;
+        }
+        assert!(s < w, "the pool width fits every live lane");
+        let cw = feed.codeword(tag);
+        assert_eq!(cw.len(), 3 * k + 4 * TAIL_BITS, "codeword length mismatch");
+        entering[i] = (s, cw);
+        slots.live[s] = true;
+        slots.tag[s] = tag;
+        slots.iter[s] = 1;
+    }
+    let entering = &entering[..tags.len()];
     for t in 0..k {
         let pt = ctx.perm[t];
-        for l in 0..count {
-            let lane = &staging[(base + l) * coded_len..][..3 * k];
-            bufs.sys1[t * L + l] = T::from_f64(lane[t]);
-            bufs.p1[t * L + l] = T::from_f64(lane[k + t]);
-            bufs.sys2[t * L + l] = T::from_f64(lane[pt]);
-            bufs.p2[t * L + l] = T::from_f64(lane[2 * k + t]);
+        for &(s, cw) in entering {
+            let i = t * w + s;
+            bufs.sys1[i] = T::from_f64(cw[t]);
+            bufs.p1[i] = T::from_f64(cw[k + t]);
+            bufs.sys2[i] = T::from_f64(cw[pt]);
+            bufs.p2[i] = T::from_f64(cw[2 * k + t]);
+            bufs.apriori1[i] = T::ZERO;
         }
     }
     for t in 0..TAIL_BITS {
-        for l in 0..count {
-            let lane = &staging[(base + l) * coded_len..][..coded_len];
-            let tail1 = &lane[3 * k..3 * k + 2 * TAIL_BITS];
-            let tail2 = &lane[3 * k + 2 * TAIL_BITS..];
-            bufs.sys1[(k + t) * L + l] = T::from_f64(tail1[2 * t]);
-            bufs.p1[(k + t) * L + l] = T::from_f64(tail1[2 * t + 1]);
-            bufs.sys2[(k + t) * L + l] = T::from_f64(tail2[2 * t]);
-            bufs.p2[(k + t) * L + l] = T::from_f64(tail2[2 * t + 1]);
+        for &(s, cw) in entering {
+            let i = (k + t) * w + s;
+            let tail1 = &cw[3 * k..3 * k + 2 * TAIL_BITS];
+            let tail2 = &cw[3 * k + 2 * TAIL_BITS..];
+            bufs.sys1[i] = T::from_f64(tail1[2 * t]);
+            bufs.p1[i] = T::from_f64(tail1[2 * t + 1]);
+            bufs.sys2[i] = T::from_f64(tail2[2 * t]);
+            bufs.p2[i] = T::from_f64(tail2[2 * t + 1]);
         }
     }
-
-    let mut lane_of_slot = [0usize; MAX_GROUP];
-    for (s, slot) in lane_of_slot.iter_mut().enumerate().take(count) {
-        *slot = base + s;
-    }
-    iterate_group::<T, L>(1, count, lane_of_slot, bufs, ctx);
 }
 
-/// The compaction-aware iteration driver at lockstep width `L`: runs
-/// turbo iterations over the `m` live lanes held in slots `0..m` of
-/// `bufs` (slots `m..L` are dead weight whose values are never read).
-/// When lanes finish, the survivors are repacked to the front and the
-/// driver tail-recurses at the narrowest width that still fits, carrying
-/// only the inter-iteration state: the four observation streams and
-/// `apriori1`. Repacking copies lane values verbatim and every kernel op
-/// is elementwise, so each surviving lane's value stream is unchanged.
-fn iterate_group<T: LlrArith, const L: usize>(
-    start_it: usize,
-    m: usize,
-    lane_of_slot: [usize; MAX_GROUP],
+/// One lockstep pass at width `L`: a turbo iteration of every live slot.
+/// Per slot this is one iteration of the scalar reference decoder's
+/// turbo loop: SISO 1, the optional stop check, SISO 2, the agreement
+/// check, the optional stop check again, and the iteration budget. A
+/// lane that finishes goes to the feed and frees its slot; every other
+/// live slot advances its own iteration counter.
+fn pool_pass<T: LlrArith, const L: usize, F: LaneFeed + ?Sized>(
     bufs: &mut LaneBuffers<T>,
-    ctx: &mut GroupCtx<'_, '_>,
+    slots: &mut Slots,
+    ctx: &mut PoolCtx<'_, '_>,
+    feed: &mut F,
 ) {
     let k = ctx.k;
     let n = ctx.n;
     let scale = T::from_f64(EXTRINSIC_SCALE);
-    let mut done = [false; MAX_GROUP];
-    let mut it = start_it;
-    loop {
-        siso_group::<T, L>(
-            &bufs.sys1[..n * L],
-            &bufs.p1[..n * L],
-            &bufs.apriori1[..k * L],
-            k,
-            &mut bufs.alpha[..ALPHA_WINDOW * RSC_STATES * L],
-            &mut bufs.alpha_ckpt[..k.div_ceil(ALPHA_WINDOW) * RSC_STATES * L],
-            &mut bufs.ext1[..k * L],
-            &mut bufs.post1[..k * L],
-        );
-        if let Some(stop_fn) = ctx.stop {
-            for s in 0..m {
-                if done[s] {
-                    continue;
-                }
-                hard_lane::<T, L>(&bufs.post1, s, k, ctx.bits_tmp);
-                if stop_fn(lane_of_slot[s], ctx.bits_tmp) {
-                    record_lane::<T, L>(&bufs.post1, s, lane_of_slot[s], k, ctx, it);
-                    done[s] = true;
-                }
-            }
-            if done[..m].iter().all(|&d| d) {
-                return;
-            }
-        }
-        for t in 0..k {
-            let v: [T; L] = lanes_load(&bufs.ext1, ctx.perm[t] * L);
-            lanes_store(&mut bufs.apriori2, t * L, lanes_scale(v, scale));
-        }
-        siso_group::<T, L>(
-            &bufs.sys2[..n * L],
-            &bufs.p2[..n * L],
-            &bufs.apriori2[..k * L],
-            k,
-            &mut bufs.alpha[..ALPHA_WINDOW * RSC_STATES * L],
-            &mut bufs.alpha_ckpt[..k.div_ceil(ALPHA_WINDOW) * RSC_STATES * L],
-            &mut bufs.ext2[..k * L],
-            &mut bufs.post2[..k * L],
-        );
-        for t in 0..k {
-            let e: [T; L] = lanes_load(&bufs.ext2, ctx.inv[t] * L);
-            lanes_store(&mut bufs.apriori1, t * L, lanes_scale(e, scale));
-            let p: [T; L] = lanes_load(&bufs.post2, ctx.inv[t] * L);
-            lanes_store(&mut bufs.posterior, t * L, p);
-        }
-        // Lane-parallel agreement scan: one pass over the `[step][lane]`
-        // blocks settles every slot's flag at once with branchless sign
-        // compares the compiler vectorizes, instead of `m` strided scalar
-        // scans. Same predicate per slot (an order-independent `all`), so
-        // the same decision as a per-lane scan.
-        let mut disagree = [false; L];
-        for t in 0..k {
-            let a: [T; L] = lanes_load(&bufs.post1, t * L);
-            let b: [T; L] = lanes_load(&bufs.posterior, t * L);
-            for (d, (&x, y)) in disagree.iter_mut().zip(a.iter().zip(b)) {
-                *d |= (x >= T::ZERO) != (y >= T::ZERO);
-            }
-        }
-        for s in 0..m {
-            if done[s] {
+    siso_group::<T, L>(
+        &bufs.sys1[..n * L],
+        &bufs.p1[..n * L],
+        &bufs.apriori1[..k * L],
+        k,
+        &mut bufs.alpha[..ALPHA_WINDOW * RSC_STATES * L],
+        &mut bufs.alpha_ckpt[..k.div_ceil(ALPHA_WINDOW) * RSC_STATES * L],
+        &mut bufs.ext1[..k * L],
+        &mut bufs.post1[..k * L],
+    );
+    if let Some(stop_fn) = ctx.stop {
+        for s in 0..L {
+            if !slots.live[s] {
                 continue;
             }
-            // Agreement early stop first, then the optional stop check.
-            if !disagree[s] {
-                record_lane::<T, L>(&bufs.posterior, s, lane_of_slot[s], k, ctx, it);
-                done[s] = true;
-                continue;
-            }
-            if let Some(stop_fn) = ctx.stop {
-                hard_lane::<T, L>(&bufs.posterior, s, k, ctx.bits_tmp);
-                if stop_fn(lane_of_slot[s], ctx.bits_tmp) {
-                    record_lane::<T, L>(&bufs.posterior, s, lane_of_slot[s], k, ctx, it);
-                    done[s] = true;
-                }
+            hard_lane::<T, L>(&bufs.post1, s, ctx.bits);
+            if stop_fn(slots.tag[s], ctx.bits) {
+                finish_slot::<T, L, F>(&bufs.post1, s, slots, ctx, feed);
             }
         }
-        let live = done[..m].iter().filter(|&&d| !d).count();
-        if live == 0 {
+        if !slots.live.contains(&true) {
             return;
         }
-        if it >= ctx.iters {
-            break;
-        }
-        let w = lane_width(live);
-        if w < L {
-            // Drain: repack the survivors to the front and narrow. Only
-            // the observation streams and apriori1 carry information into
-            // the next iteration; everything else is recomputed.
-            let mut next_map = [0usize; MAX_GROUP];
-            let mut keep = [0usize; MAX_GROUP];
-            let mut idx = 0;
-            for (s, &lane) in lane_of_slot.iter().enumerate().take(m) {
-                if !done[s] {
-                    keep[idx] = s;
-                    next_map[idx] = lane;
-                    idx += 1;
-                }
-            }
-            let keep = &keep[..idx];
-            repack_stream(&mut bufs.sys1, n, L, w, keep);
-            repack_stream(&mut bufs.p1, n, L, w, keep);
-            repack_stream(&mut bufs.sys2, n, L, w, keep);
-            repack_stream(&mut bufs.p2, n, L, w, keep);
-            repack_stream(&mut bufs.apriori1, k, L, w, keep);
-            match w {
-                1 => iterate_group::<T, 1>(it + 1, idx, next_map, bufs, ctx),
-                2 => iterate_group::<T, 2>(it + 1, idx, next_map, bufs, ctx),
-                _ => iterate_group::<T, 4>(it + 1, idx, next_map, bufs, ctx),
-            }
-            return;
-        }
-        it += 1;
     }
-    // Iteration budget exhausted: unfinished lanes return the latest
-    // posterior with the full iteration count.
-    for s in 0..m {
-        if !done[s] {
-            record_lane::<T, L>(&bufs.posterior, s, lane_of_slot[s], k, ctx, it);
+    for t in 0..k {
+        let v: [T; L] = lanes_load(&bufs.ext1, ctx.perm[t] * L);
+        lanes_store(&mut bufs.apriori2, t * L, lanes_scale(v, scale));
+    }
+    siso_group::<T, L>(
+        &bufs.sys2[..n * L],
+        &bufs.p2[..n * L],
+        &bufs.apriori2[..k * L],
+        k,
+        &mut bufs.alpha[..ALPHA_WINDOW * RSC_STATES * L],
+        &mut bufs.alpha_ckpt[..k.div_ceil(ALPHA_WINDOW) * RSC_STATES * L],
+        &mut bufs.ext2[..k * L],
+        &mut bufs.post2[..k * L],
+    );
+    for t in 0..k {
+        let e: [T; L] = lanes_load(&bufs.ext2, ctx.inv[t] * L);
+        lanes_store(&mut bufs.apriori1, t * L, lanes_scale(e, scale));
+        let p: [T; L] = lanes_load(&bufs.post2, ctx.inv[t] * L);
+        lanes_store(&mut bufs.posterior, t * L, p);
+    }
+    // Lane-parallel agreement scan: one pass over the `[step][lane]`
+    // blocks settles every slot's flag at once with branchless sign
+    // compares the compiler vectorizes, instead of `L` strided scalar
+    // scans. Same predicate per slot (an order-independent `all`), so
+    // the same decision as a per-lane scan.
+    let mut disagree = [false; L];
+    for t in 0..k {
+        let a: [T; L] = lanes_load(&bufs.post1, t * L);
+        let b: [T; L] = lanes_load(&bufs.posterior, t * L);
+        for (d, (&x, y)) in disagree.iter_mut().zip(a.iter().zip(b)) {
+            *d |= (x >= T::ZERO) != (y >= T::ZERO);
+        }
+    }
+    for (s, &disagrees) in disagree.iter().enumerate() {
+        if !slots.live[s] {
+            continue;
+        }
+        // Agreement early stop first, then the optional stop check, then
+        // the iteration budget (the latest posterior is returned).
+        let done = !disagrees
+            || ctx.stop.is_some_and(|stop_fn| {
+                hard_lane::<T, L>(&bufs.posterior, s, ctx.bits);
+                stop_fn(slots.tag[s], ctx.bits)
+            })
+            || slots.iter[s] >= ctx.iters;
+        if done {
+            finish_slot::<T, L, F>(&bufs.posterior, s, slots, ctx, feed);
+        } else {
+            slots.iter[s] += 1;
         }
     }
 }
 
-/// Repacks the surviving lanes of a `[step][lane]` stream from width
-/// `from_w` to the smaller width `to_w`, keeping slots `keep` in order.
-/// In place and forward-safe: every destination index is `<=` its source
-/// index and strictly below every later source index.
-fn repack_stream<T: Copy>(buf: &mut [T], steps: usize, from_w: usize, to_w: usize, keep: &[usize]) {
+/// Narrows a `[step][lane]` stream in place from width `from_w` to the
+/// smaller width `to_w`, keeping slots `keep` in order. Forward-safe:
+/// every destination index is `<=` its source index and strictly below
+/// every later source index.
+fn narrow_stream<T: Copy>(buf: &mut [T], steps: usize, from_w: usize, to_w: usize, keep: &[usize]) {
     debug_assert!(to_w < from_w && keep.len() <= to_w);
     for t in 0..steps {
         let src = t * from_w;
@@ -562,32 +707,44 @@ fn repack_stream<T: Copy>(buf: &mut [T], steps: usize, from_w: usize, to_w: usiz
     }
 }
 
-/// Snapshots slot `slot` of a `[step][lane]` posterior block into the
-/// lane-major output arrays (bits, widened LLRs, iteration count) of
-/// batch lane `lane`.
-fn record_lane<T: LlrArith, const L: usize>(
-    src: &[T],
-    slot: usize,
-    lane: usize,
-    k: usize,
-    ctx: &mut GroupCtx<'_, '_>,
-    it: usize,
-) {
-    let bits = &mut ctx.out_bits[lane * k..][..k];
-    let llrs = &mut ctx.out_llrs[lane * k..][..k];
-    for t in 0..k {
-        let v = src[t * L + slot];
-        llrs[t] = v.to_f64();
-        bits[t] = if v >= T::ZERO { 0 } else { 1 };
+/// Widens a `[step][lane]` stream in place from width `from_w` to the
+/// larger width `to_w`, every slot keeping its index — the mirror of
+/// [`narrow_stream`]. Backward-safe: walking steps and slots from the
+/// end, every destination index is `>=` its source index and strictly
+/// above every source index still to be read.
+fn widen_stream<T: Copy>(buf: &mut [T], steps: usize, from_w: usize, to_w: usize) {
+    debug_assert!(to_w > from_w);
+    for t in (0..steps).rev() {
+        for s in (0..from_w).rev() {
+            buf[t * to_w + s] = buf[t * from_w + s];
+        }
     }
-    ctx.out_iters[lane] = it;
 }
 
-/// Hard decisions of lane `l` from a `[step][lane]` posterior block
-/// (positive favours 0), reusing `out`.
-fn hard_lane<T: LlrArith, const L: usize>(src: &[T], l: usize, k: usize, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend((0..k).map(|t| if src[t * L + l] >= T::ZERO { 0u8 } else { 1u8 }));
+/// Hands slot `slot` of a `[step][lane]` posterior block to the feed
+/// (bits, widened LLRs, iteration count) and frees the slot.
+fn finish_slot<T: LlrArith, const L: usize, F: LaneFeed + ?Sized>(
+    src: &[T],
+    slot: usize,
+    slots: &mut Slots,
+    ctx: &mut PoolCtx<'_, '_>,
+    feed: &mut F,
+) {
+    for t in 0..ctx.k {
+        let v = src[t * L + slot];
+        ctx.llrs[t] = v.to_f64();
+        ctx.bits[t] = if v >= T::ZERO { 0 } else { 1 };
+    }
+    feed.finish(slots.tag[slot], ctx.bits, ctx.llrs, slots.iter[slot]);
+    slots.live[slot] = false;
+}
+
+/// Hard decisions of slot `l` of a `[step][lane]` posterior block
+/// (positive favours 0) into `out` (one per step).
+fn hard_lane<T: LlrArith, const L: usize>(src: &[T], l: usize, out: &mut [u8]) {
+    for (t, bit) in out.iter_mut().enumerate() {
+        *bit = if src[t * L + l] >= T::ZERO { 0 } else { 1 };
+    }
 }
 
 /// One lockstep SISO Max-Log-MAP pass over `L` terminated RSC trellises.
@@ -925,11 +1082,10 @@ mod tests {
             }
             code.decode_batch(DecoderConfig::exact(6), batch, None);
         };
-        // Warm up on two full 8-lane groups: that sizes staging and the
-        // outputs for every later round, yet never starts a group at
-        // width 1, so the first 1-lane round below runs that kernel
-        // instantiation cold, and the 9-lane round pairs a full group
-        // with a lone lane.
+        // Warm up on 16 lanes: that sizes staging, the outputs and the
+        // full-width pool for every later round. The 1-lane round below
+        // then runs a 1-slot pool, and the 9-lane round refills a full
+        // pool and drains it to width 1.
         decode_round(&mut batch, 16, 1);
         let mut warm = Vec::new();
         batch.heap_capacities(&mut warm);

@@ -25,7 +25,7 @@ mod decoder;
 mod interleaver;
 mod rsc;
 
-pub use batch::{BatchStopCheck, TurboBatchScratch};
+pub use batch::{BatchStopCheck, LaneFeed, TurboBatchScratch, POOL_LANES};
 pub use decoder::{AccuracyTier, DecodeResult, DecoderConfig, EXTRINSIC_SCALE};
 pub use interleaver::TurboInterleaver;
 pub use rsc::{Rsc, NEXT_STATE, PARITY, RSC_STATES, TAIL_BITS};
@@ -178,8 +178,8 @@ impl TurboCode {
         out.iterations_run = scratch.iterations_run(0);
     }
 
-    /// Decodes every lane staged in `batch` together, in lockstep groups
-    /// of 8 lanes and one final group of 1, 2, 4 or 8 lanes, under the
+    /// Decodes every lane staged in `batch` through one lane pool of up
+    /// to [`POOL_LANES`] slots, admitted in lane order, under the
     /// accuracy tier and iteration budget in `cfg`. Lane `l`'s outputs
     /// (bits, posterior LLR bit patterns, iteration count) are
     /// bit-identical to a 1-lane decode of that lane alone, whatever the
@@ -197,6 +197,31 @@ impl TurboCode {
         stop: BatchStopCheck<'_>,
     ) {
         batch::decode_batch(self.k, &self.interleaver, cfg, batch, stop);
+    }
+
+    /// Runs a work-conserving lane pool of `lanes` slots (clamped to
+    /// `1..=POOL_LANES`) over the codewords `feed` admits, until the
+    /// feed is empty and every lane has finished. Each lane's outputs go
+    /// to [`LaneFeed::finish`] the moment it finishes, and a finished
+    /// lane's slot takes the next admitted codeword at the next
+    /// iteration boundary. The `stop` check receives the lane's tag.
+    /// Every lane's outputs are bit-identical to a 1-lane decode of its
+    /// codeword, whatever else shares the pool; `scratch` only lends its
+    /// workspace (its staged lanes and outputs are untouched).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an admitted codeword's length differs from
+    /// [`TurboCode::coded_len`].
+    pub fn decode_pool<F: LaneFeed + ?Sized>(
+        &self,
+        cfg: DecoderConfig,
+        scratch: &mut TurboBatchScratch,
+        lanes: usize,
+        feed: &mut F,
+        stop: BatchStopCheck<'_>,
+    ) {
+        batch::decode_pool(self.k, &self.interleaver, cfg, scratch, lanes, feed, stop);
     }
 }
 

@@ -15,7 +15,9 @@ mod support;
 
 use proptest::prelude::*;
 
-use hspa_phy::turbo::{AccuracyTier, DecodeResult, DecoderConfig, TurboBatchScratch, TurboCode};
+use hspa_phy::turbo::{
+    AccuracyTier, DecodeResult, DecoderConfig, LaneFeed, TurboBatchScratch, TurboCode, POOL_LANES,
+};
 use support::{MaxLogMapDecoder, ReferenceScratch};
 
 /// BPSK/AWGN LLRs with a crude injected fault pattern: a slice of the
@@ -204,6 +206,229 @@ proptest! {
             let narrow: Vec<u64> = single.llrs(0).iter().map(|l| l.to_bits()).collect();
             prop_assert_eq!(wide, narrow, "fast32 LLR bit patterns, lane {}", i);
         }
+    }
+}
+
+/// A lane pool feed that offers lane `l` only from iteration boundary
+/// `at[l]` on (`at` is nondecreasing), so lanes enter the pool beside
+/// lanes that are mid-decode and the pool widens and narrows. An empty
+/// pool takes the next lane at once. It records every lane's outputs and
+/// the live lanes of every lockstep pass.
+struct ScheduledFeed<'a> {
+    lanes: &'a [Vec<f64>],
+    at: &'a [usize],
+    next: usize,
+    boundary: usize,
+    live: usize,
+    passes: Vec<usize>,
+    out: Vec<Option<DecodeResult>>,
+}
+
+impl<'a> ScheduledFeed<'a> {
+    fn new(lanes: &'a [Vec<f64>], at: &'a [usize]) -> Self {
+        Self {
+            lanes,
+            at,
+            next: 0,
+            boundary: 0,
+            live: 0,
+            passes: Vec::new(),
+            out: vec![None; lanes.len()],
+        }
+    }
+
+    /// Kernel width of every pass (the narrowest of 1, 2, 4, 8 that fits).
+    fn widths(&self) -> Vec<usize> {
+        self.passes
+            .iter()
+            .map(|&live| live.next_power_of_two())
+            .collect()
+    }
+}
+
+impl LaneFeed for ScheduledFeed<'_> {
+    fn admit(&mut self) -> Option<usize> {
+        let lane = self.next;
+        if lane == self.lanes.len() || (self.live > 0 && self.at[lane] > self.boundary) {
+            return None;
+        }
+        self.next += 1;
+        self.live += 1;
+        Some(lane)
+    }
+
+    fn codeword(&self, tag: usize) -> &[f64] {
+        &self.lanes[tag]
+    }
+
+    fn finish(&mut self, tag: usize, bits: &[u8], llrs: &[f64], iterations: usize) {
+        assert!(self.out[tag].is_none(), "lane {tag} finished twice");
+        self.live -= 1;
+        self.out[tag] = Some(DecodeResult {
+            bits: bits.to_vec(),
+            llrs: llrs.to_vec(),
+            iterations_run: iterations,
+        });
+    }
+
+    fn pass(&mut self, live: usize) {
+        assert_eq!(live, self.live, "the pool reports its live lanes");
+        self.boundary += 1;
+        self.passes.push(live);
+    }
+}
+
+/// The reference decode of every lane on `tier`: the scalar oracle for
+/// `Exact` and `EarlyStop` (with `stop`), a 1-lane batch for `Fast32`.
+fn reference_decodes(
+    code: &TurboCode,
+    lanes: &[Vec<f64>],
+    tier: AccuracyTier,
+    iterations: usize,
+    stop: &dyn Fn(&[u8]) -> bool,
+) -> Vec<DecodeResult> {
+    let oracle = MaxLogMapDecoder::new(code.k(), code.interleaver());
+    let mut scratch = ReferenceScratch::new();
+    let mut single = TurboBatchScratch::new();
+    lanes
+        .iter()
+        .map(|llrs| {
+            let mut want = DecodeResult::new();
+            match tier {
+                AccuracyTier::Exact => {
+                    oracle.decode_into(llrs, iterations, &mut scratch, &mut want)
+                }
+                AccuracyTier::EarlyStop => {
+                    oracle.decode_into_with_stop(llrs, iterations, &mut scratch, &mut want, stop)
+                }
+                AccuracyTier::Fast32 => {
+                    single.begin_batch(code.coded_len());
+                    single.push_lane(llrs);
+                    code.decode_batch(DecoderConfig::new(iterations, tier), &mut single, None);
+                    want.bits = single.bits(0).to_vec();
+                    want.llrs = single.llrs(0).to_vec();
+                    want.iterations_run = single.iterations_run(0);
+                }
+            }
+            want
+        })
+        .collect()
+}
+
+/// Runs `lanes` through a pool of `cap` slots on the schedule `at` and
+/// checks every lane against its reference decode, bit for bit.
+#[allow(clippy::too_many_arguments)]
+fn check_schedule<'a>(
+    code: &TurboCode,
+    lanes: &'a [Vec<f64>],
+    at: &'a [usize],
+    cap: usize,
+    tier: AccuracyTier,
+    iterations: usize,
+    stop: &dyn Fn(&[u8]) -> bool,
+) -> Result<ScheduledFeed<'a>, TestCaseError> {
+    let want = reference_decodes(code, lanes, tier, iterations, stop);
+    let mut feed = ScheduledFeed::new(lanes, at);
+    let cfg = DecoderConfig::new(iterations, tier);
+    let tagged_stop = |_tag: usize, bits: &[u8]| stop(bits);
+    let stop_check: hspa_phy::turbo::BatchStopCheck<'_> = match tier {
+        AccuracyTier::EarlyStop => Some(&tagged_stop),
+        AccuracyTier::Exact | AccuracyTier::Fast32 => None,
+    };
+    code.decode_pool(
+        cfg,
+        &mut TurboBatchScratch::new(),
+        cap,
+        &mut feed,
+        stop_check,
+    );
+    prop_assert_eq!(feed.next, lanes.len(), "every lane admitted");
+    for (l, want) in want.iter().enumerate() {
+        let got = feed.out[l].as_ref().expect("every lane finishes");
+        prop_assert_eq!(&got.bits, &want.bits, "{} bits, lane {}", tier, l);
+        prop_assert_eq!(
+            got.iterations_run,
+            want.iterations_run,
+            "{} iterations, lane {}",
+            tier,
+            l
+        );
+        let got_llrs: Vec<u64> = got.llrs.iter().map(|v| v.to_bits()).collect();
+        let want_llrs: Vec<u64> = want.llrs.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(got_llrs, want_llrs, "{} LLR bit patterns, lane {}", tier, l);
+    }
+    Ok(feed)
+}
+
+/// The `EarlyStop` stand-in for the CRC used with admission schedules.
+fn sum_mod3(bits: &[u8]) -> bool {
+    bits.iter().map(|&b| b as u32).sum::<u32>() % 3 == 0
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Lanes admitted at random iteration boundaries into a pool of
+    /// random capacity decode exactly as the reference decodes them
+    /// alone, on every tier.
+    #[test]
+    fn pooled_admission_equals_reference_lanes(
+        k in 40usize..300,
+        lanes in 1usize..14,
+        cap in 1usize..=POOL_LANES,
+        snr_x10 in -40i32..35,
+        seed in 0u64..u64::MAX,
+        fault_pct in 0u8..25,
+        iterations in 1usize..8,
+        tier_ix in 0usize..3,
+        schedule_seed in 0u64..u64::MAX,
+    ) {
+        let tier = AccuracyTier::ALL[tier_ix];
+        let code = TurboCode::new(k).expect("valid k");
+        let llrs: Vec<Vec<f64>> =
+            build_lanes(&code, lanes, snr_x10 as f64 / 10.0, seed, fault_pct, 1, None)
+                .into_iter()
+                .map(|lane| lane.llrs)
+                .collect();
+        let mut rng = dsp::rng::seeded(schedule_seed);
+        let mut boundary = 0;
+        let at: Vec<usize> = (0..lanes)
+            .map(|_| {
+                boundary += (dsp::rng::standard_normal(&mut rng).abs() * 1.5) as usize;
+                boundary
+            })
+            .collect();
+        check_schedule(&code, &llrs, &at, cap, tier, iterations, &sum_mod3)?;
+    }
+}
+
+/// A pool that goes 1 → 4 → 8 → 2 lanes wide with lanes mid-decode at
+/// every width change: each lane still matches its reference decode on
+/// every tier. Lanes of pure noise never pass the agreement check, so
+/// each runs the whole 6-iteration budget and the schedule alone sets
+/// the widths: lane 0 alone, lanes 1–2 join at the second boundary
+/// (width 4), lanes 3–5 at the third (width 8) and lanes 6–7 at the
+/// fourth; lanes 6–7 are then the last two left (width 2).
+#[test]
+fn pool_widens_and_narrows_with_lanes_in_flight() {
+    let code = TurboCode::new(120).expect("valid k");
+    let lanes: Vec<Vec<f64>> = (0..8u64)
+        .map(|l| {
+            let mut rng = dsp::rng::seeded(0x0150 + l);
+            (0..code.coded_len())
+                .map(|_| 0.5 * dsp::rng::standard_normal(&mut rng))
+                .collect()
+        })
+        .collect();
+    let at = [0, 1, 1, 2, 2, 2, 3, 3];
+    let never = |_: &[u8]| false;
+    for tier in AccuracyTier::ALL {
+        let feed = check_schedule(&code, &lanes, &at, POOL_LANES, tier, 6, &never)
+            .unwrap_or_else(|e| panic!("{tier}: {e}"));
+        let widths = feed.widths();
+        let mut shape = widths.clone();
+        shape.dedup();
+        assert_eq!(shape, [1, 4, 8, 2], "{tier}: pool widths {widths:?}");
     }
 }
 
