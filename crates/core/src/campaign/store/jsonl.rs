@@ -2,18 +2,37 @@
 //! record. This is the interchange/debug format — human-greppable,
 //! trivially diffable, and what `campaign-admin export` emits — at the
 //! cost of parsing the whole file on every open.
+//!
+//! ## Record grammar
+//!
+//! The reader accepts exactly the lines [`encode_record`] writes, and
+//! nothing else:
+//!
+//! ```text
+//! line  = '{"point":"' hex16 '","first":' uint ',"len":' uint
+//!         ',"packets":' uint ',"delivered":' uint ',"transmissions":' uint
+//!         ',"info_bits":' uint ',"failures_at":[' [uint *(',' uint)] ']}'
+//! hex16 = 16 × [0-9a-f]
+//! uint  = '0' | [1-9] *[0-9]        (a u64: no sign, no leading zero)
+//! ```
+//!
+//! Lines end in `\n` (a `\r\n` ending is stripped too) and empty lines
+//! are skipped. Any other line — a truncated write, but equally a
+//! signed, zero-padded, upper-case, spaced, reordered, duplicated or
+//! overflowing field, or bytes after the closing `}` — is a torn line:
+//! skipped and counted (`store_torn_tails_dropped` on open), never
+//! read as a record. A line that parses but violates the stats
+//! invariants is corruption (see [`validate_record`]).
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 use hspa_phy::harq::HarqStats;
 
-use super::{
-    corrupt_error, json_str_field, json_u64_array_field, json_u64_field, validate_record,
-    BackendKind, ChunkId, LenientLoad, StoreBackend,
-};
+use super::{corrupt_error, validate_record, BackendKind, ChunkId, LenientLoad, StoreBackend};
 
 /// Append-only JSONL store of per-chunk [`HarqStats`].
 #[derive(Debug)]
@@ -52,27 +71,23 @@ impl JsonlBackend {
         // determinism: unordered-ok(keyed access only; never iterated)
         let mut records = HashMap::new();
         if resume && exists {
-            let reader = BufReader::new(File::open(path)?);
-            for (line_no, line) in reader.lines().enumerate() {
-                let line = line?;
-                // Torn tails of interrupted runs are skipped, not fatal;
-                // records that parse but violate the stats invariants
-                // are corruption and must not feed merged statistics.
-                match classify_record(&line) {
-                    Ok((id, stats)) => {
-                        records.insert(id, stats);
-                    }
-                    Err(LineIssue::Torn) => {
-                        crate::telemetry::counter_add(
-                            crate::telemetry::Counter::StoreTornTailsDropped,
-                            1,
-                        );
-                    }
-                    Err(LineIssue::Corrupt(why)) => {
-                        return Err(corrupt_error(path, line_no + 1, &why));
-                    }
+            // Torn tails of interrupted runs are skipped, not fatal;
+            // records that parse but violate the stats invariants are
+            // corruption and must not feed merged statistics.
+            scan(path, |line_no, line| match line {
+                Ok((id, stats)) => {
+                    records.insert(id, stats);
+                    Ok(())
                 }
-            }
+                Err(LineIssue::Torn) => {
+                    crate::telemetry::counter_add(
+                        crate::telemetry::Counter::StoreTornTailsDropped,
+                        1,
+                    );
+                    Ok(())
+                }
+                Err(LineIssue::Corrupt(why)) => Err(corrupt_error(path, line_no, &why)),
+            })?;
             // A killed writer can leave the final line without its
             // newline. Terminate it now, or the first fresh append of
             // this (rescue) run would concatenate onto the torn tail
@@ -118,12 +133,13 @@ impl StoreBackend for JsonlBackend {
             .create(true)
             .append(true)
             .open(&self.path)?;
-        let line = encode_record(id, stats);
+        let mut line = String::new();
+        encode_record(&mut line, id, stats);
         if crate::failpoint::armed() {
             let ctx = self.path.file_name().and_then(|n| n.to_str()).unwrap_or("");
             if crate::failpoint::should_fire(crate::failpoint::Site::AppendTorn, ctx) {
                 // Tear the record mid-write and die, like a SIGKILL
-                // landing inside `writeln!`: the half record becomes the
+                // landing inside the write: the half record becomes the
                 // file's tail. Continuing instead of exiting would weld
                 // the next append onto the torn prefix — precisely the
                 // corruption the resume path is hardened against.
@@ -132,45 +148,40 @@ impl StoreBackend for JsonlBackend {
                 std::process::exit(43);
             }
         }
-        writeln!(file, "{line}")?;
+        // One write(2) per record: the line and its newline land
+        // together, so a kill can never leave a complete record whose
+        // newline is missing.
+        file.write_all(line.as_bytes())?;
         self.records.insert(id, stats.clone());
         Ok(())
     }
 
     fn load_all(&self) -> std::io::Result<(Vec<(ChunkId, HarqStats)>, usize)> {
-        let reader = BufReader::new(File::open(&self.path)?);
         let mut records = Vec::new();
         let mut malformed = 0usize;
-        for (line_no, line) in reader.lines().enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match classify_record(&line) {
+        scan(&self.path, |line_no, line| {
+            match line {
                 Ok(rec) => records.push(rec),
                 Err(LineIssue::Torn) => malformed += 1,
                 Err(LineIssue::Corrupt(why)) => {
-                    return Err(corrupt_error(&self.path, line_no + 1, &why))
+                    return Err(corrupt_error(&self.path, line_no, &why))
                 }
             }
-        }
+            Ok(())
+        })?;
         Ok((records, malformed))
     }
 
     fn load_all_lenient(&self) -> std::io::Result<LenientLoad> {
-        let reader = BufReader::new(File::open(&self.path)?);
         let mut load = LenientLoad::default();
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match classify_record(&line) {
+        scan(&self.path, |_, line| {
+            match line {
                 Ok(rec) => load.records.push(rec),
                 Err(LineIssue::Torn) => load.torn_lines += 1,
                 Err(LineIssue::Corrupt(_)) => load.corrupt_records += 1,
             }
-        }
+            Ok(())
+        })?;
         Ok(load)
     }
 
@@ -180,8 +191,7 @@ impl StoreBackend for JsonlBackend {
         }
         let mut out = String::new();
         for (id, stats) in records {
-            out.push_str(&encode_record(*id, stats));
-            out.push('\n');
+            encode_record(&mut out, *id, stats);
         }
         let mut tmp = self.path.as_os_str().to_owned();
         tmp.push(format!(".tmp.{}", std::process::id()));
@@ -193,11 +203,13 @@ impl StoreBackend for JsonlBackend {
     }
 }
 
-/// Renders one chunk record as a single JSON line.
-fn encode_record(id: ChunkId, stats: &HarqStats) -> String {
-    let failures: Vec<String> = stats.failures_at.iter().map(|f| f.to_string()).collect();
-    format!(
-        "{{\"point\":\"{:016x}\",\"first\":{},\"len\":{},\"packets\":{},\"delivered\":{},\"transmissions\":{},\"info_bits\":{},\"failures_at\":[{}]}}",
+/// Appends one chunk record to `out` as a single JSON line, newline
+/// included — the only form the reader accepts.
+fn encode_record(out: &mut String, id: ChunkId, stats: &HarqStats) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        out,
+        "{{\"point\":\"{:016x}\",\"first\":{},\"len\":{},\"packets\":{},\"delivered\":{},\"transmissions\":{},\"info_bits\":{},\"failures_at\":[",
         id.point,
         id.first_packet,
         id.n_packets,
@@ -205,12 +217,18 @@ fn encode_record(id: ChunkId, stats: &HarqStats) -> String {
         stats.delivered,
         stats.transmissions,
         stats.info_bits,
-        failures.join(",")
-    )
+    );
+    for (i, f) in stats.failures_at.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{f}");
+    }
+    out.push_str("]}\n");
 }
 
 /// Appends a newline to `path` if its last byte is not one (the tail a
-/// `SIGKILL` mid-`writeln` leaves), so subsequent appends start on a
+/// `SIGKILL` mid-append leaves), so subsequent appends start on a
 /// fresh line. The torn line itself stays in place — it is skipped on
 /// every load and `campaign-admin gc` drops it.
 fn terminate_torn_tail(path: &Path) -> std::io::Result<()> {
@@ -228,41 +246,156 @@ fn terminate_torn_tail(path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Why a store line was rejected: torn lines (truncated writes — a
-/// field is missing or unparseable) are routine and tolerated; corrupt
-/// records parse fully but violate the stats invariants, so using them
-/// would poison merged statistics.
+/// Why a store line was rejected: torn lines (truncated writes, or any
+/// line that is not exactly what [`encode_record`] writes) are routine
+/// and tolerated; corrupt records parse fully but violate the stats
+/// invariants, so using them would poison merged statistics.
 enum LineIssue {
     Torn,
     Corrupt(String),
 }
 
-/// Parses the raw fields of a record line; `None` when a field is
-/// missing or unparseable (torn tail). Invariants between the fields
-/// are **not** checked here — that is [`classify_record`]'s job, so the
-/// strict loaders can distinguish a routine torn line from corruption.
-fn parse_record(line: &str) -> Option<(ChunkId, HarqStats)> {
-    let point = u64::from_str_radix(&json_str_field(line, "point")?, 16).ok()?;
+/// Streams the store file through [`classify_record`], one line at a
+/// time into one reused buffer, handing `visit` each non-empty line's
+/// outcome with its 1-based line number. The file is never held in
+/// memory whole. A torn line that is not valid UTF-8 is an
+/// [`InvalidData`](std::io::ErrorKind::InvalidData) error rather than a
+/// torn line: the store is a text file, and binary garbage in it is
+/// not an interrupted append.
+fn scan(
+    path: &Path,
+    mut visit: impl FnMut(usize, Result<(ChunkId, HarqStats), LineIssue>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut reader = BufReader::new(File::open(path)?);
+    let mut buf = Vec::new();
+    let mut line_no = 0usize;
+    loop {
+        buf.clear();
+        if reader.read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        line_no += 1;
+        let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        if line.is_empty() {
+            continue;
+        }
+        let outcome = classify_record(line);
+        // A parsed line is pure ASCII; only a rejected one needs the
+        // UTF-8 check.
+        if matches!(outcome, Err(LineIssue::Torn)) && std::str::from_utf8(line).is_err() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "{}:{line_no}: store line is not valid UTF-8",
+                    path.display()
+                ),
+            ));
+        }
+        visit(line_no, outcome)?;
+    }
+}
+
+/// Parses and range-validates one store line (without its newline).
+fn classify_record(line: &[u8]) -> Result<(ChunkId, HarqStats), LineIssue> {
+    let (id, stats) = parse_record(line).ok_or(LineIssue::Torn)?;
+    validate_record(id, &stats).map_err(LineIssue::Corrupt)?;
+    Ok((id, stats))
+}
+
+/// Parses one store line in a single pass over its bytes; `None`
+/// unless the line is exactly what [`encode_record`] writes (see the
+/// module grammar). Invariants between the fields are **not** checked
+/// here — that is [`classify_record`]'s job, so the strict loaders can
+/// distinguish a routine torn line from corruption.
+fn parse_record(line: &[u8]) -> Option<(ChunkId, HarqStats)> {
+    let mut cur = Cursor(line);
+    cur.tag(b"{\"point\":\"")?;
+    let point = cur.hex16()?;
+    cur.tag(b"\",\"first\":")?;
+    let first_packet = usize::try_from(cur.uint()?).ok()?;
+    cur.tag(b",\"len\":")?;
+    let n_packets = usize::try_from(cur.uint()?).ok()?;
+    cur.tag(b",\"packets\":")?;
+    let packets = cur.uint()?;
+    cur.tag(b",\"delivered\":")?;
+    let delivered = cur.uint()?;
+    cur.tag(b",\"transmissions\":")?;
+    let transmissions = cur.uint()?;
+    cur.tag(b",\"info_bits\":")?;
+    let info_bits = cur.uint()?;
+    cur.tag(b",\"failures_at\":[")?;
+    let mut failures_at = Vec::new();
+    if cur.tag(b"]").is_none() {
+        loop {
+            failures_at.push(cur.uint()?);
+            if cur.tag(b",").is_none() {
+                cur.tag(b"]")?;
+                break;
+            }
+        }
+    }
+    cur.tag(b"}")?;
+    if !cur.0.is_empty() {
+        return None;
+    }
     let id = ChunkId {
         point,
-        first_packet: json_u64_field(line, "first")? as usize,
-        n_packets: json_u64_field(line, "len")? as usize,
+        first_packet,
+        n_packets,
     };
     let stats = HarqStats {
-        packets: json_u64_field(line, "packets")?,
-        delivered: json_u64_field(line, "delivered")?,
-        transmissions: json_u64_field(line, "transmissions")?,
-        info_bits: json_u64_field(line, "info_bits")?,
-        failures_at: json_u64_array_field(line, "failures_at")?,
+        packets,
+        delivered,
+        transmissions,
+        info_bits,
+        failures_at,
     };
     Some((id, stats))
 }
 
-/// Parses and range-validates one store line.
-fn classify_record(line: &str) -> Result<(ChunkId, HarqStats), LineIssue> {
-    let (id, stats) = parse_record(line).ok_or(LineIssue::Torn)?;
-    validate_record(id, &stats).map_err(LineIssue::Corrupt)?;
-    Ok((id, stats))
+/// The unread rest of a line being parsed; every method consumes its
+/// token or answers `None`.
+struct Cursor<'a>(&'a [u8]);
+
+impl Cursor<'_> {
+    /// Consumes the literal `lit`.
+    fn tag(&mut self, lit: &[u8]) -> Option<()> {
+        self.0 = self.0.strip_prefix(lit)?;
+        Some(())
+    }
+
+    /// Consumes exactly 16 lower-case hex digits.
+    fn hex16(&mut self) -> Option<u64> {
+        let (digits, rest) = self.0.split_at_checked(16)?;
+        let mut value = 0u64;
+        for &b in digits {
+            let nibble = match b {
+                b'0'..=b'9' => b - b'0',
+                b'a'..=b'f' => b - b'a' + 10,
+                _ => return None,
+            };
+            value = value << 4 | u64::from(nibble);
+        }
+        self.0 = rest;
+        Some(value)
+    }
+
+    /// Consumes a canonical unsigned decimal: no sign, no leading zero,
+    /// no overflow.
+    fn uint(&mut self) -> Option<u64> {
+        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (digits, rest) = self.0.split_at(len);
+        if digits.is_empty() || (digits[0] == b'0' && len > 1) {
+            return None;
+        }
+        let mut value = 0u64;
+        for &d in digits {
+            value = value.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+        }
+        self.0 = rest;
+        Some(value)
+    }
 }
 
 #[cfg(test)]
@@ -270,6 +403,23 @@ mod tests {
     use super::super::{load_all, load_all_lenient, sample_stats, temp_store_path, write_records};
     use super::*;
     use crate::campaign::store::ResultStore;
+    use crate::telemetry::{self, Counter};
+
+    /// One encoded record line, without its newline.
+    fn line(id: ChunkId, stats: &HarqStats) -> String {
+        let mut out = String::new();
+        encode_record(&mut out, id, stats);
+        out.pop();
+        out
+    }
+
+    fn chunk(point: u64) -> ChunkId {
+        ChunkId {
+            point,
+            first_packet: 0,
+            n_packets: 8,
+        }
+    }
 
     #[test]
     fn record_roundtrip() {
@@ -279,48 +429,171 @@ mod tests {
             n_packets: 8,
         };
         let stats = sample_stats();
-        let line = encode_record(id, &stats);
-        let (rid, rstats) = parse_record(&line).expect("parses");
+        let line = line(id, &stats);
+        let (rid, rstats) = parse_record(line.as_bytes()).expect("parses");
         assert_eq!(rid, id);
         assert_eq!(rstats, stats);
     }
 
     #[test]
-    fn malformed_lines_are_skipped() {
-        assert!(parse_record("").is_none());
-        assert!(parse_record("{\"point\":\"zz\"}").is_none());
-        // Truncated tail (interrupted write).
-        let id = ChunkId {
-            point: 1,
-            first_packet: 0,
-            n_packets: 8,
+    fn encoding_is_pinned() {
+        // Every store ever written uses exactly these bytes; the strict
+        // reader depends on them, so they must never drift.
+        let mut out = String::new();
+        encode_record(&mut out, chunk(0x1f), &sample_stats());
+        let empty = HarqStats {
+            failures_at: Vec::new(),
+            ..sample_stats()
         };
-        let full = encode_record(id, &sample_stats());
-        assert!(parse_record(&full[..full.len() / 2]).is_none());
-        assert!(matches!(
-            classify_record(&full[..full.len() / 2]),
-            Err(LineIssue::Torn)
-        ));
+        encode_record(&mut out, chunk(u64::MAX), &empty);
+        assert_eq!(
+            out,
+            "{\"point\":\"000000000000001f\",\"first\":0,\"len\":8,\"packets\":8,\"delivered\":6,\"transmissions\":14,\"info_bits\":120,\"failures_at\":[3,2,2,2]}\n\
+             {\"point\":\"ffffffffffffffff\",\"first\":0,\"len\":8,\"packets\":8,\"delivered\":6,\"transmissions\":14,\"info_bits\":120,\"failures_at\":[]}\n"
+        );
+    }
+
+    #[test]
+    fn malformed_lines_are_skipped() {
+        assert!(parse_record(b"").is_none());
+        assert!(parse_record(b"{\"point\":\"zz\"}").is_none());
+        // Truncated tail (interrupted write).
+        let full = line(chunk(1), &sample_stats());
+        let half = &full.as_bytes()[..full.len() / 2];
+        assert!(parse_record(half).is_none());
+        assert!(matches!(classify_record(half), Err(LineIssue::Torn)));
+        // Non-canonical spellings are torn too, never records.
+        for (what, l) in non_canonical_lines() {
+            assert!(
+                matches!(classify_record(l.as_bytes()), Err(LineIssue::Torn)),
+                "{what}: {l}"
+            );
+        }
+    }
+
+    /// Lines the field-lookup reader used to accept, each a
+    /// non-canonical spelling of a plausible record — plus a `u64`
+    /// overflow. Every one must be a torn line.
+    fn non_canonical_lines() -> Vec<(&'static str, String)> {
+        let canon = |point: u64| line(chunk(point), &sample_stats());
+        let swap = |point: u64, from: &str, to: &str| {
+            let l = canon(point);
+            assert!(l.contains(from), "{from} not in {l}");
+            l.replacen(from, to, 1)
+        };
+        let empty = HarqStats {
+            failures_at: Vec::new(),
+            ..sample_stats()
+        };
+        vec![
+            ("signed", swap(0x10, "\"len\":8", "\"len\":+8")),
+            (
+                "zero-padded",
+                swap(0x11, "\"packets\":8", "\"packets\":008"),
+            ),
+            ("zero-padded list", swap(0x12, "[3,", "[03,")),
+            (
+                "upper-case hex",
+                swap(0xab, "00000000000000ab", "00000000000000AB"),
+            ),
+            ("short hex", swap(0x13, "0000000000000013", "13")),
+            (
+                "space after colon",
+                swap(0x14, "\"delivered\":", "\"delivered\": "),
+            ),
+            ("space in list", swap(0x15, "[3,2", "[3, 2")),
+            ("trailing space", format!("{} ", canon(0x16))),
+            ("bytes after the brace", format!("{}x", canon(0x17))),
+            ("second object", format!("{0}{0}", canon(0x18))),
+            (
+                "reordered fields",
+                swap(0x19, "\"first\":0,\"len\":8", "\"len\":8,\"first\":0"),
+            ),
+            (
+                "duplicated field",
+                swap(0x1a, "\"first\":0,", "\"first\":0,\"first\":0,"),
+            ),
+            ("empty list slot", swap(0x1b, "[3,2", "[3,,2")),
+            ("trailing list comma", swap(0x1c, "2]", "2,]")),
+            (
+                "overflow",
+                swap(
+                    0x1d,
+                    "\"info_bits\":120",
+                    "\"info_bits\":18446744073709551616",
+                ),
+            ),
+            (
+                "overflow in list",
+                line(chunk(0x1e), &empty).replace("[]", "[99999999999999999999]"),
+            ),
+        ]
+    }
+
+    #[test]
+    fn open_counts_non_canonical_lines_as_torn() {
+        let path = temp_store_path("non-canonical", "jsonl");
+        let _ = fs::remove_file(&path);
+        let bad = non_canonical_lines();
+        let mut text = line(chunk(1), &sample_stats());
+        text.push('\n');
+        for (_, l) in &bad {
+            text.push_str(l);
+            text.push('\n');
+        }
+        fs::write(&path, text).unwrap();
+
+        let before = telemetry::snapshot().counter(Counter::StoreTornTailsDropped);
+        let store = ResultStore::open(&path, true).unwrap();
+        let after = telemetry::snapshot().counter(Counter::StoreTornTailsDropped);
+        assert_eq!(store.len(), 1, "only the canonical line is a record");
+        assert!(
+            after - before >= bad.len() as u64,
+            "every non-canonical line is a counted torn line ({before} -> {after})"
+        );
+        let (records, malformed) = load_all(&path).unwrap();
+        assert_eq!((records.len(), malformed), (1, bad.len()));
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn line_endings_blank_lines_and_non_utf8() {
+        let path = temp_store_path("line-endings", "jsonl");
+        let _ = fs::remove_file(&path);
+        let a = line(chunk(1), &sample_stats());
+        let b = line(chunk(2), &sample_stats());
+        // CRLF endings are stripped like `lines()` did; blank lines
+        // carry no record and are skipped.
+        fs::write(&path, format!("{a}\r\n\n{b}")).unwrap();
+        let (records, malformed) = load_all(&path).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(malformed, 0);
+        assert_eq!(ResultStore::open(&path, true).unwrap().len(), 2);
+
+        // Binary garbage is an error, never a torn line.
+        fs::write(&path, [a.as_bytes(), b"\n\xff\xfe\n"].concat()).unwrap();
+        let err = load_all(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(":2:"), "{err}");
+        assert!(ResultStore::open(&path, true).is_err());
+        assert!(load_all_lenient(&path).is_err());
+        let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn invariant_violations_classify_as_corrupt_not_torn() {
-        let id = ChunkId {
-            point: 1,
-            first_packet: 0,
-            n_packets: 8,
-        };
+        let id = chunk(1);
         // Packet-count mismatch against the chunk range.
         let mut wrong_len = sample_stats();
         wrong_len.packets = 9;
         assert!(matches!(
-            classify_record(&encode_record(id, &wrong_len)),
+            classify_record(line(id, &wrong_len).as_bytes()),
             Err(LineIssue::Corrupt(_))
         ));
         // delivered > packets would underflow `packets - delivered`.
         let mut inverted = sample_stats();
         inverted.delivered = inverted.packets + 1;
-        let Err(LineIssue::Corrupt(why)) = classify_record(&encode_record(id, &inverted)) else {
+        let Err(LineIssue::Corrupt(why)) = classify_record(line(id, &inverted).as_bytes()) else {
             panic!("delivered > packets must classify as corrupt");
         };
         assert!(why.contains("underflow"), "{why}");
@@ -330,22 +603,10 @@ mod tests {
     fn corrupt_records_are_a_load_error_pointing_at_gc() {
         let path = temp_store_path("corrupt", "jsonl");
         let _ = fs::remove_file(&path);
-        let id = ChunkId {
-            point: 3,
-            first_packet: 0,
-            n_packets: 8,
-        };
         let mut bad = sample_stats();
         bad.delivered = bad.packets + 4;
-        let good = encode_record(
-            ChunkId {
-                point: 4,
-                first_packet: 0,
-                n_packets: 8,
-            },
-            &sample_stats(),
-        );
-        fs::write(&path, format!("{good}\n{}\n", encode_record(id, &bad))).unwrap();
+        let good = line(chunk(4), &sample_stats());
+        fs::write(&path, format!("{good}\n{}\n", line(chunk(3), &bad))).unwrap();
 
         // Both strict loaders refuse, naming the recovery tool and the
         // offending line.
@@ -364,23 +625,14 @@ mod tests {
 
     #[test]
     fn resumed_store_never_appends_onto_a_torn_tail() {
-        // A SIGKILL mid-writeln leaves a final line without its
-        // newline; a rescue leg resuming that store must not weld its
-        // first fresh record onto the torn prefix.
+        // A SIGKILL mid-append leaves a final line without its newline;
+        // a rescue leg resuming that store must not weld its first
+        // fresh record onto the torn prefix.
         let path = temp_store_path("torn-tail", "jsonl");
         let _ = fs::remove_file(&path);
-        let id = ChunkId {
-            point: 9,
-            first_packet: 0,
-            n_packets: 8,
-        };
-        let torn = &encode_record(id, &sample_stats())[..30];
+        let torn = &line(chunk(9), &sample_stats())[..30];
         fs::write(&path, torn).unwrap(); // no trailing newline
-        let fresh = ChunkId {
-            point: 10,
-            first_packet: 0,
-            n_packets: 8,
-        };
+        let fresh = chunk(10);
         {
             let mut store = ResultStore::open(&path, true).unwrap();
             assert!(store.is_empty(), "torn line is not a record");
@@ -396,11 +648,7 @@ mod tests {
     fn load_all_keeps_duplicates_and_counts_malformed() {
         let path = temp_store_path("load-all", "jsonl");
         let _ = fs::remove_file(&path);
-        let id = ChunkId {
-            point: 7,
-            first_packet: 0,
-            n_packets: 8,
-        };
+        let id = chunk(7);
         let mut store = ResultStore::open(&path, true).unwrap();
         store.put(id, &sample_stats()).unwrap();
         store.put(id, &sample_stats()).unwrap();
@@ -419,5 +667,111 @@ mod tests {
         assert_eq!(rewritten, records[..1]);
         assert_eq!(malformed, 0);
         let _ = fs::remove_file(&path);
+    }
+
+    mod fuzz {
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+
+        use super::super::*;
+
+        /// A `u64` whose decimal width is uniform over 1..=20 digits, so
+        /// short, long and boundary spellings all occur.
+        fn wide_u64(rng: &mut StdRng) -> u64 {
+            match rng.gen_range(0u32..8) {
+                0 => 0,
+                1 => u64::MAX,
+                _ => rng.next_u64() >> rng.gen_range(0u32..64),
+            }
+        }
+
+        /// A record that passes [`validate_record`], with every other
+        /// field drawn over its whole range.
+        fn valid_record(rng: &mut StdRng) -> (ChunkId, HarqStats) {
+            let n_packets = rng.gen_range(0usize..400);
+            let id = ChunkId {
+                point: wide_u64(rng),
+                first_packet: wide_u64(rng) as usize,
+                n_packets,
+            };
+            let n_failures = rng.gen_range(0usize..6);
+            let stats = HarqStats {
+                packets: n_packets as u64,
+                delivered: rng.gen_range(0..=n_packets as u64),
+                transmissions: wide_u64(rng),
+                info_bits: wide_u64(rng),
+                failures_at: (0..n_failures).map(|_| wide_u64(rng)).collect(),
+            };
+            (id, stats)
+        }
+
+        fn encoded(id: ChunkId, stats: &HarqStats) -> Vec<u8> {
+            let mut out = String::new();
+            encode_record(&mut out, id, stats);
+            out.pop();
+            out.into_bytes()
+        }
+
+        /// A mangled line must be rejected (torn or corrupt), or be a
+        /// record whose own encoding is the mangled line byte for byte.
+        fn check_mutant(bytes: &[u8]) -> Result<(), TestCaseError> {
+            if let Ok((id, stats)) = classify_record(bytes) {
+                prop_assert_eq!(encoded(id, &stats), bytes.to_vec());
+            }
+            // Corrupt lines parse too; the same holds for them.
+            if let Some((id, stats)) = parse_record(bytes) {
+                prop_assert_eq!(encoded(id, &stats), bytes.to_vec());
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn strict_parser_accepts_exactly_canonical_lines(seed in 0u64..u64::MAX) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (id, stats) = valid_record(&mut rng);
+                let line = encoded(id, &stats);
+
+                // Round trip.
+                match classify_record(&line) {
+                    Ok((rid, rstats)) => {
+                        prop_assert_eq!(rid, id);
+                        prop_assert_eq!(rstats, stats.clone());
+                    }
+                    Err(_) => prop_assert!(false, "valid record rejected: {}", String::from_utf8_lossy(&line)),
+                }
+
+                // Every strict prefix is torn.
+                for cut in 0..line.len() {
+                    prop_assert!(
+                        matches!(classify_record(&line[..cut]), Err(LineIssue::Torn)),
+                        "prefix {cut} of {} not torn", String::from_utf8_lossy(&line)
+                    );
+                }
+
+                // Byte flips, insertions, deletions and two-record splices.
+                let (other_id, other_stats) = valid_record(&mut rng);
+                let other = encoded(other_id, &other_stats);
+                for _ in 0..64 {
+                    let mut m = line.clone();
+                    let at = rng.gen_range(0..m.len());
+                    match rng.gen_range(0u32..4) {
+                        0 => m[at] ^= 1 << rng.gen_range(0u32..8),
+                        1 => m.insert(at, rng.gen_range(0u8..=255)),
+                        2 => {
+                            m.remove(at);
+                        }
+                        _ => {
+                            let from = rng.gen_range(0..=other.len());
+                            m.truncate(at);
+                            m.extend_from_slice(&other[from..]);
+                        }
+                    }
+                    check_mutant(&m)?;
+                }
+            }
+        }
     }
 }

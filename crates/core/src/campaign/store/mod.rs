@@ -12,7 +12,12 @@
 //! * [`BackendKind::Jsonl`] (`.jsonl`) — one hand-written JSON line per
 //!   record. Human-greppable, trivially diffable, and the interchange
 //!   format (`campaign-admin export`/`import`). Every open parses the
-//!   whole file.
+//!   whole file with one strict single-pass parser that accepts only
+//!   the canonical line the writer emits — fixed key order, a
+//!   16-digit lower-case hex key, unsigned decimals without sign or
+//!   leading zero, no whitespace, nothing after the closing `}` (the
+//!   grammar is in the `jsonl` module docs). Any other line is counted
+//!   as a torn line and never read as a record.
 //! * [`BackendKind::Indexed`] (`.seg`) — append-only binary segment
 //!   frames with a persistent point-key index sidecar (`.seg.idx`).
 //!   Open replays only the un-indexed tail and lookups seek straight to
@@ -377,8 +382,9 @@ pub(super) fn validate_record(id: ChunkId, stats: &HarqStats) -> Result<(), Stri
 
 /// The raw text following `"name":` up to the next `,`/`}`/`]`.
 ///
-/// Only suitable for the flat records this module writes itself — no
-/// nesting, no escaped strings.
+/// Only suitable for the flat manifest objects the campaign writes
+/// itself — no nesting, no escaped strings. Store records have their
+/// own strict parser in the `jsonl` module.
 fn json_raw_field<'a>(json: &'a str, name: &str) -> Option<&'a str> {
     let tag = format!("\"{name}\":");
     let start = json.find(&tag)? + tag.len();
@@ -410,19 +416,6 @@ pub(crate) fn json_bool_field(json: &str, name: &str) -> Option<bool> {
         "false" => Some(false),
         _ => None,
     }
-}
-
-/// Parses a `[u64, …]` array field of a flat JSON object.
-pub(crate) fn json_u64_array_field(json: &str, name: &str) -> Option<Vec<u64>> {
-    let tag = format!("\"{name}\":[");
-    let start = json.find(&tag)? + tag.len();
-    let rest = &json[start..];
-    let end = rest.find(']')?;
-    let body = rest[..end].trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|s| s.trim().parse().ok()).collect()
 }
 
 #[cfg(test)]
@@ -586,7 +579,6 @@ mod tests {
         let j = "{\"a\":3,\"b\":\"0f\",\"c\":[1, 2,3],\"d\":2.5,\"e\":true}";
         assert_eq!(json_u64_field(j, "a"), Some(3));
         assert_eq!(json_str_field(j, "b").as_deref(), Some("0f"));
-        assert_eq!(json_u64_array_field(j, "c"), Some(vec![1, 2, 3]));
         assert_eq!(json_f64_field(j, "d"), Some(2.5));
         assert_eq!(json_bool_field(j, "e"), Some(true));
         assert_eq!(json_u64_field(j, "missing"), None);

@@ -453,10 +453,13 @@ fn read_frame(bytes: &[u8]) -> FrameRead {
     }
     // lint: allow(no-unwrap, infallible: the payload shape checks above guarantee every 8-byte word slice)
     let word = |i: usize| u64::from_le_bytes(payload[i * 8..(i + 1) * 8].try_into().unwrap());
-    let n_failures = word(7) as usize;
-    if n_failures * 8 != payload_len - PAYLOAD_FIXED {
+    // Compare the count the file claims with the one the payload length
+    // implies; no arithmetic on the claimed count, which could overflow.
+    let n_failures = (payload_len - PAYLOAD_FIXED) / 8;
+    if word(7) != n_failures as u64 {
         return FrameRead::Corrupt(format!(
-            "frame claims {n_failures} failure entries in a {payload_len}-byte payload"
+            "frame claims {} failure entries in a {payload_len}-byte payload",
+            word(7)
         ));
     }
     let id = ChunkId {
@@ -545,6 +548,66 @@ mod tests {
         let mut bad = frame.clone();
         *bad.last_mut().unwrap() ^= 0x5a;
         assert!(matches!(read_frame(&bad), FrameRead::Corrupt(_)));
+    }
+
+    #[test]
+    fn huge_failure_count_with_a_valid_checksum_is_corrupt() {
+        // The 64 fixed bytes with word 7 = 1 << 61: `n * 8` wraps to 0,
+        // which matches the empty failures array, and the checksum is
+        // right — the count alone must be rejected.
+        let mut frame = encode_frame(id(1, 0), &sample_stats());
+        let mut payload = frame[FRAME_HEADER..FRAME_HEADER + PAYLOAD_FIXED].to_vec();
+        payload[56..64].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        frame.clear();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&fnv1a32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        let FrameRead::Corrupt(why) = read_frame(&frame) else {
+            panic!("a frame claiming 2^61 failures must be corrupt");
+        };
+        assert!(why.contains("failure entries"), "{why}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+        #[test]
+        fn read_frame_never_panics_on_damage(seed in 0u64..u64::MAX) {
+            use rand::{Rng, RngCore, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let stats = HarqStats {
+                failures_at: (0..rng.gen_range(0usize..6)).map(|_| rng.next_u64()).collect(),
+                ..sample_stats()
+            };
+            let frame = encode_frame(id(rng.next_u64(), 0), &stats);
+            let other = encode_frame(id(rng.next_u64(), 8), &sample_stats());
+            for _ in 0..64 {
+                let mut m = frame.clone();
+                let at = rng.gen_range(0..m.len());
+                match rng.gen_range(0u32..4) {
+                    0 => m.truncate(at),
+                    1 => m[at] ^= 1 << rng.gen_range(0u32..8),
+                    2 => {
+                        // A damaged length or count word with its
+                        // checksum recomputed: only the shape checks
+                        // stand between it and the decoder.
+                        let word = rng.gen_range(0usize..8);
+                        let at = FRAME_HEADER + word * 8 + rng.gen_range(0usize..8);
+                        m[at] ^= 1 << rng.gen_range(0u32..8);
+                        let crc = fnv1a32(&m[FRAME_HEADER..]);
+                        m[4..8].copy_from_slice(&crc.to_le_bytes());
+                    }
+                    _ => {
+                        m.truncate(at);
+                        m.extend_from_slice(&other[rng.gen_range(0..=other.len())..]);
+                    }
+                }
+                // Never a panic; a decoded frame is exactly the bytes a
+                // record encodes to.
+                if let FrameRead::Ok(rid, rstats, used) = read_frame(&m) {
+                    proptest::prop_assert_eq!(encode_frame(rid, &rstats), m[..used].to_vec());
+                }
+            }
+        }
     }
 
     #[test]
