@@ -5,9 +5,8 @@
 //! what turns a decoded block into an ACK or a HARQ retransmission
 //! request. The 16-bit polynomial is provided for smaller test blocks.
 
-use serde::{Deserialize, Serialize};
-
-/// A bit-serial CRC defined by its generator polynomial.
+/// A CRC defined by its generator polynomial, computed eight bits per
+/// step through a 256-entry table built once per value.
 ///
 /// The polynomial is given without the leading `x^width` term, MSB-first
 /// (e.g. gCRC24 → `0x80_0063`).
@@ -23,27 +22,30 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(block.len(), data.len() + 24);
 /// assert!(crc.check(&block));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Crc {
     width: u8,
     poly: u32,
+    /// The register update of one input byte: entry `i` is the
+    /// left-aligned register after shifting byte `i` through a zero one.
+    table: [u32; 256],
 }
+
+/// [`Crc::gcrc24`], with its table built at compile time.
+const GCRC24: Crc = Crc::new(24, 0x80_0063);
+
+/// [`Crc::gcrc16`], with its table built at compile time.
+const GCRC16: Crc = Crc::new(16, 0x1021);
 
 impl Crc {
     /// The 3GPP 24-bit CRC `D²⁴ + D²³ + D⁶ + D⁵ + D + 1`.
-    pub fn gcrc24() -> Self {
-        Self {
-            width: 24,
-            poly: 0x80_0063,
-        }
+    pub const fn gcrc24() -> Self {
+        GCRC24
     }
 
     /// The 3GPP 16-bit CRC `D¹⁶ + D¹² + D⁵ + 1` (CCITT).
-    pub fn gcrc16() -> Self {
-        Self {
-            width: 16,
-            poly: 0x1021,
-        }
+    pub const fn gcrc16() -> Self {
+        GCRC16
     }
 
     /// Creates a CRC from an explicit width and polynomial.
@@ -51,9 +53,29 @@ impl Crc {
     /// # Panics
     ///
     /// Panics if `width` is not in `1..=31`.
-    pub fn new(width: u8, poly: u32) -> Self {
-        assert!((1..=31).contains(&width), "CRC width must be in 1..=31");
-        Self { width, poly }
+    pub const fn new(width: u8, poly: u32) -> Self {
+        assert!(width >= 1 && width <= 31, "CRC width must be in 1..=31");
+        let poly_reg = Self::aligned_poly(width, poly);
+        let mut table = [0u32; 256];
+        let mut i = 0;
+        while i < 256 {
+            let mut reg = (i as u32) << 24;
+            let mut bit = 0;
+            while bit < 8 {
+                reg = (reg << 1) ^ (poly_reg & (reg >> 31).wrapping_neg());
+                bit += 1;
+            }
+            table[i] = reg;
+            i += 1;
+        }
+        Self { width, poly, table }
+    }
+
+    /// The polynomial left-aligned in a 32-bit register, the layout the
+    /// shift loop works in for every width: the register's top `width`
+    /// bits hold the CRC state and the bits below stay zero.
+    const fn aligned_poly(width: u8, poly: u32) -> u32 {
+        poly << (32 - width as u32)
     }
 
     /// CRC width in bits.
@@ -63,19 +85,27 @@ impl Crc {
 
     /// Computes the CRC remainder of a bit sequence (MSB-first shifting,
     /// zero initial state, as specified by 25.212).
+    ///
+    /// Each input byte is one bit; any non-zero byte counts as a one.
+    /// Whole groups of eight bits take one table step; the trailing
+    /// `len % 8` bits take a branch-free bit step.
     pub fn remainder(&self, bits: &[u8]) -> u32 {
-        let mask = (1u32 << self.width) - 1;
-        let top = 1u32 << (self.width - 1);
+        let poly_reg = Self::aligned_poly(self.width, self.poly);
         let mut reg = 0u32;
-        for &b in bits {
-            debug_assert!(b <= 1, "non-binary input bit");
-            let fb = ((reg & top) != 0) ^ (b != 0);
-            reg = (reg << 1) & mask;
-            if fb {
-                reg ^= self.poly & mask;
-            }
+        let mut bytes = bits.chunks_exact(8);
+        for byte in &mut bytes {
+            let byte = byte.iter().fold(0u8, |acc, &b| {
+                debug_assert!(b <= 1, "non-binary input bit");
+                (acc << 1) | u8::from(b != 0)
+            });
+            reg = (reg << 8) ^ self.table[usize::from((reg >> 24) as u8 ^ byte)];
         }
-        reg
+        for &b in bytes.remainder() {
+            debug_assert!(b <= 1, "non-binary input bit");
+            let fb = (reg >> 31) ^ u32::from(b != 0);
+            reg = (reg << 1) ^ (poly_reg & fb.wrapping_neg());
+        }
+        reg >> (32 - u32::from(self.width))
     }
 
     /// Appends the CRC parity bits (MSB first) to a copy of `data`.
@@ -109,6 +139,23 @@ impl Crc {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The bit-serial shift register the table form replaces: one
+    /// feedback step per input bit, in the width's own register. Any
+    /// non-zero byte is a one, as in [`Crc::remainder`].
+    fn bit_serial_remainder(width: u8, poly: u32, bits: &[u8]) -> u32 {
+        let mask = (1u32 << width) - 1;
+        let top = 1u32 << (width - 1);
+        let mut reg = 0u32;
+        for &b in bits {
+            let fb = ((reg & top) != 0) ^ (b != 0);
+            reg = (reg << 1) & mask;
+            if fb {
+                reg ^= poly & mask;
+            }
+        }
+        reg
+    }
 
     #[test]
     fn attach_then_check_ok() {
@@ -172,7 +219,52 @@ mod tests {
         assert_eq!(crc.remainder(&bits), 0x31c3);
     }
 
+    #[test]
+    fn generators_match_bit_serial_oracle() {
+        let bits: Vec<u8> = (0..627u32).map(|i| u8::from(i * 37 % 11 < 5)).collect();
+        for (crc, width, poly) in [(Crc::gcrc24(), 24, 0x80_0063), (Crc::gcrc16(), 16, 0x1021)] {
+            assert_eq!(crc, Crc::new(width, poly));
+            for len in 0..=bits.len() {
+                let bits = &bits[..len];
+                assert_eq!(
+                    crc.remainder(bits),
+                    bit_serial_remainder(width, poly, bits),
+                    "width {width}, {len} bits"
+                );
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn table_matches_bit_serial_oracle(width in 1u8..=31,
+                                           poly in 0u32..=u32::MAX,
+                                           bits in proptest::collection::vec(0u8..2, 0..2049)) {
+            let crc = Crc::new(width, poly);
+            prop_assert_eq!(crc.remainder(&bits), bit_serial_remainder(width, poly, &bits));
+        }
+
+        #[test]
+        fn attach_then_check_any_generator(width in 1u8..=31,
+                                           poly in 0u32..=u32::MAX,
+                                           data in proptest::collection::vec(0u8..2, 0..2049)) {
+            let crc = Crc::new(width, poly);
+            let block = crc.attach(&data);
+            prop_assert_eq!(block.len(), data.len() + usize::from(width));
+            prop_assert!(crc.check(&block));
+        }
+
+        /// A non-binary byte is a one in release builds, as in the
+        /// oracle, and trips the `debug_assert` in debug builds.
+        #[test]
+        #[cfg_attr(debug_assertions, should_panic(expected = "non-binary input bit"))]
+        fn non_binary_bytes_read_as_ones(width in 1u8..=31,
+                                         poly in 0u32..=u32::MAX,
+                                         bits in proptest::collection::vec(0u8..=255, 0..2049)) {
+            let crc = Crc::new(width, poly);
+            prop_assert_eq!(crc.remainder(&bits), bit_serial_remainder(width, poly, &bits));
+        }
+
         #[test]
         fn roundtrip_always_checks(data in proptest::collection::vec(0u8..2, 1..200)) {
             let crc = Crc::gcrc24();

@@ -13,9 +13,10 @@
 //!
 //! Every operation in the lockstep kernels is elementwise across lanes
 //! (adds, subtractions, negations, maxima, broadcast scaling) or a
-//! lane-local gather through the interleaver, so lane `l` of a batched
-//! decode performs **the same scalar operation sequence** as a 1-lane
-//! decode of that codeword alone ([`super::TurboCode::decode_into`]).
+//! lane-local gather or scatter through the interleaver, so lane `l` of
+//! a batched decode performs **the same scalar operation sequence** as a
+//! 1-lane decode of that codeword alone
+//! ([`super::TurboCode::decode_into`]).
 //! Rust never contracts or reorders IEEE-754 arithmetic, so the outputs
 //! — hard bits, posterior LLR bit patterns, iteration counts — are
 //! identical for any batch size. `tests/batch_equivalence.rs` pins the
@@ -40,14 +41,26 @@
 //! the final drain runs narrow. This is iteration-level scheduling, as
 //! in Orca (Yu et al., OSDI 2022), applied to turbo iterations.
 //!
-//! Only the four observation streams and `apriori1` carry state from one
-//! iteration to the next; every other buffer is rewritten before it is
-//! read. So admission writes exactly those streams for the new slot, and
-//! a width change moves exactly those streams. Both copy lane values
-//! verbatim, and every kernel op is elementwise, so neither can change a
-//! lane's value stream. [`super::TurboCode::decode_batch`] is the pool
-//! fed from its staged lanes in order; [`super::TurboCode::decode_pool`]
-//! lets a caller such as the link simulator feed it directly.
+//! # Lane streams
+//!
+//! Each precision's workspace is ten lane streams, and each starts on a
+//! 64-byte cache line, so an 8-lane `f64` row is exactly one line. Each
+//! SISO pass stores its outputs at the address their next reader loads
+//! them from: SISO 1's scaled extrinsic goes straight into `apriori2` at
+//! the interleaved step, and SISO 2's into `apriori1` and its posterior
+//! into `posterior`, both at the de-interleaved step. No gather pass runs
+//! between the half-iterations.
+//!
+//! Only the four observation streams and `apriori1` (which SISO 2 writes
+//! for the next iteration) carry state from one iteration to the next;
+//! `apriori2`, `post1`, `posterior` and the alpha window and checkpoints
+//! are rewritten before they are read. So admission writes exactly those
+//! five streams for the new slot, and a width change moves exactly those
+//! streams. Both copy lane values verbatim, and every kernel op is
+//! elementwise, so neither can change a lane's value stream.
+//! [`super::TurboCode::decode_batch`] is the pool fed from its staged
+//! lanes in order; [`super::TurboCode::decode_pool`] lets a caller such
+//! as the link simulator feed it directly.
 
 use dsp::maxstar::{
     lanes_add, lanes_half, lanes_load, lanes_max, lanes_neg, lanes_scale, lanes_store, lanes_sub,
@@ -90,44 +103,82 @@ pub trait LaneFeed {
     fn pass(&mut self, _live: usize) {}
 }
 
-/// One precision's structure-of-arrays trellis workspace. All vectors
+/// Bytes per cache line, the alignment of every lane stream: a lane row
+/// of up to eight `f64`s then never straddles two lines.
+const CACHE_LINE: usize = 64;
+
+/// A lane stream whose visible slice starts on a [`CACHE_LINE`]
+/// boundary. The crate forbids `unsafe`, so the vector is over-allocated
+/// by one line's worth of elements and the slice starts at the first
+/// aligned one.
+#[derive(Debug, Clone, Default)]
+struct LaneStream<T> {
+    buf: Vec<T>,
+    start: usize,
+    len: usize,
+}
+
+impl<T: Copy> LaneStream<T> {
+    /// Sizes the stream to `len` elements and realigns its start, which
+    /// moves whenever the vector's address does (a clone or a growth), so
+    /// contents do not survive the call. `fill` only seeds growth.
+    fn fit(&mut self, len: usize, fill: T) {
+        reuse_buf(&mut self.buf, len + CACHE_LINE / size_of::<T>(), fill);
+        self.start = self.buf.as_ptr().align_offset(CACHE_LINE);
+        self.len = len;
+    }
+}
+
+impl<T> std::ops::Deref for LaneStream<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.buf[self.start..self.start + self.len]
+    }
+}
+
+impl<T> std::ops::DerefMut for LaneStream<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.buf[self.start..self.start + self.len]
+    }
+}
+
+/// One precision's structure-of-arrays trellis workspace. All streams
 /// are `[step][state/metric][lane]` with the lane contiguous innermost,
 /// sized for the widest width the pool may reach and reused (never
 /// shrunk) across decodes.
 #[derive(Debug, Clone, Default)]
 struct LaneBuffers<T> {
-    sys1: Vec<T>,
-    p1: Vec<T>,
-    sys2: Vec<T>,
-    p2: Vec<T>,
-    apriori1: Vec<T>,
-    apriori2: Vec<T>,
-    ext1: Vec<T>,
-    ext2: Vec<T>,
-    post1: Vec<T>,
-    post2: Vec<T>,
-    posterior: Vec<T>,
-    alpha: Vec<T>,
-    alpha_ckpt: Vec<T>,
+    sys1: LaneStream<T>,
+    p1: LaneStream<T>,
+    sys2: LaneStream<T>,
+    p2: LaneStream<T>,
+    apriori1: LaneStream<T>,
+    apriori2: LaneStream<T>,
+    post1: LaneStream<T>,
+    posterior: LaneStream<T>,
+    alpha: LaneStream<T>,
+    alpha_ckpt: LaneStream<T>,
 }
 
 impl<T> LaneBuffers<T> {
+    fn streams(&self) -> [&LaneStream<T>; 10] {
+        [
+            &self.sys1,
+            &self.p1,
+            &self.sys2,
+            &self.p2,
+            &self.apriori1,
+            &self.apriori2,
+            &self.post1,
+            &self.posterior,
+            &self.alpha,
+            &self.alpha_ckpt,
+        ]
+    }
+
     fn heap_capacities(&self, out: &mut Vec<usize>) {
-        out.extend([
-            self.sys1.capacity(),
-            self.p1.capacity(),
-            self.sys2.capacity(),
-            self.p2.capacity(),
-            self.apriori1.capacity(),
-            self.apriori2.capacity(),
-            self.ext1.capacity(),
-            self.ext2.capacity(),
-            self.post1.capacity(),
-            self.post2.capacity(),
-            self.posterior.capacity(),
-            self.alpha.capacity(),
-            self.alpha_ckpt.capacity(),
-        ]);
+        out.extend(self.streams().map(|s| s.buf.capacity()));
     }
 }
 
@@ -446,34 +497,27 @@ fn drive<T: LlrArith, F: LaneFeed + ?Sized>(
     let (k, n) = (ctx.k, ctx.n);
     let w_max = lane_width(cap);
     // Only `apriori1` carries a semantic initial value (all-zero
-    // a-priori), written per slot at admission; every other buffer is
+    // a-priori), written per slot at admission; every other stream is
     // fully written before it is read. The kernel does compute on
     // whatever garbage sits in free slots, but those slots are never read
-    // out, so the buffers are resized without a zero fill.
+    // out, so the streams are resized without a zero fill. Nothing
+    // survives from an earlier drive either, so every stream is realigned
+    // here, where a clone's new addresses are first seen.
     for buf in [&mut bufs.sys1, &mut bufs.p1, &mut bufs.sys2, &mut bufs.p2] {
-        reuse_buf(buf, n * w_max, T::ZERO);
+        buf.fit(n * w_max, T::ZERO);
     }
     for buf in [
         &mut bufs.apriori1,
         &mut bufs.apriori2,
-        &mut bufs.ext1,
-        &mut bufs.ext2,
         &mut bufs.post1,
-        &mut bufs.post2,
         &mut bufs.posterior,
     ] {
-        reuse_buf(buf, k * w_max, T::ZERO);
+        buf.fit(k * w_max, T::ZERO);
     }
-    reuse_buf(
-        &mut bufs.alpha,
-        ALPHA_WINDOW * RSC_STATES * w_max,
-        T::NEG_INF,
-    );
-    reuse_buf(
-        &mut bufs.alpha_ckpt,
-        k.div_ceil(ALPHA_WINDOW) * RSC_STATES * w_max,
-        T::NEG_INF,
-    );
+    bufs.alpha
+        .fit(ALPHA_WINDOW * RSC_STATES * w_max, T::NEG_INF);
+    bufs.alpha_ckpt
+        .fit(k.div_ceil(ALPHA_WINDOW) * RSC_STATES * w_max, T::NEG_INF);
 
     let mut slots = Slots {
         width: 1,
@@ -615,15 +659,22 @@ fn pool_pass<T: LlrArith, const L: usize, F: LaneFeed + ?Sized>(
     let k = ctx.k;
     let n = ctx.n;
     let scale = T::from_f64(EXTRINSIC_SCALE);
-    siso_group::<T, L>(
+    // SISO 1 runs in natural order: its scaled extrinsic lands in
+    // `apriori2` at the interleaved step that reads it, its posterior in
+    // `post1` in place.
+    siso_group::<T, L, false>(
         &bufs.sys1[..n * L],
         &bufs.p1[..n * L],
         &bufs.apriori1[..k * L],
         k,
         &mut bufs.alpha[..ALPHA_WINDOW * RSC_STATES * L],
         &mut bufs.alpha_ckpt[..k.div_ceil(ALPHA_WINDOW) * RSC_STATES * L],
-        &mut bufs.ext1[..k * L],
-        &mut bufs.post1[..k * L],
+        SisoOut {
+            scale,
+            to: ctx.inv,
+            ext: &mut bufs.apriori2[..k * L],
+            post: &mut bufs.post1[..k * L],
+        },
     );
     if let Some(stop_fn) = ctx.stop {
         for s in 0..L {
@@ -639,35 +690,32 @@ fn pool_pass<T: LlrArith, const L: usize, F: LaneFeed + ?Sized>(
             return;
         }
     }
-    for t in 0..k {
-        let v: [T; L] = lanes_load(&bufs.ext1, ctx.perm[t] * L);
-        lanes_store(&mut bufs.apriori2, t * L, lanes_scale(v, scale));
-    }
-    siso_group::<T, L>(
+    // SISO 2 runs in interleaved order: both outputs go back to natural
+    // order, the scaled extrinsic into next iteration's `apriori1`.
+    siso_group::<T, L, true>(
         &bufs.sys2[..n * L],
         &bufs.p2[..n * L],
         &bufs.apriori2[..k * L],
         k,
         &mut bufs.alpha[..ALPHA_WINDOW * RSC_STATES * L],
         &mut bufs.alpha_ckpt[..k.div_ceil(ALPHA_WINDOW) * RSC_STATES * L],
-        &mut bufs.ext2[..k * L],
-        &mut bufs.post2[..k * L],
+        SisoOut {
+            scale,
+            to: ctx.perm,
+            ext: &mut bufs.apriori1[..k * L],
+            post: &mut bufs.posterior[..k * L],
+        },
     );
-    for t in 0..k {
-        let e: [T; L] = lanes_load(&bufs.ext2, ctx.inv[t] * L);
-        lanes_store(&mut bufs.apriori1, t * L, lanes_scale(e, scale));
-        let p: [T; L] = lanes_load(&bufs.post2, ctx.inv[t] * L);
-        lanes_store(&mut bufs.posterior, t * L, p);
-    }
     // Lane-parallel agreement scan: one pass over the `[step][lane]`
     // blocks settles every slot's flag at once with branchless sign
     // compares the compiler vectorizes, instead of `L` strided scalar
     // scans. Same predicate per slot (an order-independent `all`), so
     // the same decision as a per-lane scan.
+    let (post1, posterior) = (&bufs.post1[..k * L], &bufs.posterior[..k * L]);
     let mut disagree = [false; L];
     for t in 0..k {
-        let a: [T; L] = lanes_load(&bufs.post1, t * L);
-        let b: [T; L] = lanes_load(&bufs.posterior, t * L);
+        let a: [T; L] = lanes_load(post1, t * L);
+        let b: [T; L] = lanes_load(posterior, t * L);
         for (d, (&x, y)) in disagree.iter_mut().zip(a.iter().zip(b)) {
             *d |= (x >= T::ZERO) != (y >= T::ZERO);
         }
@@ -747,6 +795,18 @@ fn hard_lane<T: LlrArith, const L: usize>(src: &[T], l: usize, out: &mut [u8]) {
     }
 }
 
+/// Where one [`siso_group`] pass stores its outputs, each at the address
+/// its next reader loads it from. Step `t`'s extrinsic, times `scale`,
+/// goes to row `to[t]` of `ext` (the other decoder's a-priori, in that
+/// decoder's step order); its posterior goes to row `t` of `post`, or to
+/// row `to[t]` when the pass scatters its posterior too.
+struct SisoOut<'a, T> {
+    scale: T,
+    to: &'a [usize],
+    ext: &'a mut [T],
+    post: &'a mut [T],
+}
+
 /// One lockstep SISO Max-Log-MAP pass over `L` terminated RSC trellises.
 ///
 /// Branch metrics factor to two values per step (`g0 = ½(spa + lp)`,
@@ -773,21 +833,25 @@ fn hard_lane<T: LlrArith, const L: usize>(src: &[T], l: usize, out: &mut [u8]) {
 /// recompute repeats the forward recursion's exact op sequence on the
 /// same inputs, so every regenerated value matches the forward pass to
 /// the last bit and both transforms are purely cache-locality ones.
-#[allow(clippy::too_many_arguments)]
-fn siso_group<T: LlrArith, const L: usize>(
+///
+/// The outputs are stored straight where the next stage reads them
+/// ([`SisoOut`]). Only the store address goes through the interleaver;
+/// each value is computed by the same op sequence whichever step order
+/// its reader uses.
+fn siso_group<T: LlrArith, const L: usize, const SCATTER_POST: bool>(
     sys: &[T],
     par: &[T],
     apriori: &[T],
     k: usize,
     alpha: &mut [T],
     alpha_ckpt: &mut [T],
-    ext: &mut [T],
-    post: &mut [T],
+    mut out: SisoOut<'_, T>,
 ) {
     let n = k + TAIL_BITS;
     debug_assert_eq!(sys.len(), n * L);
     debug_assert_eq!(par.len(), n * L);
     debug_assert_eq!(apriori.len(), k * L);
+    debug_assert_eq!(out.to.len(), k);
     debug_assert_eq!(alpha.len(), ALPHA_WINDOW * RSC_STATES * L);
     debug_assert_eq!(alpha_ckpt.len(), k.div_ceil(ALPHA_WINDOW) * RSC_STATES * L);
 
@@ -901,8 +965,8 @@ fn siso_group<T: LlrArith, const L: usize>(
                 }
             }
         }
-        output_window::<T, L>(
-            sys, par, apriori, alpha, ext, post, w0, w1, &mut bb0, &mut bb1, &mut bb2, &mut bb3,
+        output_window::<T, L, SCATTER_POST>(
+            sys, par, apriori, alpha, &mut out, w0, w1, &mut bb0, &mut bb1, &mut bb2, &mut bb3,
             &mut bb4, &mut bb5, &mut bb6, &mut bb7,
         );
     }
@@ -913,13 +977,12 @@ fn siso_group<T: LlrArith, const L: usize>(
 /// registers in place so the recursion carries across windows.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn output_window<T: LlrArith, const L: usize>(
+fn output_window<T: LlrArith, const L: usize, const SCATTER_POST: bool>(
     sys: &[T],
     par: &[T],
     apriori: &[T],
     alpha: &[T],
-    ext: &mut [T],
-    post: &mut [T],
+    out: &mut SisoOut<'_, T>,
     w0: usize,
     w1: usize,
     bb0: &mut [T; L],
@@ -995,9 +1058,10 @@ fn output_window<T: LlrArith, const L: usize>(
             ),
         );
         let l_val = lanes_sub(max0, max1);
-        lanes_store(post, t * L, l_val);
+        let to = out.to[t] * L;
+        lanes_store(out.post, if SCATTER_POST { to } else { t * L }, l_val);
         let e = lanes_sub(lanes_sub(l_val, ls), la);
-        lanes_store(ext, t * L, e);
+        lanes_store(out.ext, to, lanes_scale(e, out.scale));
         *bb0 = lanes_max(lanes_add(g0, n0), lanes_add(g3, n1));
         *bb1 = lanes_max(lanes_add(g1, n2), lanes_add(g2, n3));
         *bb2 = lanes_max(lanes_add(g1, n5), lanes_add(g2, n4));
@@ -1096,6 +1160,103 @@ mod tests {
             assert_eq!(
                 warm, caps,
                 "round {round} ({lanes} lanes) grew a batch buffer"
+            );
+        }
+    }
+
+    /// A [`LaneFeed`] that admits at most one codeword per iteration
+    /// boundary, so the pool widens 1 → 2 → 4 → 8 before it drains.
+    struct Trickle<'a> {
+        cws: &'a [Vec<f64>],
+        next: usize,
+        admitted_this_pass: bool,
+        widths: Vec<usize>,
+    }
+
+    impl LaneFeed for Trickle<'_> {
+        fn admit(&mut self) -> Option<usize> {
+            let tag = self.next;
+            (tag < self.cws.len() && !self.admitted_this_pass).then(|| {
+                self.next += 1;
+                self.admitted_this_pass = true;
+                tag
+            })
+        }
+
+        fn codeword(&self, tag: usize) -> &[f64] {
+            &self.cws[tag]
+        }
+
+        fn finish(&mut self, _tag: usize, _bits: &[u8], _llrs: &[f64], _iterations: usize) {}
+
+        fn pass(&mut self, live: usize) {
+            self.admitted_this_pass = false;
+            self.widths.push(lane_width(live));
+        }
+    }
+
+    fn stream_starts<T>(bufs: &LaneBuffers<T>) -> [usize; 10] {
+        bufs.streams().map(|s| s.as_ptr() as usize)
+    }
+
+    fn assert_streams_aligned(batch: &TurboBatchScratch, tier: AccuracyTier, what: &str) {
+        let starts = match tier {
+            AccuracyTier::Fast32 => stream_starts(&batch.pool.f32_lanes),
+            _ => stream_starts(&batch.pool.f64_lanes),
+        };
+        for (i, start) in starts.into_iter().enumerate() {
+            assert_eq!(start % CACHE_LINE, 0, "{what}: stream {i} starts mid-line");
+        }
+    }
+
+    #[test]
+    fn lane_streams_start_on_cache_lines() {
+        let code = TurboCode::new(80).unwrap();
+        // Extra noise keeps lanes decoding to the iteration budget, so
+        // the trickle feed below builds the pool up to full width.
+        let mut rng = seeded(17);
+        let cws: Vec<Vec<f64>> = (0..12)
+            .map(|l| {
+                let (_, llrs) = noisy_codeword(&code, 300 + l);
+                llrs.iter()
+                    .map(|&x| x + 3.0 * standard_normal(&mut rng))
+                    .collect()
+            })
+            .collect();
+        for tier in [AccuracyTier::Exact, AccuracyTier::Fast32] {
+            let cfg = DecoderConfig::new(10, tier);
+            let mut batch = TurboBatchScratch::new();
+            for lanes in [1, 2, 4, 8] {
+                batch.begin_batch(code.coded_len());
+                for cw in &cws[..lanes] {
+                    batch.push_lane(cw);
+                }
+                code.decode_batch(cfg, &mut batch, None);
+                assert_streams_aligned(&batch, tier, &format!("{tier:?}, {lanes}-lane pool"));
+            }
+            let mut feed = Trickle {
+                cws: &cws,
+                next: 0,
+                admitted_this_pass: false,
+                widths: Vec::new(),
+            };
+            code.decode_pool(cfg, &mut batch, POOL_LANES, &mut feed, None);
+            let widened = feed.widths.windows(2).any(|w| w[0] < w[1]);
+            let narrowed = feed.widths.windows(2).any(|w| w[0] > w[1]);
+            assert!(
+                widened && narrowed && feed.widths.contains(&POOL_LANES),
+                "widths {:?}",
+                feed.widths
+            );
+            assert_streams_aligned(&batch, tier, &format!("{tier:?}, after repacks"));
+            let mut clone = batch.clone();
+            clone.begin_batch(code.coded_len());
+            clone.push_lane(&cws[0]);
+            code.decode_batch(cfg, &mut clone, None);
+            assert_streams_aligned(
+                &clone,
+                tier,
+                &format!("{tier:?}, clone of a warm workspace"),
             );
         }
     }
