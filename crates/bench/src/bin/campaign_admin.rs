@@ -18,13 +18,13 @@
 //!   in `--dir` (e.g. CI artifacts of parallel `--shard i/n` legs),
 //!   proves they form one complete partition, and writes the unified
 //!   `<name>.jsonl` + `<name>.manifest.json` into `--out-dir` (default:
-//!   `--dir`). The merged manifest is byte-identical to a single-host
-//!   run's — CI `cmp`s the two on every push.
-//! * `gc` — rewrites the store down to the canonical chunk cover its
-//!   manifest needs, dropping orphaned keys, duplicates, stale chunks
-//!   from abandoned schedules and torn lines.
-//! * `verify` — checks the store can reproduce every manifest point
-//!   (chunks tile `0..packets` gaplessly); exits 1 on inconsistency.
+//!   `--dir`). Statistics are replayed from the merged store, so the
+//!   manifest is byte-identical to a single-host run's (CI `cmp`s it).
+//! * `gc` — rewrites the store down to the chunks the controller's
+//!   replay of its manifest uses, dropping orphaned keys, duplicates,
+//!   stale chunks from abandoned schedules and torn lines.
+//! * `verify` — replays every manifest point over the store and compares
+//!   every field; exits 1 on a missing chunk or a mismatch, naming both.
 //!   `--strict` additionally cross-checks each point's recorded
 //!   provenance: `chunks_from_store`/`packets_from_store` must not
 //!   exceed the realized totals, and a point claiming store reuse must
@@ -58,7 +58,7 @@ use std::path::{Path, PathBuf};
 
 use hspa_phy::turbo::AccuracyTier;
 use resilience_core::campaign::{
-    manifest, shard, store, BackendKind, QueryFilter, ShardSpec, DEFAULT_STORE_DIR,
+    shard, store, BackendKind, Manifest, QueryFilter, ShardSpec, DEFAULT_STORE_DIR,
 };
 use resilience_core::telemetry::LiveSnapshot;
 
@@ -200,7 +200,7 @@ fn main() {
             let report = shard::verify_with(&name, &dir, spec, strict)
                 .unwrap_or_else(|e| fail(&format!("verify {name}"), e));
             println!(
-                "verify campaign {name}: {}/{} points covered by the store \
+                "verify campaign {name}: {}/{} points reproduced by replaying the store \
                  ({} orphaned, {} stale, {} duplicate chunks, {} malformed lines)",
                 report.covered_points,
                 report.points,
@@ -365,9 +365,9 @@ fn top(name: &str, dir: &Path, once: bool, interval_secs: u64) -> ! {
             // Fallback: a finished (or telemetry-less) campaign still
             // has its manifest — show its totals instead of nothing.
             let manifest_path = dir.join(shard::manifest_file(name, ShardSpec::single()));
-            match manifest::read_summary(&manifest_path) {
-                Some(s) => {
-                    let t = s.totals;
+            match Manifest::read(&manifest_path) {
+                Ok(m) => {
+                    let t = m.totals();
                     println!(
                         "campaign {name} [no live snapshot; manifest totals]: \
                          {}/{} points converged, {} packets, store-hit rate {:.1}% \
@@ -380,7 +380,10 @@ fn top(name: &str, dir: &Path, once: bool, interval_secs: u64) -> ! {
                     );
                     std::process::exit(0);
                 }
-                None => {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    fail(&format!("top {name}"), e)
+                }
+                Err(_) => {
                     if once {
                         fail(
                             &format!("top {name}"),

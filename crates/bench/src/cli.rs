@@ -49,11 +49,9 @@
 //! Campaigns are the default execution path: unless `--one-shot` is
 //! given, every binary runs adaptive budgets against the store.
 
-use std::path::Path;
-
 use hspa_phy::turbo::AccuracyTier;
 use resilience_core::campaign::{
-    manifest, BackendKind, BackoffPolicy, Campaign, CampaignSettings, ShardSpec,
+    BackendKind, BackoffPolicy, Campaign, CampaignSettings, Manifest, ManifestTotals, ShardSpec,
 };
 use resilience_core::experiments::ExperimentBudget;
 
@@ -218,9 +216,12 @@ pub fn print_campaign_summary(budget: &ExperimentBudget, names: &[&str]) {
     };
     for name in names {
         let path = Campaign::manifest_path_for(name, &settings);
-        match manifest::read_summary(&path) {
-            Some(s) => println!("{}", summary_line(&s)),
-            None => println!("campaign {name}: no manifest at {}", path.display()),
+        match Manifest::read(&path) {
+            Ok(m) => println!("{}", summary_line(name, &m.totals())),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                println!("campaign {name}: no manifest at {}", path.display())
+            }
+            Err(e) => println!("campaign {name}: {e}"),
         }
     }
 }
@@ -434,12 +435,10 @@ pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
 
 /// One human- and grep-friendly line per campaign (the CI resume-smoke
 /// job parses the `store-hit rate` figure).
-pub fn summary_line(s: &manifest::ManifestSummary) -> String {
-    let t = s.totals;
+pub fn summary_line(name: &str, t: &ManifestTotals) -> String {
     format!(
-        "campaign {}: {} points ({} converged), store-hit rate: {:.1}% ({}/{} chunks, \
+        "campaign {name}: {} points ({} converged), store-hit rate: {:.1}% ({}/{} chunks, \
          {:.1}% of packets), packets {}/{} (saved {:.1}% vs fixed budget)",
-        s.name,
         t.points_total,
         t.points_converged,
         t.store_hit_rate() * 100.0,
@@ -450,11 +449,6 @@ pub fn summary_line(s: &manifest::ManifestSummary) -> String {
         t.budget_packets,
         t.saved_vs_fixed() * 100.0,
     )
-}
-
-/// Reads a manifest summary from an explicit path (benches and tests).
-pub fn summary_at(path: &Path) -> Option<manifest::ManifestSummary> {
-    manifest::read_summary(path)
 }
 
 #[cfg(test)]
@@ -778,19 +772,17 @@ mod tests {
 
     #[test]
     fn summary_line_is_grepable() {
-        let s = manifest::ManifestSummary {
-            name: "fig6".into(),
-            totals: manifest::ManifestTotals {
-                points_total: 10,
-                points_converged: 8,
-                total_chunks: 20,
-                store_chunks: 20,
-                store_packets: 300,
-                realized_packets: 400,
-                budget_packets: 600,
-            },
+        let t = ManifestTotals {
+            points_total: 10,
+            points_converged: 8,
+            total_chunks: 20,
+            store_chunks: 20,
+            store_packets: 300,
+            realized_packets: 400,
+            budget_packets: 600,
         };
-        let line = summary_line(&s);
+        let line = summary_line("fig6", &t);
+        assert!(line.starts_with("campaign fig6: 10 points"), "{line}");
         assert!(line.contains("store-hit rate: 100.0%"), "{line}");
         assert!(line.contains("75.0% of packets"), "{line}");
         assert!(line.contains("saved 33.3%"), "{line}");

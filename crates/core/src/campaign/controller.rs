@@ -96,26 +96,6 @@ impl CampaignSettings {
         }
     }
 
-    /// The packet range of chunk `index` of a point with the given
-    /// maximum budget, or `None` past the end of the schedule.
-    ///
-    /// Chunks double the cumulative packet count (`initial`, then totals
-    /// `2·initial`, `4·initial`, …) and clamp to `max_packets`, so even a
-    /// fully escalated point runs only O(log) rounds.
-    pub fn chunk(&self, index: usize, max_packets: usize) -> Option<(usize, usize)> {
-        assert!(self.initial_chunk > 0, "initial chunk must be positive");
-        let mut start = 0usize;
-        let mut total = self.initial_chunk.min(max_packets);
-        for _ in 0..index {
-            if total >= max_packets {
-                return None;
-            }
-            start = total;
-            total = (total * 2).min(max_packets);
-        }
-        (total > start).then_some((start, total - start))
-    }
-
     /// The next chunk of a point that has already realized `realized`
     /// packets of a `max_packets` budget, or `None` once the budget is
     /// exhausted.
@@ -123,10 +103,12 @@ impl CampaignSettings {
     /// This is the schedule the campaign loop actually runs. It is a
     /// pure function of `(realized, max_packets, merged stats)`, so a
     /// resumed run replays exactly the same chunk ranges as the run that
-    /// populated the store. In the default (relative-precision) mode it
-    /// reproduces [`CampaignSettings::chunk`]'s doubling schedule; in
-    /// `--target-ci` mode the chunk jumps toward the Wilson-estimated
-    /// sample count for the requested absolute half-width.
+    /// populated the store. In the default (relative-precision) mode
+    /// chunks double the cumulative packet count (`initial`, then totals
+    /// `2·initial`, `4·initial`, …) and clamp to `max_packets`, so even a
+    /// fully escalated point runs only O(log) rounds; in `--target-ci`
+    /// mode the chunk jumps toward the Wilson-estimated sample count for
+    /// the requested absolute half-width.
     pub fn next_chunk(
         &self,
         realized: usize,
@@ -183,6 +165,59 @@ impl CampaignSettings {
             check.resolved_low || check.rel_half_width <= self.precision
         }
     }
+
+    /// Replays the campaign loop for one point over stored chunks: from
+    /// zero it follows [`next_chunk`](Self::next_chunk), merges each
+    /// chunk `fetch(first_packet, n_packets)` returns, and stops once
+    /// [`converged`](Self::converged) holds or the budget is used up —
+    /// what a resume served wholly from the store does, so the result
+    /// reproduces the point's manifest record. `Err` is the first
+    /// scheduled range `fetch` cannot supply; a chunk with the wrong
+    /// packet count, or a shape that cannot merge, counts as missing.
+    pub fn replay(
+        &self,
+        max_packets: usize,
+        mut fetch: impl FnMut(usize, usize) -> Option<HarqStats>,
+    ) -> Result<Replay, (usize, usize)> {
+        let mut replay = Replay {
+            stats: HarqStats::new(0, 0),
+            chunks: 0,
+            converged: false,
+        };
+        while !replay.converged {
+            let realized = replay.stats.packets as usize;
+            let Some((first, len)) = self.next_chunk(realized, max_packets, &replay.stats) else {
+                break;
+            };
+            let chunk = fetch(first, len)
+                .filter(|c| {
+                    c.packets == len as u64
+                        && (replay.chunks == 0
+                            || c.failures_at.len() == replay.stats.failures_at.len())
+                })
+                .ok_or((first, len))?;
+            if replay.chunks == 0 {
+                replay.stats = chunk;
+            } else {
+                replay.stats.merge(&chunk);
+            }
+            replay.chunks += 1;
+            replay.converged = self.converged(&replay.stats);
+        }
+        Ok(replay)
+    }
+}
+
+/// What the controller's schedule derives for one point: the outcome
+/// of a campaign run, or of [`CampaignSettings::replay`] over a store.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Replay {
+    /// Merged statistics of every chunk the schedule ran.
+    pub stats: HarqStats,
+    /// Chunks the schedule ran.
+    pub chunks: usize,
+    /// Whether the stopping rule fired (false = budget cap).
+    pub converged: bool,
 }
 
 /// The achieved confidence-interval quality of one point — computed once
@@ -244,23 +279,29 @@ mod tests {
         s
     }
 
+    /// The default-mode schedule of a `max`-packet point: every range
+    /// [`CampaignSettings::next_chunk`] hands out until the budget ends.
+    fn schedule(s: &CampaignSettings, max: usize) -> Vec<(usize, usize)> {
+        let mut ranges = Vec::new();
+        let mut realized = 0;
+        while let Some((start, len)) = s.next_chunk(realized, max, &stats_with(realized as u64, 0))
+        {
+            ranges.push((start, len));
+            realized += len;
+        }
+        ranges
+    }
+
     #[test]
     fn schedule_doubles_and_clamps() {
         let s = CampaignSettings {
             initial_chunk: 32,
             ..Default::default()
         };
-        assert_eq!(s.chunk(0, 60), Some((0, 32)));
-        assert_eq!(s.chunk(1, 60), Some((32, 28)));
-        assert_eq!(s.chunk(2, 60), None);
-        assert_eq!(s.chunk(0, 240), Some((0, 32)));
-        assert_eq!(s.chunk(1, 240), Some((32, 32)));
-        assert_eq!(s.chunk(2, 240), Some((64, 64)));
-        assert_eq!(s.chunk(3, 240), Some((128, 112)));
-        assert_eq!(s.chunk(4, 240), None);
+        assert_eq!(schedule(&s, 60), [(0, 32), (32, 28)]);
+        assert_eq!(schedule(&s, 240), [(0, 32), (32, 32), (64, 64), (128, 112)]);
         // Tiny budget: one clamped chunk.
-        assert_eq!(s.chunk(0, 6), Some((0, 6)));
-        assert_eq!(s.chunk(1, 6), None);
+        assert_eq!(schedule(&s, 6), [(0, 6)]);
     }
 
     #[test]
@@ -271,12 +312,10 @@ mod tests {
         };
         for max in [1usize, 7, 8, 13, 100] {
             let mut expected_start = 0;
-            let mut idx = 0;
-            while let Some((start, len)) = s.chunk(idx, max) {
-                assert_eq!(start, expected_start, "max={max} idx={idx}");
+            for (start, len) in schedule(&s, max) {
+                assert_eq!(start, expected_start, "max={max}");
                 assert!(len > 0);
                 expected_start += len;
-                idx += 1;
             }
             assert_eq!(expected_start, max, "chunks must cover 0..max");
         }
@@ -345,28 +384,30 @@ mod tests {
 
     #[test]
     fn next_chunk_matches_the_indexed_schedule() {
-        // In default mode the stats-driven schedule must replay the
-        // doubling schedule of `chunk(index, max)` range for range, so
-        // stores written by either are interchangeable.
+        // In default mode the schedule ignores the merged statistics:
+        // chunk `i` of a point is the same range whatever its BLER, so
+        // stores written at any precision are interchangeable.
         let s = CampaignSettings {
             initial_chunk: 7,
             ..Default::default()
         };
         for max in [1usize, 6, 7, 8, 13, 100, 240] {
             let mut realized = 0;
-            let mut idx = 0;
-            while let Some((start, len)) = s.chunk(idx, max) {
-                let stats = stats_with(realized as u64, realized as u64);
-                assert_eq!(
-                    s.next_chunk(realized, max, &stats),
-                    Some((start, len)),
-                    "max={max} idx={idx}"
-                );
+            for (i, &(start, len)) in schedule(&s, max).iter().enumerate() {
+                for delivered in [0, realized as u64 / 2, realized as u64] {
+                    let stats = stats_with(realized as u64, delivered);
+                    assert_eq!(
+                        s.next_chunk(realized, max, &stats),
+                        Some((start, len)),
+                        "max={max} chunk {i}"
+                    );
+                }
                 realized += len;
-                idx += 1;
             }
-            let stats = stats_with(realized as u64, realized as u64);
-            assert_eq!(s.next_chunk(realized, max, &stats), None);
+            assert_eq!(
+                s.next_chunk(realized, max, &stats_with(realized as u64, 0)),
+                None
+            );
         }
     }
 
@@ -410,5 +451,55 @@ mod tests {
         assert!(len0 >= 16, "must keep ≥1.5x growth, got {len0}");
         // The budget cap still binds.
         assert_eq!(s.next_chunk(32, 40, &stats_with(32, 16)), Some((32, 8)));
+    }
+
+    #[test]
+    fn replay_follows_the_schedule_to_the_stopping_rule() {
+        let s = CampaignSettings {
+            initial_chunk: 8,
+            ..Default::default()
+        };
+        let delivered_all = |_: usize, len: usize| Some(stats_with(len as u64, len as u64));
+        // 8/8 and 16/16 delivered keep going; 32/32 resolves low.
+        let mut asked = Vec::new();
+        let r = s
+            .replay(240, |first, len| {
+                asked.push((first, len));
+                delivered_all(first, len)
+            })
+            .unwrap();
+        assert_eq!(asked, [(0, 8), (8, 8), (16, 16)]);
+        assert_eq!((r.stats.packets, r.chunks, r.converged), (32, 3, true));
+        // The budget cap stops a point that never converges.
+        let r = CampaignSettings::exhaustive()
+            .replay(20, delivered_all)
+            .unwrap();
+        assert_eq!((r.stats.packets, r.chunks, r.converged), (20, 1, false));
+        // A point with no budget runs no chunk.
+        let r = s.replay(0, delivered_all).unwrap();
+        assert_eq!((r.stats.packets, r.chunks), (0, 0));
+    }
+
+    #[test]
+    fn replay_names_the_first_chunk_it_cannot_use() {
+        let s = CampaignSettings {
+            initial_chunk: 8,
+            ..Default::default()
+        };
+        let gap =
+            |first: usize, len: usize| (first != 8).then(|| stats_with(len as u64, len as u64));
+        assert_eq!(s.replay(240, gap), Err((8, 8)));
+        // A chunk covering a different packet count than asked for, or
+        // one whose shape cannot merge, is not the scheduled chunk.
+        let short = |_: usize, len: usize| Some(stats_with(len as u64 - 1, 0));
+        assert_eq!(s.replay(240, short), Err((0, 8)));
+        let reshaped = |first: usize, len: usize| {
+            let mut c = stats_with(len as u64, len as u64);
+            if first > 0 {
+                c.failures_at.push(0);
+            }
+            Some(c)
+        };
+        assert_eq!(s.replay(240, reshaped), Err((8, 8)));
     }
 }

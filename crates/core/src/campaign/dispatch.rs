@@ -47,8 +47,9 @@
 //!    allowed to sink the whole dispatch.
 //! 4. **Merge + verify.** Once every surviving shard has a clean leg,
 //!    the shard merge folds the artifacts into the unsuffixed
-//!    store/manifest pair and [`shard::verify`] proves the merged store
-//!    can back its manifest. Because the merge normalizes chunk
+//!    store/manifest pair, re-deriving every point's statistics from
+//!    the merged store, and [`shard::verify`] proves the store
+//!    reproduces the merged manifest. Because the merge normalizes chunk
 //!    provenance, the final manifest is **byte-identical** to a
 //!    single-host run at the same settings — whether or not any leg was
 //!    rescued or re-sharded along the way. If shards were abandoned the
@@ -74,7 +75,7 @@ use super::shard::{self, MergeReport, ShardSpec, VerifyReport};
 use super::store::BackendKind;
 use super::DEFAULT_STORE_DIR;
 use crate::failpoint;
-use crate::telemetry::{self, read_snapshot_seq, Counter, EventLog, Field, Gauge};
+use crate::telemetry::{self, Counter, EventLog, Field, Gauge, LiveSnapshot};
 
 /// Largest accepted leg count. Every leg is launched concurrently up
 /// front (there is no staggering), so an implausible count — a typo'd
@@ -864,7 +865,8 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
             spec,
             leg,
             signature: artifact_signature(&cfg.dir, &cfg.name, spec),
-            last_seq: read_snapshot_seq(&cfg.dir.join(shard::telemetry_file(&cfg.name, spec))),
+            last_seq: LiveSnapshot::read(&cfg.dir.join(shard::telemetry_file(&cfg.name, spec)))
+                .map(|s| s.seq),
             last_progress: Instant::now(),
         });
         Ok(())
@@ -1099,7 +1101,8 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
                     // the next snapshot) and as the only signal for
                     // legs that predate telemetry.
                     let seq =
-                        read_snapshot_seq(&cfg.dir.join(shard::telemetry_file(&cfg.name, r.spec)));
+                        LiveSnapshot::read(&cfg.dir.join(shard::telemetry_file(&cfg.name, r.spec)))
+                            .map(|s| s.seq);
                     if seq.is_some() && seq != r.last_seq {
                         r.last_seq = seq;
                         r.last_progress = now;
@@ -1279,51 +1282,41 @@ mod tests {
 
     /// Writes the artifacts a healthy leg of `spec` would leave: a
     /// 2-point campaign (keys 0 and 1) with one 4-packet chunk per
-    /// owned point.
+    /// owned point, each manifest record derived from its chunk by the
+    /// controller's replay.
     fn write_leg_artifacts(dir: &Path, spec: ShardSpec) {
-        let mut m = Manifest::new(
-            NAME,
-            CampaignSettings {
-                shard: spec,
-                ..Default::default()
-            },
-        );
+        let settings = CampaignSettings {
+            shard: spec,
+            ..Default::default()
+        };
+        let mut m = Manifest::new(NAME, settings);
         m.points_enumerated = 2;
         let mut records = Vec::new();
         for key in [0u64, 1] {
             if !spec.owns(key) {
                 continue;
             }
-            m.points.push(PointRecord {
-                index: key,
-                key,
-                label: format!("p{key}"),
-                snr_db: 1.0,
+            let stats = HarqStats {
                 packets: 4,
-                max_packets: 4,
-                bler: 0.0,
-                ci: (0.0, 0.5),
-                rel_half_width: 1.0,
-                converged: true,
-                chunks: 1,
-                chunks_from_store: 0,
-                packets_from_store: 0,
-                tier: hspa_phy::turbo::AccuracyTier::Exact,
-            });
-            records.push((
-                ChunkId {
-                    point: key,
-                    first_packet: 0,
-                    n_packets: 4,
-                },
-                HarqStats {
-                    packets: 4,
-                    delivered: 4,
-                    transmissions: 4,
-                    info_bits: 100,
-                    failures_at: vec![0; 4],
-                },
-            ));
+                delivered: 4,
+                transmissions: 4,
+                info_bits: 100,
+                failures_at: vec![0; 4],
+            };
+            let replay = settings
+                .replay(4, |first, len| {
+                    ((first, len) == (0, 4)).then(|| stats.clone())
+                })
+                .unwrap();
+            let (label, tier) = (format!("p{key}"), hspa_phy::turbo::AccuracyTier::Exact);
+            let record = PointRecord::new(key, key, &label, 1.0, 4, tier, &settings, &replay);
+            m.points.push(record);
+            let chunk = ChunkId {
+                point: key,
+                first_packet: 0,
+                n_packets: 4,
+            };
+            records.push((chunk, stats));
         }
         fs::create_dir_all(dir).unwrap();
         store::write_records(

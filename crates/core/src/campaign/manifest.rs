@@ -4,20 +4,25 @@
 //! after each run call with cumulative totals (chunks simulated vs served
 //! from the store, packets realized vs the fixed budget) plus one record
 //! per operating point with its achieved confidence interval. The bench
-//! binaries print their summary from this file, the CI resume-smoke job
-//! asserts on its store-hit rate, and future multi-host sharding work is
-//! expected to partition points by walking this manifest.
+//! binaries print their summary from this file and the CI resume-smoke
+//! job asserts on its store-hit rate.
+//!
+//! The shard merge, `campaign-admin verify` and the dispatcher read leg
+//! manifests back, so the file is written atomically and read strictly:
+//! [`Manifest::parse`] accepts only the exact bytes
+//! [`Manifest::render_json`] writes. Even then a manifest supplies only
+//! settings, enumeration and each point's identity; a point's
+//! statistics are re-derived from the store by
+//! [`CampaignSettings::replay`] wherever they are consumed.
 
+use std::fmt::Write as _;
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
 use hspa_phy::turbo::AccuracyTier;
 
-use super::controller::CampaignSettings;
-use super::shard::ShardSpec;
-use super::store::{json_bool_field, json_f64_field, json_str_field, json_u64_field, BackendKind};
-use super::PointOutcome;
+use super::controller::{CampaignSettings, PrecisionCheck, Replay};
+use crate::artifact::{self, escape_into, Cursor};
 
 /// One point entry of the manifest.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,34 +65,69 @@ pub struct PointRecord {
 }
 
 impl PointRecord {
-    /// Builds a record from a finished point outcome at the given
-    /// shard-global enumeration index.
-    pub fn from_outcome(o: &PointOutcome, index: u64) -> Self {
+    /// The record of a point from its identity (`index` to `tier`) and
+    /// its controller run — or replay over the store — `replay`. Every
+    /// statistic comes from `replay` through [`PrecisionCheck::of`];
+    /// this is the one constructor behind both a campaign run and the
+    /// shard tooling, so a record's statistics have one source. Store
+    /// provenance starts at zero.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        index: u64,
+        key: u64,
+        label: &str,
+        snr_db: f64,
+        max_packets: usize,
+        tier: AccuracyTier,
+        settings: &CampaignSettings,
+        replay: &Replay,
+    ) -> Self {
+        let check = PrecisionCheck::of(&replay.stats, settings);
         Self {
             index,
-            key: o.key,
-            label: o.label.clone(),
-            snr_db: o.snr_db,
-            packets: o.packets(),
-            max_packets: o.max_packets,
-            bler: o.check.bler,
-            ci: o.check.ci,
-            rel_half_width: o.check.rel_half_width,
-            converged: o.converged,
-            chunks: o.chunks,
-            chunks_from_store: o.chunks_from_store,
-            packets_from_store: o.packets_from_store,
-            tier: o.tier,
+            key,
+            label: label.to_string(),
+            snr_db,
+            packets: replay.stats.packets as usize,
+            max_packets,
+            bler: check.bler,
+            ci: check.ci,
+            rel_half_width: check.rel_half_width,
+            converged: replay.converged,
+            chunks: replay.chunks,
+            chunks_from_store: 0,
+            packets_from_store: 0,
+            tier,
         }
     }
 
-    /// Renders the record as one manifest line (no trailing comma).
-    fn render(&self) -> String {
-        format!(
-            "{{\"index\": {}, \"key\": \"{:016x}\", \"label\": \"{}\", \"snr_db\": {}, \"packets\": {}, \"max\": {}, \"bler\": {:.6}, \"ci_lo\": {:.6}, \"ci_hi\": {:.6}, \"rel_hw\": {:.4}, \"converged\": {}, \"chunks\": {}, \"chunks_store\": {}, \"packets_store\": {}, \"tier\": \"{}\"}}",
+    /// This record's identity with every statistic re-derived from
+    /// `replay` ([`PointRecord::new`]).
+    pub(crate) fn derive(&self, settings: &CampaignSettings, replay: &Replay) -> Self {
+        Self::new(
             self.index,
             self.key,
-            self.label.replace('"', "'"),
+            &self.label,
+            self.snr_db,
+            self.max_packets,
+            self.tier,
+            settings,
+            replay,
+        )
+    }
+
+    /// Appends the record as one manifest line (no trailing comma).
+    fn render_into(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
+            "{{\"index\": {}, \"key\": \"{:016x}\", \"label\": \"",
+            self.index, self.key
+        );
+        escape_into(out, &self.label);
+        let _ = write!(
+            out,
+            "\", \"snr_db\": {}, \"packets\": {}, \"max\": {}, \"bler\": {:.6}, \"ci_lo\": {:.6}, \"ci_hi\": {:.6}, \"rel_hw\": {:.4}, \"converged\": {}, \"chunks\": {}, \"chunks_store\": {}, \"packets_store\": {}, \"tier\": \"{}\"}}",
             self.snr_db,
             self.packets,
             self.max_packets,
@@ -100,52 +140,50 @@ impl PointRecord {
             self.chunks_from_store,
             self.packets_from_store,
             self.tier,
-        )
+        );
     }
 
-    /// Parses one manifest point line (as written by
-    /// [`PointRecord::render`]); `None` on malformed input.
-    ///
-    /// Round-trip stability matters here: `render(parse(line)) == line`
-    /// for every line `render` produced, because the shard merge
-    /// re-renders parsed records and the merged manifest must be
-    /// byte-identical to a single-host run's.
-    pub fn parse(line: &str) -> Option<Self> {
-        let line = line.trim().trim_end_matches(',');
-        // The label is the only string field that may contain commas,
-        // so field scanning is done on the text after its closing quote
-        // (labels never contain '"': render maps embedded quotes to ').
-        let tag = "\"label\": \"";
-        let lstart = line.find(tag)? + tag.len();
-        let lend = lstart + line[lstart..].find('"')?;
-        let label = line[lstart..lend].to_string();
-        let head = &line[..lstart];
-        let rest = &line[lend..];
+    /// Parses one record in [`render`](Self::render)'s field order
+    /// (struct fields evaluate in source order).
+    fn parse_from(cur: &mut Cursor<'_>) -> Option<Self> {
         Some(Self {
-            index: json_u64_field(head, "index")?,
-            key: u64::from_str_radix(&json_str_field(head, "key")?, 16).ok()?,
-            label,
-            snr_db: json_f64_field(rest, "snr_db")?,
-            packets: json_u64_field(rest, "packets")? as usize,
-            max_packets: json_u64_field(rest, "max")? as usize,
-            bler: json_f64_field(rest, "bler")?,
+            index: cur.tag(b"{\"index\": ")?.uint()?,
+            key: cur.tag(b", \"key\": \"")?.hex16()?,
+            label: cur.tag(b"\", \"label\": ")?.string()?,
+            snr_db: cur.tag(b", \"snr_db\": ")?.float()?,
+            packets: cur.tag(b", \"packets\": ")?.usize()?,
+            max_packets: cur.tag(b", \"max\": ")?.usize()?,
+            bler: cur.tag(b", \"bler\": ")?.float()?,
             ci: (
-                json_f64_field(rest, "ci_lo")?,
-                json_f64_field(rest, "ci_hi")?,
+                cur.tag(b", \"ci_lo\": ")?.float()?,
+                cur.tag(b", \"ci_hi\": ")?.float()?,
             ),
-            rel_half_width: json_f64_field(rest, "rel_hw")?,
-            converged: json_bool_field(rest, "converged")?,
-            chunks: json_u64_field(rest, "chunks")? as usize,
-            chunks_from_store: json_u64_field(rest, "chunks_store")? as usize,
-            // Lenient: manifests written before the field existed parse
-            // as zero (the merge then re-renders them with it).
-            packets_from_store: json_u64_field(rest, "packets_store").unwrap_or(0) as usize,
-            // Lenient for the same reason: older manifests predate the
-            // tier field, and `exact` is the historical default.
-            tier: json_str_field(rest, "tier")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(AccuracyTier::Exact),
+            rel_half_width: cur.tag(b", \"rel_hw\": ")?.float()?,
+            converged: cur.tag(b", \"converged\": ")?.boolean()?,
+            chunks: cur.tag(b", \"chunks\": ")?.usize()?,
+            chunks_from_store: cur.tag(b", \"chunks_store\": ")?.usize()?,
+            packets_from_store: cur.tag(b", \"packets_store\": ")?.usize()?,
+            tier: cur.tag(b", \"tier\": ")?.string()?.parse().ok()?,
         })
+    }
+
+    /// The rendered `"name": value` statistic and provenance fields
+    /// (everything after the label) that differ between two records, as
+    /// `(self's, other's)` pairs — how `verify` names what a manifest
+    /// line got wrong.
+    pub(crate) fn differing_fields(&self, other: &Self) -> Vec<(String, String)> {
+        let fields = |r: &Self| -> Vec<String> {
+            let mut line = String::new();
+            r.render_into(&mut line);
+            // The label escapes every `"`, so the first `"snr_db": `
+            // ends it, and after it every `, "` separates two fields.
+            let tail = &line[line.find("\"snr_db\": ").unwrap_or(0)..];
+            let tail = tail.trim_end_matches('}').split(", \"");
+            tail.map(|f| format!("\"{}", f.trim_start_matches('"')))
+                .collect()
+        };
+        let (a, b) = (fields(self), fields(other));
+        a.into_iter().zip(b).filter(|(x, y)| x != y).collect()
     }
 }
 
@@ -189,86 +227,90 @@ impl Manifest {
     /// single-host run's.
     pub fn render_json(&self) -> String {
         let t = self.totals();
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"campaign\": \"{}\",\n", self.name));
-        out.push_str(&format!(
-            "  \"settings\": {{\"precision\": {}, \"bler_floor\": {}, \"initial_chunk\": {}, \"target_ci\": {}}},\n",
+        let mut out = String::from("{\n  \"campaign\": \"");
+        escape_into(&mut out, &self.name);
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(
+            out,
+            "\",\n  \"settings\": {{\"precision\": {}, \"bler_floor\": {}, \"initial_chunk\": {}, \"target_ci\": {}}},",
             self.settings.precision,
             self.settings.bler_floor,
             self.settings.initial_chunk,
             self.settings.target_ci
-        ));
+        );
         if self.settings.shard.is_sharded() {
-            out.push_str(&format!("  \"shard\": \"{}\",\n", self.settings.shard));
+            let _ = writeln!(out, "  \"shard\": \"{}\",", self.settings.shard);
         }
-        out.push_str(&format!(
-            "  \"points_enumerated\": {},\n",
-            self.points_enumerated
-        ));
-        out.push_str(&format!("  \"points_total\": {},\n", t.points_total));
-        out.push_str(&format!(
-            "  \"points_converged\": {},\n",
-            t.points_converged
-        ));
-        out.push_str(&format!("  \"total_chunks\": {},\n", t.total_chunks));
-        out.push_str(&format!("  \"store_chunks\": {},\n", t.store_chunks));
-        out.push_str(&format!(
-            "  \"realized_packets\": {},\n",
-            t.realized_packets
-        ));
-        out.push_str(&format!("  \"budget_packets\": {},\n", t.budget_packets));
-        out.push_str(&format!(
-            "  \"saved_vs_fixed\": {:.4},\n",
-            t.saved_vs_fixed()
-        ));
-        out.push_str(&format!(
-            "  \"store_hit_rate\": {:.4},\n",
-            t.store_hit_rate()
-        ));
-        out.push_str(&format!("  \"store_packets\": {},\n", t.store_packets));
-        out.push_str(&format!(
-            "  \"store_packet_rate\": {:.4},\n",
-            t.store_packet_rate()
-        ));
-        out.push_str("  \"points\": [\n");
+        let _ = write!(
+            out,
+            "  \"points_enumerated\": {},\n  \"points_total\": {},\n  \"points_converged\": {},\n  \
+             \"total_chunks\": {},\n  \"store_chunks\": {},\n  \"realized_packets\": {},\n  \
+             \"budget_packets\": {},\n  \"saved_vs_fixed\": {:.4},\n  \"store_hit_rate\": {:.4},\n  \
+             \"store_packets\": {},\n  \"store_packet_rate\": {:.4},\n  \"points\": [\n",
+            self.points_enumerated,
+            t.points_total,
+            t.points_converged,
+            t.total_chunks,
+            t.store_chunks,
+            t.realized_packets,
+            t.budget_packets,
+            t.saved_vs_fixed(),
+            t.store_hit_rate(),
+            t.store_packets,
+            t.store_packet_rate(),
+        );
         for (i, p) in self.points.iter().enumerate() {
-            out.push_str(&format!(
-                "    {}{}\n",
-                p.render(),
-                if i + 1 < self.points.len() { "," } else { "" }
-            ));
+            out.push_str("    ");
+            p.render_into(&mut out);
+            out.push_str(if i + 1 < self.points.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         out.push_str("  ]\n}\n");
         out
     }
 
     /// Parses a manifest back from its JSON text — the full inverse of
-    /// [`Manifest::render_json`] (the store-side `resume` knob is not
-    /// part of the rendered identity and comes back as its default).
+    /// [`Manifest::render_json`] (the store-side `resume` and `backend`
+    /// knobs are not part of the rendered identity and come back as
+    /// their defaults). `None` unless `json` is exactly the rendering of
+    /// the manifest it parses to, so an edited, duplicated, reordered
+    /// or truncated manifest never parses.
     pub fn parse(json: &str) -> Option<Self> {
-        let name = json_str_field(json, "campaign")?;
-        let shard = match json_str_field(json, "shard") {
-            Some(s) => s.parse::<ShardSpec>().ok()?,
-            None => ShardSpec::single(),
+        artifact::canonical(json, Self::parse_from, Self::render_json)
+    }
+
+    fn parse_from(cur: &mut Cursor<'_>) -> Option<Self> {
+        let name = cur.tag(b"{\n  \"campaign\": ")?.string()?;
+        let mut settings = CampaignSettings {
+            precision: cur.tag(b",\n  \"settings\": {\"precision\": ")?.float()?,
+            bler_floor: cur.tag(b", \"bler_floor\": ")?.float()?,
+            // The schedule is undefined for an empty first chunk.
+            initial_chunk: cur
+                .tag(b", \"initial_chunk\": ")?
+                .usize()
+                .filter(|&c| c > 0)?,
+            target_ci: cur.tag(b", \"target_ci\": ")?.float()?,
+            ..CampaignSettings::default()
         };
-        let settings = CampaignSettings {
-            precision: json_f64_field(json, "precision")?,
-            bler_floor: json_f64_field(json, "bler_floor")?,
-            initial_chunk: json_u64_field(json, "initial_chunk")? as usize,
-            target_ci: json_f64_field(json, "target_ci")?,
-            shard,
-            resume: true,
-            backend: BackendKind::default(),
-        };
-        let points_enumerated = json_u64_field(json, "points_enumerated")?;
-        let body = &json[json.find("\"points\": [")?..];
+        cur.tag(b"},\n")?;
+        if cur.tag(b"  \"shard\": ").is_some() {
+            settings.shard = cur.string()?.parse().ok()?;
+            cur.tag(b",\n")?;
+        }
+        let points_enumerated = cur.tag(b"  \"points_enumerated\": ")?.uint()?;
+        // The totals lines are derived from the points, and the points
+        // lines' separator commas are fixed by their count: the render
+        // comparison checks both.
+        while cur.tag(b"  \"points\": [\n").is_none() {
+            cur.line()?;
+        }
         let mut points = Vec::new();
-        for line in body.lines().skip(1) {
-            let line = line.trim();
-            if line.starts_with(']') {
-                break;
-            }
-            points.push(PointRecord::parse(line)?);
+        while cur.tag(b"  ]\n}\n").is_none() {
+            points.push(PointRecord::parse_from(cur.tag(b"    ")?)?);
+            cur.line()?;
         }
         Some(Self {
             name,
@@ -278,31 +320,33 @@ impl Manifest {
         })
     }
 
-    /// Reads and parses a manifest file (the admin tooling's entry).
+    /// Reads and parses a manifest file (the admin tooling's entry). A
+    /// file that is not exactly a rendered manifest — edited by hand,
+    /// torn, or written by older code — is an error naming the file.
     pub fn read(path: &Path) -> std::io::Result<Self> {
         let json = fs::read_to_string(path)?;
         Self::parse(&json).ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                format!("malformed campaign manifest: {}", path.display()),
+                format!(
+                    "{}: not a canonical campaign manifest (edited, truncated or written by \
+                     older code); re-run the campaign or its merge to rewrite it",
+                    path.display()
+                ),
             )
         })
     }
 
-    /// Writes the manifest to `path` (atomically enough for a summary:
-    /// write then rename is overkill here — a torn manifest only affects
-    /// human-facing reporting, never simulation results).
+    /// Writes the manifest to `path` atomically (temp file + rename):
+    /// the shard merge, `verify` and the dispatcher consume leg
+    /// manifests, and the dispatcher kills stalled legs at arbitrary
+    /// points, so a reader must never see a torn one.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir)?;
-        }
-        let mut f = fs::File::create(path)?;
-        f.write_all(self.render_json().as_bytes())
+        artifact::write_atomic(path, self.render_json().as_bytes())
     }
 }
 
-/// Totals block of a manifest (also what
-/// [`read_summary`] recovers from disk).
+/// Totals block of a manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ManifestTotals {
     /// Points run.
@@ -365,41 +409,12 @@ impl ManifestTotals {
     }
 }
 
-/// Summary parsed back from a manifest file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ManifestSummary {
-    /// Campaign name.
-    pub name: String,
-    /// Aggregated totals.
-    pub totals: ManifestTotals,
-}
-
-/// Reads the totals block of a manifest file; `None` when the file is
-/// missing or malformed.
-pub fn read_summary(path: &Path) -> Option<ManifestSummary> {
-    let json = fs::read_to_string(path).ok()?;
-    // The totals field names occur exactly once, before the points
-    // array, so the flat field scanners from the store module apply.
-    Some(ManifestSummary {
-        name: json_str_field(&json, "campaign")?,
-        totals: ManifestTotals {
-            points_total: json_u64_field(&json, "points_total")?,
-            points_converged: json_u64_field(&json, "points_converged")?,
-            total_chunks: json_u64_field(&json, "total_chunks")?,
-            store_chunks: json_u64_field(&json, "store_chunks")?,
-            store_packets: json_u64_field(&json, "store_packets").unwrap_or(0),
-            realized_packets: json_u64_field(&json, "realized_packets")?,
-            budget_packets: json_u64_field(&json, "budget_packets")?,
-        },
-    })
-    .filter(|_| json_f64_field(&json, "saved_vs_fixed").is_some())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::ShardSpec;
 
-    fn sample_manifest() -> Manifest {
+    pub(crate) fn sample_manifest() -> Manifest {
         let mut m = Manifest::new("test", CampaignSettings::default());
         m.points_enumerated = 2;
         m.points.push(PointRecord {
@@ -421,7 +436,7 @@ mod tests {
         m.points.push(PointRecord {
             index: 1,
             key: 0xfeed_face_0000_0001,
-            label: "6T, Nf=10.00% @ 9dB".into(),
+            label: "6T, Nf=10.00% @ 9dB \"q\" \\".into(),
             snr_db: 9.0,
             packets: 60,
             max_packets: 60,
@@ -460,11 +475,22 @@ mod tests {
             std::process::id()
         ));
         m.write(&path).unwrap();
-        let summary = read_summary(&path).expect("parses back");
-        assert_eq!(summary.name, "test");
-        assert_eq!(summary.totals, m.totals());
+        let read = Manifest::read(&path).expect("parses back");
+        assert_eq!(read.name, "test");
+        assert_eq!(read.totals(), m.totals());
+        // A manifest written by code that predates a field is a loud
+        // error naming the file, never a lenient default.
+        let old = m.render_json().replace(", \"packets_store\": 32", "");
+        fs::write(&path, old).unwrap();
+        let err = Manifest::read(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "{err}"
+        );
         let _ = fs::remove_file(&path);
-        assert!(read_summary(&path).is_none(), "missing file is None");
+        let err = Manifest::read(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "missing file");
     }
 
     #[test]
@@ -472,18 +498,28 @@ mod tests {
         let t = Manifest::new("empty", CampaignSettings::default()).totals();
         assert_eq!(t.saved_vs_fixed(), 0.0);
         assert_eq!(t.store_hit_rate(), 0.0);
+        let json = Manifest::new("empty", CampaignSettings::default()).render_json();
+        assert!(
+            Manifest::parse(&json).is_some(),
+            "a point-less manifest parses"
+        );
     }
 
     #[test]
     fn full_parse_round_trips_to_identical_bytes() {
         // The shard merge re-renders parsed manifests, so
         // render → parse → render must be a byte-level fixed point —
-        // including awkward labels (commas, %, @) and float fields.
+        // including awkward labels (commas, %, @, quotes, backslashes)
+        // and float fields.
         let m = sample_manifest();
         let json = m.render_json();
         let parsed = Manifest::parse(&json).expect("parses back");
         assert_eq!(parsed, m);
         assert_eq!(parsed.render_json(), json, "render∘parse must be id");
+        // Labels are escaped; a label without `"` or `\`, like every
+        // label the figures emit, renders verbatim.
+        assert!(json.contains("\"label\": \"6T, Nf=10.00% @ 9dB \\\"q\\\" \\\\\", "));
+        assert!(json.contains("\"label\": \"quantized @ 18dB\", \"snr_db\": 18,"));
     }
 
     #[test]
@@ -501,11 +537,63 @@ mod tests {
 
     #[test]
     fn point_record_parse_rejects_malformed_lines() {
-        let line = sample_manifest().points[1].render();
-        assert!(PointRecord::parse(&line).is_some());
-        assert!(PointRecord::parse(&line[..line.len() / 2]).is_none());
-        assert!(PointRecord::parse("{}").is_none());
-        // Trailing comma (mid-array form) is tolerated.
-        assert!(PointRecord::parse(&format!("{line},")).is_some());
+        let json = sample_manifest().render_json();
+        let mut line = String::new();
+        sample_manifest().points[1].render_into(&mut line);
+        assert!(json.contains(&line));
+        let with = |replacement: &str| json.replace(&line, replacement);
+        for bad in [
+            line[..line.len() / 2].to_string(),
+            "{}".to_string(),
+            format!("{line},"),
+            line.replace("\"bler\": 0.400000", "\"bler\": 0.4"),
+            line.replace("\"bler\": 0.400000", "\"bler\":  0.400000"),
+            line.replace("\"bler\": 0.400000", "\"bler\": 0.25, \"bler\": 0.400000"),
+            line.replace("\"tier\": \"early-stop\"", "\"tier\": \"turbo\""),
+        ] {
+            assert!(Manifest::parse(&with(&bad)).is_none(), "{bad}");
+        }
+        // An edited total is caught by the render comparison too.
+        let edited = json.replace("\"points_converged\": 1,", "\"points_converged\": 2,");
+        assert_ne!(edited, json);
+        assert!(Manifest::parse(&edited).is_none());
+        // So is a manifest cut at a point-line boundary.
+        let cut = &json[..json.find(",\n    {\"index\": 1").unwrap()];
+        assert!(Manifest::parse(&format!("{cut}\n  ]\n}}\n")).is_none());
+    }
+
+    #[test]
+    fn derived_records_take_statistics_from_the_replay_only() {
+        let settings = CampaignSettings::default();
+        let mut stats = hspa_phy::harq::HarqStats::new(4, 100);
+        stats.packets = 32;
+        stats.delivered = 24;
+        let replay = Replay {
+            stats: stats.clone(),
+            chunks: 2,
+            converged: false,
+        };
+        let p = &sample_manifest().points[1];
+        let r = p.derive(&settings, &replay);
+        let check = PrecisionCheck::of(&stats, &settings);
+        assert_eq!(
+            (&r.label, r.key, r.max_packets, r.tier),
+            (&p.label, p.key, 60, p.tier)
+        );
+        assert_eq!((r.packets, r.bler, r.ci), (32, check.bler, check.ci));
+        assert_eq!(r.rel_half_width, check.rel_half_width);
+        assert_eq!((r.chunks, r.converged), (2, false));
+        assert_eq!((r.chunks_from_store, r.packets_from_store), (0, 0));
+
+        let mut edited = r.clone();
+        edited.bler = 0.9;
+        let diff = edited.differing_fields(&r);
+        assert_eq!(
+            diff,
+            vec![(
+                "\"bler\": 0.900000".to_string(),
+                "\"bler\": 0.250000".to_string()
+            )]
+        );
     }
 }

@@ -96,7 +96,7 @@ pub use dispatch::{
     dispatch, BackoffPolicy, CommandLauncher, DispatchConfig, DispatchReport, Launcher, Leg,
     LocalLauncher,
 };
-pub use manifest::{Manifest, ManifestSummary, ManifestTotals};
+pub use manifest::{Manifest, ManifestTotals};
 pub use shard::ShardSpec;
 pub use store::{BackendKind, QueryFilter, ResultStore, StoreBackend};
 
@@ -381,13 +381,8 @@ impl Campaign {
             .join(shard::prom_file(&self.name, self.settings.shard))
     }
 
-    /// Default manifest path of a named campaign under the default store
-    /// directory — where the bench binaries look for their summaries.
-    pub fn default_manifest_path(name: &str) -> PathBuf {
-        Path::new(DEFAULT_STORE_DIR).join(shard::manifest_file(name, ShardSpec::single()))
-    }
-
-    /// [`Campaign::default_manifest_path`] for explicit settings —
+    /// Manifest path of a named campaign under the default store
+    /// directory — where the bench binaries look for their summaries;
     /// resolves the shard-suffixed file of a `--shard i/n` run.
     pub fn manifest_path_for(name: &str, settings: &CampaignSettings) -> PathBuf {
         Path::new(DEFAULT_STORE_DIR).join(shard::manifest_file(name, settings.shard))
@@ -797,12 +792,26 @@ impl Campaign {
         {
             let mut manifest = self.manifest.borrow_mut();
             let base = manifest.points_enumerated;
-            for (i, o) in outcomes.iter().enumerate() {
-                if o.owned {
-                    manifest
-                        .points
-                        .push(manifest::PointRecord::from_outcome(o, base + i as u64));
-                }
+            for (i, o) in outcomes.iter().enumerate().filter(|(_, o)| o.owned) {
+                let replay = controller::Replay {
+                    stats: o.stats.clone(),
+                    chunks: o.chunks,
+                    converged: o.converged,
+                };
+                manifest.points.push(manifest::PointRecord {
+                    chunks_from_store: o.chunks_from_store,
+                    packets_from_store: o.packets_from_store,
+                    ..manifest::PointRecord::new(
+                        base + i as u64,
+                        o.key,
+                        &o.label,
+                        o.snr_db,
+                        o.max_packets,
+                        o.tier,
+                        &self.settings,
+                        &replay,
+                    )
+                });
             }
             manifest.points_enumerated = base + outcomes.len() as u64;
             if let Err(e) = manifest.write(&self.manifest_path()) {

@@ -18,14 +18,16 @@
 //! depends only on its absolute position in the seed tree (see
 //! [`crate::engine`]), so which host simulates a point cannot change its
 //! statistics, and the controller's stopping decisions are pure
-//! functions of those statistics. The coordinator's only job is
-//! bookkeeping — partition, gather, dedup, re-order.
+//! functions of those statistics. The coordinator partitions, gathers,
+//! dedups and re-orders, and takes no statistic from a leg's manifest:
+//! [`merge`], [`verify`] and [`gc`] all replay the controller's
+//! schedule over the store ([`super::CampaignSettings::replay`]).
 //!
 //! The admin entry points ([`merge`], [`gc`], [`verify`], [`stats`]) are
 //! plain functions over a `(name, directory)` pair; the `campaign-admin`
 //! binary in the `bench` crate is a thin argv wrapper around them.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -34,6 +36,7 @@ use std::str::FromStr;
 
 use hspa_phy::harq::HarqStats;
 
+use super::controller::Replay;
 use super::manifest::{Manifest, ManifestTotals, PointRecord};
 use super::store::{self, BackendKind, ChunkId, QueryFilter};
 
@@ -402,11 +405,14 @@ pub fn discover_shards(name: &str, dir: &Path) -> io::Result<Vec<PathBuf>> {
 /// validates that they form one consistent, complete partition — same
 /// campaign, same settings, same enumeration count, disjoint indices
 /// covering every point — then writes `<out_dir>/<name>.manifest.json`
-/// and `<out_dir>/<name>.jsonl`. The merged manifest is byte-identical
-/// to the one an unsharded run at the same settings would write; the
-/// merged store holds the same chunk set (deduplicated, in canonical
-/// `(key, range)` order — a single-host store lists the identical
-/// records in execution order instead).
+/// and `<out_dir>/<name>.jsonl`. The shard manifests supply only
+/// settings, enumeration and point identities; every point's statistics
+/// come from [`super::CampaignSettings::replay`] over the merged store,
+/// and a listed point the store cannot back is an error naming it. The
+/// merged manifest is byte-identical to the one an unsharded run at the
+/// same settings would write; the merged store holds the same chunk set
+/// (deduplicated, in canonical `(key, range)` order — a single-host
+/// store lists the identical records in execution order instead).
 pub fn merge_manifests(
     name: &str,
     manifests: &[PathBuf],
@@ -458,7 +464,13 @@ pub fn merge_manifests_allowing_partial(
     // index space.
     let count = parsed[0].1.settings.shard.count;
     let enumerated = parsed[0].1.points_enumerated;
-    let reference = normalized_settings(&parsed[0].1);
+    // The settings shards must agree on: everything but the shard itself
+    // (the store-side knobs are not rendered, so they parse as defaults).
+    let unsharded = |m: &Manifest| super::CampaignSettings {
+        shard: ShardSpec::single(),
+        ..m.settings
+    };
+    let settings = unsharded(&parsed[0].1);
     let mut seen_shards = BTreeSet::new();
     for (path, m) in &parsed {
         let at = path.display();
@@ -482,7 +494,7 @@ pub fn merge_manifests_allowing_partial(
                 m.settings.shard
             )));
         }
-        if normalized_settings(m) != reference {
+        if unsharded(m) != settings {
             return Err(invalid(format!(
                 "{at}: controller settings differ between shards"
             )));
@@ -498,22 +510,17 @@ pub fn merge_manifests_allowing_partial(
     // Reassemble the global point order and prove completeness. The
     // expected index sequence is compared lazily — `points_enumerated`
     // comes from an untrusted file, so it must not size an allocation.
-    let mut points: Vec<_> = parsed.iter().flat_map(|(_, m)| m.points.clone()).collect();
+    let mut points: Vec<&PointRecord> = parsed.iter().flat_map(|(_, m)| &m.points).collect();
     points.sort_by_key(|p| p.index);
-    // Normalize chunk provenance: how many chunks a leg served from its
-    // own store is a per-run operational detail, and a rescue leg that
-    // resumed a straggler's store (work stealing) would otherwise leave
-    // resume counts a fresh single-host run cannot have. Zeroing them
-    // keeps the merged manifest byte-identical to a single-host run no
-    // matter the resume/steal history that produced the shards.
-    let mut store_served_chunks = 0u64;
-    let mut store_served_packets = 0u64;
-    for p in &mut points {
-        store_served_chunks += p.chunks_from_store as u64;
-        store_served_packets += p.packets_from_store as u64;
-        p.chunks_from_store = 0;
-        p.packets_from_store = 0;
-    }
+    // Chunk provenance is normalized away (the replay below starts it
+    // at zero): how many chunks a leg served from its own store is a
+    // per-run operational detail, and a rescue leg that resumed a
+    // straggler's store (work stealing) would otherwise leave resume
+    // counts a fresh single-host run cannot have. Zeroing them keeps
+    // the merged manifest byte-identical to a single-host run no matter
+    // the resume/steal history that produced the shards.
+    let store_served_chunks = points.iter().map(|p| p.chunks_from_store as u64).sum();
+    let store_served_packets = points.iter().map(|p| p.packets_from_store as u64).sum();
     let mut missing_points: Vec<u64> = Vec::new();
     let mut missing_points_total = 0u64;
     if !points.iter().map(|p| p.index).eq(0..enumerated) {
@@ -555,12 +562,13 @@ pub fn merge_manifests_allowing_partial(
         }
     }
 
-    // Gather the stores, dropping exact-duplicate chunk records. Each
-    // leg's backend is detected from which store file sits next to its
-    // manifest (legs of one dispatch share a backend, but merge does
-    // not insist on it); the merged store is written in the backend of
-    // the first shard.
-    let mut records: Vec<(ChunkId, HarqStats)> = Vec::new();
+    // Gather the stores, dropping duplicate chunk records (the first
+    // leg's copy wins). Each leg's backend is detected from which store
+    // file sits next to its manifest (legs of one dispatch share a
+    // backend, but merge does not insist on it); the merged store is
+    // written in the backend of the first shard.
+    let mut chunks: BTreeMap<ChunkId, HarqStats> = BTreeMap::new();
+    let mut loaded = 0;
     let mut malformed_lines = 0;
     let mut merged_backend = BackendKind::default();
     for (i, (path, m)) in parsed.iter().enumerate() {
@@ -571,24 +579,32 @@ pub fn merge_manifests_allowing_partial(
         }
         let (recs, malformed) = store::load_all(&store_path)?;
         malformed_lines += malformed;
-        records.extend(recs);
+        loaded += recs.len();
+        for (id, stats) in recs {
+            chunks.entry(id).or_insert(stats);
+        }
     }
-    records.sort_by_key(|(id, _)| (id.point, id.first_packet, id.n_packets));
-    let before = records.len();
-    // determinism: unordered-ok(insert-only dedup filter over the already-sorted record list)
-    let mut seen: HashSet<ChunkId> = HashSet::with_capacity(before);
-    records.retain(|(id, _)| seen.insert(*id));
-    let duplicate_chunks = before - records.len();
+    let duplicate_chunks = loaded - chunks.len();
 
+    // Leg manifests supply only settings, enumeration and the points'
+    // identities. Every statistic is re-derived by replaying the
+    // controller over the merged store, so an edited leg manifest
+    // cannot change the merged one. Store provenance comes out zeroed.
+    let points = points
+        .iter()
+        .map(|p| {
+            let replay = replay_point(&settings, p, &chunks, &mut BTreeSet::new())
+                .map_err(|missing| invalid(format!("merged store cannot back {missing}")))?;
+            Ok(p.derive(&settings, &replay))
+        })
+        .collect::<io::Result<Vec<_>>>()?;
     let merged = Manifest {
         name: name.to_string(),
-        settings: super::CampaignSettings {
-            shard: ShardSpec::single(),
-            ..parsed[0].1.settings
-        },
+        settings,
         points_enumerated: enumerated,
         points,
     };
+    let records: Vec<(ChunkId, HarqStats)> = chunks.into_iter().collect();
     fs::create_dir_all(out_dir)?;
     let store_path = out_dir.join(store_file(name, ShardSpec::single(), merged_backend));
     let manifest_path = out_dir.join(manifest_file(name, ShardSpec::single()));
@@ -678,32 +694,22 @@ pub fn partition_store_into_slices(
     Ok(specs)
 }
 
-/// The settings identity shards must agree on (everything except the
-/// shard assignment itself; `resume` is not rendered into manifests).
-fn normalized_settings(m: &Manifest) -> super::CampaignSettings {
-    super::CampaignSettings {
-        shard: ShardSpec::single(),
-        resume: true,
-        backend: BackendKind::default(),
-        ..m.settings
-    }
-}
-
 /// Outcome of a [`verify`] call.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct VerifyReport {
     /// Points listed in the manifest.
     pub points: usize,
-    /// Of those, points whose realized packet range is fully covered by
-    /// store chunks.
+    /// Of those, points whose manifest line the store reproduces: the
+    /// controller's replay finds every chunk it schedules and renders
+    /// the same statistics.
     pub covered_points: usize,
     /// Store records whose point key no manifest entry references.
     pub orphan_chunks: usize,
     /// Exact-duplicate store records.
     pub duplicate_chunks: usize,
-    /// Store records that no consistent chunk cover uses (left over
-    /// from a different schedule, or beyond the manifest's realized
-    /// packet count).
+    /// Store records of a live key that no replay used (left over from
+    /// a different schedule, or beyond the manifest's realized packet
+    /// count).
     pub stale_chunks: usize,
     /// Unparseable store lines.
     pub malformed_lines: usize,
@@ -720,9 +726,46 @@ impl VerifyReport {
     }
 }
 
-/// Checks that the result store of `(name, shard)` in `dir` can back its
-/// manifest: every manifest point with realized packets must be covered
-/// by store chunks that tile `0..packets` without gaps or overlaps.
+/// Replays the controller for one manifest point over a deduplicated
+/// chunk set, adding every chunk the schedule fetched to `used`. `Err`
+/// names the point and the first chunk of its schedule the store lacks.
+fn replay_point(
+    settings: &super::CampaignSettings,
+    point: &PointRecord,
+    chunks: &BTreeMap<ChunkId, HarqStats>,
+    used: &mut BTreeSet<ChunkId>,
+) -> Result<Replay, String> {
+    settings
+        .replay(point.max_packets, |first_packet, n_packets| {
+            let id = ChunkId {
+                point: point.key,
+                first_packet,
+                n_packets,
+            };
+            let stats = chunks.get(&id)?;
+            used.insert(id);
+            Some(stats.clone())
+        })
+        .map_err(|(first, len)| {
+            let end = first + len;
+            format!(
+                "{}: the store lacks packets {first}..{end} of the controller's schedule",
+                at(point)
+            )
+        })
+}
+
+/// How problem reports name a point.
+fn at(p: &PointRecord) -> String {
+    format!("point {} '{}' (key {:016x})", p.index, p.label, p.key)
+}
+
+/// Checks that the result store of `(name, shard)` in `dir` reproduces
+/// its manifest: every manifest point is replayed through the
+/// controller's schedule ([`super::CampaignSettings::replay`]), and the
+/// line rendered from the replay — with the manifest's own store
+/// provenance — must equal the manifest's line. A chunk the replay
+/// cannot find, or any differing field, is a problem naming the point.
 pub fn verify(name: &str, dir: &Path, shard: ShardSpec) -> io::Result<VerifyReport> {
     verify_with(name, dir, shard, false)
 }
@@ -743,73 +786,60 @@ pub fn verify_with(
     let manifest = Manifest::read(&dir.join(manifest_file(name, shard)))?;
     let (store_path, _) = detect_store_file(name, dir, shard)?;
     let (records, malformed_lines) = store::load_all(&store_path)?;
+    let loaded = records.len();
+    // Last write per chunk wins, as on a resume.
+    let chunks: BTreeMap<ChunkId, HarqStats> = records.into_iter().collect();
+    let live_keys: BTreeSet<u64> = manifest.points.iter().map(|p| p.key).collect();
     let mut report = VerifyReport {
         points: manifest.points.len(),
+        duplicate_chunks: loaded - chunks.len(),
         malformed_lines,
+        // Orphans are counted over the deduplicated record set (a
+        // repeated orphan line is one orphan + one duplicate), so
+        // verify's tallies agree with what gc would drop.
+        orphan_chunks: chunks
+            .keys()
+            .filter(|id| !live_keys.contains(&id.point))
+            .count(),
         ..Default::default()
     };
 
-    // determinism: unordered-ok(keyed gets plus an order-insensitive sum over the stale-chunk tally)
-    let mut by_key: HashMap<u64, Vec<(usize, usize)>> = HashMap::new();
-    // determinism: unordered-ok(dedup membership plus an order-insensitive orphan count)
-    let mut seen: HashSet<ChunkId> = HashSet::new();
-    for (id, _) in &records {
-        if !seen.insert(*id) {
-            report.duplicate_chunks += 1;
-            continue;
-        }
-        by_key
-            .entry(id.point)
-            .or_default()
-            .push((id.first_packet, id.n_packets));
-    }
-
-    // Orphans are counted over the deduplicated record set (a repeated
-    // orphan line is one orphan + one duplicate), so verify's tallies
-    // agree with what gc would drop for the same store.
-    // determinism: unordered-ok(membership test only)
-    let live_keys: HashSet<u64> = manifest.points.iter().map(|p| p.key).collect();
-    report.orphan_chunks = seen
-        .iter()
-        .filter(|id| !live_keys.contains(&id.point))
-        .count();
-
-    // `used` counts, per key, how many distinct chunks some point cover
-    // consumed — the rest of that key's chunks are stale.
-    // determinism: unordered-ok(keyed access only; per-key sets are ordered BTreeSets)
-    let mut used: HashMap<u64, BTreeSet<(usize, usize)>> = HashMap::new();
+    let mut used = BTreeSet::new();
     for point in &manifest.points {
-        if point.packets == 0 {
-            report.covered_points += 1;
-            continue;
-        }
-        let chunks = by_key.get(&point.key).cloned().unwrap_or_default();
-        match find_cover(&chunks, point.packets) {
-            Some(cover) => {
-                report.covered_points += 1;
-                used.entry(point.key).or_default().extend(cover);
+        let replay = match replay_point(&manifest.settings, point, &chunks, &mut used) {
+            Ok(replay) => replay,
+            Err(missing) => {
+                report.problems.push(missing);
+                continue;
             }
-            None => report.problems.push(format!(
-                "point {} '{}' (key {:016x}): no chunk cover of 0..{} in the store \
-                 ({} chunks present for this key)",
-                point.index,
-                point.label,
-                point.key,
-                point.packets,
-                chunks.len(),
-            )),
+        };
+        let replayed = PointRecord {
+            chunks_from_store: point.chunks_from_store,
+            packets_from_store: point.packets_from_store,
+            ..point.derive(&manifest.settings, &replay)
+        };
+        let differing = point.differing_fields(&replayed);
+        if differing.is_empty() {
+            report.covered_points += 1;
+        } else {
+            let fields: Vec<String> = differing
+                .iter()
+                .map(|(listed, derived)| format!("{listed} (replay gives {derived})"))
+                .collect();
+            report.problems.push(format!(
+                "{}: manifest differs from the store's replay: {}",
+                at(point),
+                fields.join(", ")
+            ));
         }
     }
-    for (key, chunks) in &by_key {
-        if !live_keys.contains(key) {
-            continue; // orphans already counted
-        }
-        let used_here = used.get(key).map_or(0, BTreeSet::len);
-        report.stale_chunks += chunks.len() - used_here;
-    }
+    report.stale_chunks = chunks
+        .keys()
+        .filter(|id| live_keys.contains(&id.point) && !used.contains(id))
+        .count();
     if strict {
         for p in &manifest.points {
-            let at = format!("point {} '{}' (key {:016x})", p.index, p.label, p.key);
+            let at = at(p);
             if p.chunks_from_store > p.chunks {
                 report.problems.push(format!(
                     "{at}: {} chunks served from store but only {} chunks ran",
@@ -837,14 +867,14 @@ pub fn verify_with(
 /// Outcome of a [`gc`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GcReport {
-    /// Records kept (the canonical covering set, sorted by key/range).
+    /// Records kept (the replayed chunks, sorted by key/range).
     pub kept: usize,
     /// Records dropped because no manifest point references their key.
     pub dropped_orphans: usize,
     /// Exact-duplicate records dropped.
     pub dropped_duplicates: usize,
-    /// Records of live keys that no chunk cover uses (abandoned
-    /// schedules, packets beyond the manifest's realized count).
+    /// Records of live keys that no replay uses (abandoned schedules,
+    /// packets beyond the manifest's realized count).
     pub dropped_stale: usize,
     /// Malformed (torn) lines dropped.
     pub dropped_malformed: usize,
@@ -854,85 +884,50 @@ pub struct GcReport {
     pub dropped_corrupt: usize,
 }
 
-/// Rewrites the store of `(name, shard)` in `dir` down to the canonical
-/// covering set its manifest needs: orphaned keys, duplicate records,
-/// stale chunks and torn lines are dropped; the surviving records are
-/// written back sorted by `(key, range)`. The manifest is the source of
-/// truth — chunks a *future deeper* run could have reused are removed
-/// too, which is exactly the trade a GC is asked to make.
+/// Rewrites the store of `(name, shard)` in `dir` down to exactly the
+/// chunks the controller's replay of its manifest points uses: orphaned
+/// keys, duplicate records, stale chunks and torn lines are dropped;
+/// the surviving records are written back sorted by `(key, range)`. A
+/// key whose replay misses a chunk keeps every chunk — gc must never
+/// worsen an already-incomplete store (that is `verify`'s problem to
+/// report). The manifest is the source of truth — chunks a *future
+/// deeper* run could have reused are removed too, which is exactly the
+/// trade a GC is asked to make.
 pub fn gc(name: &str, dir: &Path, shard: ShardSpec) -> io::Result<GcReport> {
     let manifest = Manifest::read(&dir.join(manifest_file(name, shard)))?;
     let (store_path, _) = detect_store_file(name, dir, shard)?;
     // Lenient load: gc is the tool the strict loaders point at when they
     // hit a corrupt record, so it must read past (and drop) the damage.
     let load = store::load_all_lenient(&store_path)?;
-    let (records, dropped_malformed, dropped_corrupt) =
-        (load.records, load.torn_lines, load.corrupt_records);
+    let loaded = load.records.len();
+    let chunks: BTreeMap<ChunkId, HarqStats> = load.records.into_iter().collect();
 
-    let mut by_id: BTreeMap<ChunkId, HarqStats> = BTreeMap::new();
-    let mut dropped_duplicates = 0;
-    for (id, stats) in records {
-        if by_id.insert(id, stats).is_some() {
-            dropped_duplicates += 1;
+    let live_keys: BTreeSet<u64> = manifest.points.iter().map(|p| p.key).collect();
+    let mut keep = BTreeSet::new();
+    let mut unbacked_keys = BTreeSet::new();
+    for point in &manifest.points {
+        if replay_point(&manifest.settings, point, &chunks, &mut keep).is_err() {
+            unbacked_keys.insert(point.key);
         }
     }
-
-    // Realized packets per live key (a key can recur across run calls;
-    // the deepest realization wins).
-    // determinism: unordered-ok(iteration only fills an ordered keep-set; kept records are emitted in BTree order)
-    let mut realized: HashMap<u64, usize> = HashMap::new();
-    for p in &manifest.points {
-        let r = realized.entry(p.key).or_insert(0);
-        *r = (*r).max(p.packets);
-    }
-
-    let mut keep: BTreeSet<ChunkId> = BTreeSet::new();
-    let mut dropped_orphans = 0;
-    for id in by_id.keys() {
-        if !realized.contains_key(&id.point) {
-            dropped_orphans += 1;
-        }
-    }
-    for (&key, &packets) in &realized {
-        let chunks: Vec<(usize, usize)> = by_id
-            .range(
-                ChunkId {
-                    point: key,
-                    first_packet: 0,
-                    n_packets: 0,
-                }..=ChunkId {
-                    point: key,
-                    first_packet: usize::MAX,
-                    n_packets: usize::MAX,
-                },
-            )
-            .map(|(id, _)| (id.first_packet, id.n_packets))
-            .collect();
-        // Keep the covering set when one exists; otherwise keep every
-        // chunk of the key — gc must never worsen an already-incomplete
-        // store (that is `verify`'s problem to report).
-        let keep_ranges = find_cover(&chunks, packets).unwrap_or(chunks);
-        keep.extend(keep_ranges.into_iter().map(|(first, len)| ChunkId {
-            point: key,
-            first_packet: first,
-            n_packets: len,
-        }));
-    }
-
-    let kept_records: Vec<(ChunkId, HarqStats)> = by_id
+    let dropped_orphans = chunks
+        .keys()
+        .filter(|id| !live_keys.contains(&id.point))
+        .count();
+    let kept_records: Vec<(ChunkId, HarqStats)> = chunks
         .iter()
-        .filter(|(id, _)| keep.contains(id))
+        .filter(|(id, _)| keep.contains(id) || unbacked_keys.contains(&id.point))
         .map(|(id, stats)| (*id, stats.clone()))
         .collect();
-    let dropped_stale = by_id.len() - kept_records.len() - dropped_orphans;
+    let dropped_stale = chunks.len() - kept_records.len() - dropped_orphans;
     store::write_records(&store_path, &kept_records)?;
     Ok(GcReport {
         kept: kept_records.len(),
         dropped_orphans,
-        dropped_duplicates,
+        dropped_duplicates: loaded - chunks.len(),
         dropped_stale,
-        dropped_malformed,
-        dropped_corrupt,
+        dropped_malformed: load.torn_lines,
+        dropped_corrupt: load.corrupt_records,
     })
 }
 
@@ -1089,49 +1084,6 @@ pub fn query(name: &str, dir: &Path, shard: ShardSpec, filter: &QueryFilter) -> 
     Ok(out)
 }
 
-/// Finds a subset of `chunks` (each a `(first_packet, n_packets)`
-/// range) that tiles `0..target` exactly — no gaps, no overlaps.
-/// Greedy longest-first with backtracking: deterministic, and robust to
-/// stores holding chunks from several schedules (e.g. a `--target-ci`
-/// run resumed over a doubling-schedule store).
-fn find_cover(chunks: &[(usize, usize)], target: usize) -> Option<Vec<(usize, usize)>> {
-    let mut by_start: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for &(first, len) in chunks {
-        if len > 0 && first < target {
-            by_start.entry(first).or_default().push(len);
-        }
-    }
-    for lens in by_start.values_mut() {
-        lens.sort_unstable_by(|a, b| b.cmp(a));
-        lens.dedup();
-    }
-    let mut cover = Vec::new();
-    fn rec(
-        by_start: &BTreeMap<usize, Vec<usize>>,
-        pos: usize,
-        target: usize,
-        cover: &mut Vec<(usize, usize)>,
-    ) -> bool {
-        if pos == target {
-            return true;
-        }
-        let Some(lens) = by_start.get(&pos) else {
-            return false;
-        };
-        for &len in lens {
-            if pos + len <= target {
-                cover.push((pos, len));
-                if rec(by_start, pos + len, target, cover) {
-                    return true;
-                }
-                cover.pop();
-            }
-        }
-        false
-    }
-    rec(&by_start, 0, target, &mut cover).then_some(cover)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1234,25 +1186,38 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn cover_finder_handles_mixed_schedules() {
-        // Pure doubling schedule.
-        assert_eq!(
-            find_cover(&[(0, 8), (8, 8), (16, 16)], 32),
-            Some(vec![(0, 8), (8, 8), (16, 16)])
-        );
-        // Two interleaved schedules; only one tiles 0..24 — greedy
-        // longest-first must backtrack out of the (0,16) branch.
-        assert_eq!(
-            find_cover(&[(0, 16), (0, 8), (8, 16), (12, 12)], 24),
-            Some(vec![(0, 8), (8, 16)])
-        );
-        // Gap → no cover.
-        assert_eq!(find_cover(&[(0, 8), (16, 8)], 24), None);
-        // Overlap alone cannot tile.
-        assert_eq!(find_cover(&[(0, 8), (4, 8)], 12), None);
-        // Empty target is trivially covered.
-        assert_eq!(find_cover(&[], 0), Some(vec![]));
+    /// The statistics of every fixture chunk: 4 packets, all delivered
+    /// on the first transmission.
+    fn fixture_stats() -> HarqStats {
+        HarqStats {
+            packets: 4,
+            delivered: 4,
+            transmissions: 4,
+            info_bits: 10,
+            failures_at: vec![0; 4],
+        }
+    }
+
+    /// The one chunk that backs fixture point `key` (budget 4).
+    fn fixture_chunk(key: u64) -> (ChunkId, HarqStats) {
+        let id = ChunkId {
+            point: key,
+            first_packet: 0,
+            n_packets: 4,
+        };
+        (id, fixture_stats())
+    }
+
+    /// The manifest record of fixture point `key`, derived from its
+    /// store record by the controller's replay — what a campaign at
+    /// default settings would have written.
+    fn fixture_record(index: u64, key: u64, label: &str) -> PointRecord {
+        let settings = super::super::CampaignSettings::default();
+        let replay = settings
+            .replay(4, |first, len| ((first, len) == (0, 4)).then(fixture_stats))
+            .expect("the fixture chunk backs the point");
+        let tier = hspa_phy::turbo::AccuracyTier::Exact;
+        PointRecord::new(index, key, label, 1.0, 4, tier, &settings, &replay)
     }
 
     /// A minimal single-point shard manifest for file-level tests.
@@ -1260,23 +1225,23 @@ mod tests {
         let mut m = Manifest::new(name, super::super::CampaignSettings::default());
         m.settings.shard = spec;
         m.points_enumerated = 2;
-        m.points.push(crate::campaign::manifest::PointRecord {
-            index: 0,
-            key: 2, // even → shard 0 of 2
-            label: "p0".into(),
-            snr_db: 1.0,
-            packets: 4,
-            max_packets: 4,
-            bler: 0.0,
-            ci: (0.0, 0.5),
-            rel_half_width: 1.0,
-            converged: true,
-            chunks: 1,
-            chunks_from_store: 0,
-            packets_from_store: 0,
-            tier: hspa_phy::turbo::AccuracyTier::Exact,
-        });
+        m.points.push(fixture_record(0, 2, "p0")); // even key → shard 0 of 2
         m
+    }
+
+    /// Writes `m` and a store holding the fixture chunk of each of its
+    /// points, as the leg `m.settings.shard` of campaign `m.name`.
+    fn write_leg(dir: &Path, m: &Manifest) -> PathBuf {
+        let records: Vec<_> = m.points.iter().map(|p| fixture_chunk(p.key)).collect();
+        let spec = m.settings.shard;
+        store::write_records(
+            &dir.join(store_file(&m.name, spec, BackendKind::Jsonl)),
+            &records,
+        )
+        .unwrap();
+        let path = dir.join(manifest_file(&m.name, spec));
+        m.write(&path).unwrap();
+        path
     }
 
     #[test]
@@ -1475,13 +1440,6 @@ mod tests {
 
         // Global enumeration: two points, keys 2 (shard 0) and 3
         // (shard 1). Shard 1's only point lands in slice (3/2)%2 = 1.
-        let make = |spec: ShardSpec, index: u64, key: u64| {
-            let mut m = tiny_manifest("c", spec);
-            m.points[0].index = index;
-            m.points[0].key = key;
-            m.points[0].label = format!("p{key}");
-            m
-        };
         let s0 = ShardSpec::new(0, 2).unwrap();
         let slice0 = ShardSpec::new(1, 2).unwrap().slice_of(0, 2).unwrap();
         let slice1 = ShardSpec::new(1, 2).unwrap().slice_of(1, 2).unwrap();
@@ -1492,15 +1450,11 @@ mod tests {
             (slice1, vec![(1, 3)]),
         ] {
             let mut m = tiny_manifest("c", spec);
-            m.points.clear();
-            for (index, key) in points {
-                let donor = make(spec, index, key);
-                m.points.push(donor.points[0].clone());
-            }
-            let path = dir.join(manifest_file("c", spec));
-            m.write(&path).unwrap();
-            fs::write(dir.join(store_file("c", spec, BackendKind::Jsonl)), "").unwrap();
-            paths.push(path);
+            m.points = points
+                .into_iter()
+                .map(|(index, key)| fixture_record(index, key, &format!("p{key}")))
+                .collect();
+            paths.push(write_leg(&dir, &m));
         }
         let report = merge_manifests("c", &paths, &dir.join("out")).unwrap();
         assert_eq!(report.shards, 3);
@@ -1526,29 +1480,9 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         // Only shard 0 of 2 finished; its manifest enumerates 2 points
         // but records just its own (index 0).
-        let m = tiny_manifest("c", ShardSpec::new(0, 2).unwrap());
-        let path = dir.join(manifest_file("c", m.settings.shard));
-        m.write(&path).unwrap();
-        // The surviving shard's store covers its one point (key 2,
+        // The surviving shard's store backs its one point (key 2,
         // packets 0..4), so the partial merge must still verify.
-        store::write_records(
-            &dir.join(store_file("c", m.settings.shard, BackendKind::Jsonl)),
-            &[(
-                ChunkId {
-                    point: 2,
-                    first_packet: 0,
-                    n_packets: 4,
-                },
-                hspa_phy::harq::HarqStats {
-                    packets: 4,
-                    delivered: 4,
-                    transmissions: 4,
-                    info_bits: 10,
-                    failures_at: vec![0; 4],
-                },
-            )],
-        )
-        .unwrap();
+        let path = write_leg(&dir, &tiny_manifest("c", ShardSpec::new(0, 2).unwrap()));
 
         let err = merge_manifests_allowing_partial(
             "c",
@@ -1609,26 +1543,8 @@ mod tests {
         m.points[0].chunks = 1;
         m.points[0].chunks_from_store = 2;
         m.points[0].packets_from_store = 8;
-        m.write(&dir.join(manifest_file("c", spec))).unwrap();
-        // A store that covers the point so the base pass is clean.
-        store::write_records(
-            &dir.join(store_file("c", spec, BackendKind::Jsonl)),
-            &[(
-                ChunkId {
-                    point: 2,
-                    first_packet: 0,
-                    n_packets: 4,
-                },
-                hspa_phy::harq::HarqStats {
-                    packets: 4,
-                    delivered: 4,
-                    transmissions: 4,
-                    info_bits: 10,
-                    failures_at: vec![0; 4],
-                },
-            )],
-        )
-        .unwrap();
+        // The store backs the point, so the base pass is clean.
+        write_leg(&dir, &m);
         assert!(verify("c", &dir, spec).unwrap().ok(), "base pass is clean");
         let strict = verify_with("c", &dir, spec, true).unwrap();
         assert!(!strict.ok());
@@ -1654,6 +1570,133 @@ mod tests {
             "{:?}",
             strict.problems
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A store holding two schedules' chunks for one point (key 2,
+    /// budget 64, BLER 0.5): the doubling schedule at `initial_chunk`
+    /// 8, and the chunk a `--target-ci 0.1` run resumed over it
+    /// simulated. Both tile `0..64`, so only the replay of the
+    /// manifest's own settings tells which chunks a resume reads.
+    #[test]
+    fn verify_and_gc_keep_exactly_the_replayed_schedule() {
+        let dir = std::env::temp_dir().join(format!("shard-two-schedules-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let chunk = |first: usize, len: usize| {
+            let stats = HarqStats {
+                packets: len as u64,
+                delivered: len as u64 / 2,
+                transmissions: 4 * len as u64,
+                info_bits: 10,
+                failures_at: vec![len as u64 / 2; 4],
+            };
+            let id = ChunkId {
+                point: 2,
+                first_packet: first,
+                n_packets: len,
+            };
+            (id, stats)
+        };
+        let doubling = [(0, 8), (8, 8), (16, 16), (32, 32)];
+        let target = [(0, 8), (8, 56)];
+        let mut records: Vec<_> = doubling.iter().map(|&(f, l)| chunk(f, l)).collect();
+        records.push(chunk(8, 56));
+        let spec = ShardSpec::single();
+        let store_path = dir.join(store_file("c", spec, BackendKind::Jsonl));
+
+        for (target_ci, schedule, stale) in [
+            (0.0, &doubling[..], &[(8, 56)][..]),
+            (0.1, &target[..], &doubling[1..]),
+        ] {
+            let settings = super::super::CampaignSettings {
+                initial_chunk: 8,
+                target_ci,
+                ..Default::default()
+            };
+            let lookup: BTreeMap<ChunkId, HarqStats> = records.iter().cloned().collect();
+            let replay = settings
+                .replay(64, |f, l| lookup.get(&chunk(f, l).0).cloned())
+                .unwrap();
+            assert_eq!(replay.chunks, schedule.len(), "target_ci {target_ci}");
+            let mut m = Manifest::new("c", settings);
+            m.points_enumerated = 1;
+            let point = PointRecord {
+                max_packets: 64,
+                ..fixture_record(0, 2, "p")
+            };
+            m.points.push(point.derive(&settings, &replay));
+            m.write(&dir.join(manifest_file("c", spec))).unwrap();
+            store::write_records(&store_path, &records).unwrap();
+
+            let v = verify("c", &dir, spec).unwrap();
+            assert!(v.ok(), "{:?}", v.problems);
+            assert_eq!((v.covered_points, v.stale_chunks), (1, stale.len()));
+            let gc = gc("c", &dir, spec).unwrap();
+            assert_eq!((gc.kept, gc.dropped_stale), (schedule.len(), stale.len()));
+            let (kept, _) = store::load_all(&store_path).unwrap();
+            let kept: Vec<(usize, usize)> = kept
+                .iter()
+                .map(|(id, _)| (id.first_packet, id.n_packets))
+                .collect();
+            assert_eq!(kept, schedule, "target_ci {target_ci}");
+            let v = verify("c", &dir, spec).unwrap();
+            assert!(v.ok() && v.stale_chunks == 0, "{v:?}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Two hand edits of a leg manifest: a changed BLER (still a
+    /// canonical file) and a duplicated set of fields.
+    #[test]
+    fn tampered_leg_manifests_never_reach_the_results() {
+        let dir = std::env::temp_dir().join(format!("shard-tampered-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let shards = dir.join("shards");
+        fs::create_dir_all(&shards).unwrap();
+        let s0 = ShardSpec::new(0, 2).unwrap();
+        let s1 = ShardSpec::new(1, 2).unwrap();
+        let mut m1 = tiny_manifest("c", s1);
+        m1.points = vec![fixture_record(1, 3, "p3")];
+        write_leg(&shards, &tiny_manifest("c", s0));
+        write_leg(&shards, &m1);
+        let clean = merge("c", &shards, &dir.join("clean")).unwrap();
+        let clean = fs::read_to_string(clean.manifest_path).unwrap();
+        assert!(verify("c", &shards, s0).unwrap().ok());
+
+        let leg0 = shards.join(manifest_file("c", s0));
+        let text = fs::read_to_string(&leg0).unwrap();
+        let real = "\"bler\": 0.000000";
+        assert!(text.contains(real));
+
+        // A changed BLER: verify names the point and the field; the
+        // merge re-derives the point from the store and is unchanged.
+        fs::write(&leg0, text.replacen(real, "\"bler\": 0.900000", 1)).unwrap();
+        let v = verify("c", &shards, s0).unwrap();
+        assert!(!v.ok());
+        assert_eq!(v.covered_points, 0);
+        assert!(
+            v.problems[0].starts_with("point 0 'p0'")
+                && v.problems[0].contains("\"bler\": 0.900000 (replay gives \"bler\": 0.000000)"),
+            "{:?}",
+            v.problems
+        );
+        let edited = merge("c", &shards, &dir.join("edited")).unwrap();
+        assert_eq!(fs::read_to_string(edited.manifest_path).unwrap(), clean);
+
+        // Duplicated keys ahead of the real ones: no reader accepts
+        // the file, and the error names it.
+        let dup = "\"bler\": 0.25, \"ci_lo\": 0.1, \"ci_hi\": 0.4, \"snr_db\"";
+        fs::write(&leg0, text.replacen("\"snr_db\"", dup, 1)).unwrap();
+        for err in [
+            verify("c", &shards, s0).unwrap_err(),
+            merge("c", &shards, &dir.join("dup")).unwrap_err(),
+        ] {
+            assert!(
+                err.to_string().contains(&leg0.display().to_string()),
+                "{err}"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

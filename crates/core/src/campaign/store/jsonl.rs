@@ -33,6 +33,7 @@ use std::path::{Path, PathBuf};
 use hspa_phy::harq::HarqStats;
 
 use super::{corrupt_error, validate_record, BackendKind, ChunkId, LenientLoad, StoreBackend};
+use crate::artifact::Cursor;
 
 /// Append-only JSONL store of per-chunk [`HarqStats`].
 #[derive(Debug)]
@@ -313,9 +314,9 @@ fn parse_record(line: &[u8]) -> Option<(ChunkId, HarqStats)> {
     cur.tag(b"{\"point\":\"")?;
     let point = cur.hex16()?;
     cur.tag(b"\",\"first\":")?;
-    let first_packet = usize::try_from(cur.uint()?).ok()?;
+    let first_packet = cur.usize()?;
     cur.tag(b",\"len\":")?;
-    let n_packets = usize::try_from(cur.uint()?).ok()?;
+    let n_packets = cur.usize()?;
     cur.tag(b",\"packets\":")?;
     let packets = cur.uint()?;
     cur.tag(b",\"delivered\":")?;
@@ -352,50 +353,6 @@ fn parse_record(line: &[u8]) -> Option<(ChunkId, HarqStats)> {
         failures_at,
     };
     Some((id, stats))
-}
-
-/// The unread rest of a line being parsed; every method consumes its
-/// token or answers `None`.
-struct Cursor<'a>(&'a [u8]);
-
-impl Cursor<'_> {
-    /// Consumes the literal `lit`.
-    fn tag(&mut self, lit: &[u8]) -> Option<()> {
-        self.0 = self.0.strip_prefix(lit)?;
-        Some(())
-    }
-
-    /// Consumes exactly 16 lower-case hex digits.
-    fn hex16(&mut self) -> Option<u64> {
-        let (digits, rest) = self.0.split_at_checked(16)?;
-        let mut value = 0u64;
-        for &b in digits {
-            let nibble = match b {
-                b'0'..=b'9' => b - b'0',
-                b'a'..=b'f' => b - b'a' + 10,
-                _ => return None,
-            };
-            value = value << 4 | u64::from(nibble);
-        }
-        self.0 = rest;
-        Some(value)
-    }
-
-    /// Consumes a canonical unsigned decimal: no sign, no leading zero,
-    /// no overflow.
-    fn uint(&mut self) -> Option<u64> {
-        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
-        let (digits, rest) = self.0.split_at(len);
-        if digits.is_empty() || (digits[0] == b'0' && len > 1) {
-            return None;
-        }
-        let mut value = 0u64;
-        for &d in digits {
-            value = value.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
-        }
-        self.0 = rest;
-        Some(value)
-    }
 }
 
 #[cfg(test)]

@@ -380,44 +380,6 @@ pub(super) fn validate_record(id: ChunkId, stats: &HarqStats) -> Result<(), Stri
     Ok(())
 }
 
-/// The raw text following `"name":` up to the next `,`/`}`/`]`.
-///
-/// Only suitable for the flat manifest objects the campaign writes
-/// itself — no nesting, no escaped strings. Store records have their
-/// own strict parser in the `jsonl` module.
-fn json_raw_field<'a>(json: &'a str, name: &str) -> Option<&'a str> {
-    let tag = format!("\"{name}\":");
-    let start = json.find(&tag)? + tag.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-/// Parses a numeric field of a flat JSON object.
-pub(crate) fn json_u64_field(json: &str, name: &str) -> Option<u64> {
-    json_raw_field(json, name)?.parse().ok()
-}
-
-/// Parses a float field of a flat JSON object.
-pub(crate) fn json_f64_field(json: &str, name: &str) -> Option<f64> {
-    json_raw_field(json, name)?.parse().ok()
-}
-
-/// Parses a quoted string field of a flat JSON object (no escapes).
-pub(crate) fn json_str_field(json: &str, name: &str) -> Option<String> {
-    let raw = json_raw_field(json, name)?;
-    Some(raw.strip_prefix('"')?.strip_suffix('"')?.to_string())
-}
-
-/// Parses a boolean field of a flat JSON object.
-pub(crate) fn json_bool_field(json: &str, name: &str) -> Option<bool> {
-    match json_raw_field(json, name)? {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 pub(crate) fn sample_stats() -> HarqStats {
     HarqStats {
@@ -572,17 +534,6 @@ mod tests {
             let _ = fs::remove_file(p);
         }
         let _ = fs::remove_file(seg.with_extension("seg.idx"));
-    }
-
-    #[test]
-    fn json_field_helpers() {
-        let j = "{\"a\":3,\"b\":\"0f\",\"c\":[1, 2,3],\"d\":2.5,\"e\":true}";
-        assert_eq!(json_u64_field(j, "a"), Some(3));
-        assert_eq!(json_str_field(j, "b").as_deref(), Some("0f"));
-        assert_eq!(json_f64_field(j, "d"), Some(2.5));
-        assert_eq!(json_bool_field(j, "e"), Some(true));
-        assert_eq!(json_u64_field(j, "missing"), None);
-        assert_eq!(json_bool_field(j, "a"), None);
     }
 
     #[test]

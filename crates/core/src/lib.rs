@@ -51,6 +51,7 @@
 
 #![forbid(unsafe_code)]
 
+mod artifact;
 pub mod buffer;
 pub mod campaign;
 pub mod config;

@@ -33,12 +33,15 @@
 //! indexing, typos are compile errors, and the Prometheus exposition
 //! can enumerate the full catalog.
 
+use std::fmt::Write as _;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+use crate::artifact::{self, escape_into, Cursor};
 
 /// Bucket capacity of a histogram: up to 15 finite upper bounds plus
 /// the overflow bucket.
@@ -605,18 +608,6 @@ pub enum Field<'a> {
     Bool(bool),
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct EventState {
     file: BufWriter<File>,
@@ -758,181 +749,96 @@ impl LiveSnapshot {
 
     /// Renders the snapshot JSON (one point per line, flat objects).
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"seq\": {},\n", self.seq));
-        out.push_str(&format!("  \"elapsed_ms\": {},\n", self.elapsed_ms));
-        out.push_str(&format!("  \"done\": {},\n", self.done));
-        out.push_str(&format!("  \"points_total\": {},\n", self.points_total));
-        out.push_str(&format!(
-            "  \"points_converged\": {},\n",
-            self.points_converged
-        ));
-        out.push_str(&format!(
-            "  \"packets_realized\": {},\n",
-            self.packets_realized
-        ));
-        out.push_str(&format!(
-            "  \"packets_from_store\": {},\n",
-            self.packets_from_store
-        ));
-        out.push_str(&format!(
-            "  \"packets_simulated\": {},\n",
-            self.packets_simulated
-        ));
-        out.push_str(&format!(
-            "  \"packets_per_sec\": {:.2},\n",
-            self.packets_per_sec
-        ));
-        out.push_str(&format!(
-            "  \"store_chunk_hits\": {},\n",
-            self.store_chunk_hits
-        ));
-        out.push_str(&format!(
-            "  \"store_chunk_misses\": {},\n",
-            self.store_chunk_misses
-        ));
-        out.push_str("  \"points\": [\n");
+        // Writing into a `String` cannot fail.
+        let mut out = format!(
+            "{{\n  \"seq\": {},\n  \"elapsed_ms\": {},\n  \"done\": {},\n  \"points_total\": {},\n  \
+             \"points_converged\": {},\n  \"packets_realized\": {},\n  \"packets_from_store\": {},\n  \
+             \"packets_simulated\": {},\n  \"packets_per_sec\": {:.2},\n  \"store_chunk_hits\": {},\n  \
+             \"store_chunk_misses\": {},\n  \"points\": [\n",
+            self.seq,
+            self.elapsed_ms,
+            self.done,
+            self.points_total,
+            self.points_converged,
+            self.packets_realized,
+            self.packets_from_store,
+            self.packets_simulated,
+            self.packets_per_sec,
+            self.store_chunk_hits,
+            self.store_chunk_misses,
+        );
         for (i, p) in self.points.iter().enumerate() {
-            let mut label = String::new();
-            escape_into(&mut label, &p.label);
-            out.push_str(&format!(
-                "    {{\"key\": \"{:016x}\", \"label\": \"{label}\", \"packets\": {}, \
-                 \"max\": {}, \"bler\": {:.6}, \"half_width\": {:.6}, \"converged\": {}}}{}\n",
-                p.key,
+            let _ = write!(out, "    {{\"key\": \"{:016x}\", \"label\": \"", p.key);
+            escape_into(&mut out, &p.label);
+            let _ = writeln!(
+                out,
+                "\", \"packets\": {}, \"max\": {}, \"bler\": {:.6}, \"half_width\": {:.6}, \
+                 \"converged\": {}}}{}",
                 p.packets,
                 p.max_packets,
                 p.bler,
                 p.half_width,
                 p.converged,
                 if i + 1 < self.points.len() { "," } else { "" },
-            ));
+            );
         }
         out.push_str("  ]\n}\n");
         out
     }
 
-    /// Parses what [`render_json`](Self::render_json) wrote. Lenient:
-    /// unknown fields are ignored, malformed point lines are skipped.
+    /// Parses what [`render_json`](Self::render_json) wrote; `None`
+    /// unless `text` is exactly the rendering of the snapshot it
+    /// parses to, so a torn or edited snapshot never parses.
     pub fn parse(text: &str) -> Option<LiveSnapshot> {
-        let mut snap = LiveSnapshot {
-            seq: json_u64(text, "seq")?,
-            elapsed_ms: json_u64(text, "elapsed_ms").unwrap_or(0),
-            done: json_bool(text, "done").unwrap_or(false),
-            points_total: json_u64(text, "points_total").unwrap_or(0),
-            points_converged: json_u64(text, "points_converged").unwrap_or(0),
-            packets_realized: json_u64(text, "packets_realized").unwrap_or(0),
-            packets_from_store: json_u64(text, "packets_from_store").unwrap_or(0),
-            packets_simulated: json_u64(text, "packets_simulated").unwrap_or(0),
-            packets_per_sec: json_f64(text, "packets_per_sec").unwrap_or(0.0),
-            store_chunk_hits: json_u64(text, "store_chunk_hits").unwrap_or(0),
-            store_chunk_misses: json_u64(text, "store_chunk_misses").unwrap_or(0),
-            points: Vec::new(),
-        };
-        let (_, points) = text.split_once("\"points\": [")?;
-        for line in points.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if !line.starts_with('{') || !line.ends_with('}') {
-                continue;
-            }
-            let Some(key) = json_hex_key(line) else {
-                continue;
-            };
-            snap.points.push(PointProgress {
-                key,
-                label: json_str(line, "label").unwrap_or_default(),
-                packets: json_u64(line, "packets").unwrap_or(0),
-                max_packets: json_u64(line, "max").unwrap_or(0),
-                bler: json_f64(line, "bler").unwrap_or(0.0),
-                half_width: json_f64(line, "half_width").unwrap_or(0.0),
-                converged: json_bool(line, "converged").unwrap_or(false),
-            });
-        }
-        Some(snap)
+        artifact::canonical(text, Self::parse_from, Self::render_json)
+    }
+
+    fn parse_from(cur: &mut Cursor<'_>) -> Option<LiveSnapshot> {
+        // Struct fields evaluate in source order: the renderer's order.
+        Some(LiveSnapshot {
+            seq: cur.tag(b"{\n  \"seq\": ")?.uint()?,
+            elapsed_ms: cur.tag(b",\n  \"elapsed_ms\": ")?.uint()?,
+            done: cur.tag(b",\n  \"done\": ")?.boolean()?,
+            points_total: cur.tag(b",\n  \"points_total\": ")?.uint()?,
+            points_converged: cur.tag(b",\n  \"points_converged\": ")?.uint()?,
+            packets_realized: cur.tag(b",\n  \"packets_realized\": ")?.uint()?,
+            packets_from_store: cur.tag(b",\n  \"packets_from_store\": ")?.uint()?,
+            packets_simulated: cur.tag(b",\n  \"packets_simulated\": ")?.uint()?,
+            packets_per_sec: cur.tag(b",\n  \"packets_per_sec\": ")?.float()?,
+            store_chunk_hits: cur.tag(b",\n  \"store_chunk_hits\": ")?.uint()?,
+            store_chunk_misses: cur.tag(b",\n  \"store_chunk_misses\": ")?.uint()?,
+            points: {
+                cur.tag(b",\n  \"points\": [\n")?;
+                let mut points = Vec::new();
+                while cur.tag(b"  ]\n}\n").is_none() {
+                    points.push(PointProgress {
+                        key: cur.tag(b"    {\"key\": \"")?.hex16()?,
+                        label: cur.tag(b"\", \"label\": ")?.string()?,
+                        packets: cur.tag(b", \"packets\": ")?.uint()?,
+                        max_packets: cur.tag(b", \"max\": ")?.uint()?,
+                        bler: cur.tag(b", \"bler\": ")?.float()?,
+                        half_width: cur.tag(b", \"half_width\": ")?.float()?,
+                        converged: cur.tag(b", \"converged\": ")?.boolean()?,
+                    });
+                    // The separator comma is checked by the render comparison.
+                    cur.tag(b"}")?.line()?;
+                }
+                points
+            },
+        })
     }
 
     /// Writes the snapshot atomically (temp file + rename), so a
     /// concurrent reader never sees a torn snapshot.
     pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        fs::write(&tmp, self.render_json())?;
-        fs::rename(&tmp, path)
+        artifact::write_atomic(path, self.render_json().as_bytes())
     }
 
-    /// Reads and parses a snapshot file; `None` if absent or torn.
+    /// Reads and parses a snapshot file; `None` if absent, torn or not
+    /// canonical.
     pub fn read(path: &Path) -> Option<LiveSnapshot> {
         LiveSnapshot::parse(&fs::read_to_string(path).ok()?)
     }
-}
-
-/// Reads just the `seq` of a live snapshot file — the dispatcher's
-/// cheap heartbeat probe. `None` when the file is absent or malformed
-/// (e.g. the leg predates telemetry).
-pub fn read_snapshot_seq(path: &Path) -> Option<u64> {
-    json_u64(&fs::read_to_string(path).ok()?, "seq")
-}
-
-// Flat-JSON field scanners. The leading quote in the needle keeps
-// `"packets"` from matching inside `"packets_realized"` etc.; keys we
-// write never occur inside label strings (labels can't contain `"`
-// unescaped, and the scan looks for the full `"key": ` shape).
-fn json_raw<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\": ");
-    let start = text.find(&needle)? + needle.len();
-    let rest = &text[start..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-fn json_u64(text: &str, key: &str) -> Option<u64> {
-    json_raw(text, key)?.parse().ok()
-}
-
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    json_raw(text, key)?.parse().ok()
-}
-
-fn json_bool(text: &str, key: &str) -> Option<bool> {
-    match json_raw(text, key)? {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
-}
-
-fn json_str(text: &str, key: &str) -> Option<String> {
-    // String values can contain the `,`/`}` delimiters json_raw stops
-    // at (point labels like "6T, Nf=0.10% @ 0 dB" do), so scan to the
-    // closing quote directly, un-escaping the two sequences we emit.
-    let needle = format!("\"{key}\": \"");
-    let start = text.find(&needle)? + needle.len();
-    let mut out = String::new();
-    let mut chars = text[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                other => {
-                    out.push('\\');
-                    out.push(other);
-                }
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-fn json_hex_key(text: &str) -> Option<u64> {
-    let raw = json_raw(text, "key")?;
-    u64::from_str_radix(raw.trim_matches('"'), 16).ok()
 }
 
 #[cfg(test)]
@@ -1091,8 +997,8 @@ mod tests {
             ..LiveSnapshot::default()
         };
         snap.write_atomic(&path).unwrap();
-        assert_eq!(read_snapshot_seq(&path), Some(41));
-        assert_eq!(read_snapshot_seq(&dir.join("absent.json")), None);
+        assert_eq!(LiveSnapshot::read(&path).map(|s| s.seq), Some(41));
+        assert_eq!(LiveSnapshot::read(&dir.join("absent.json")), None);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1111,17 +1017,25 @@ mod tests {
             ],
         );
         log.emit("merge", &[("shards", Field::U64(2))]);
+        // Every line is asserted whole; only the wall-clock `t_ms`
+        // value is masked.
+        let mask = |line: &str| {
+            let (head, rest) = line.split_once("\"t_ms\": ").expect("t_ms field");
+            let digits = rest.find(',').expect("t_ms is followed by a field");
+            assert!(rest[..digits].bytes().all(|b| b.is_ascii_digit()), "{line}");
+            format!("{head}\"t_ms\": _{}", &rest[digits..])
+        };
         let text = fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(json_u64(lines[0], "seq"), Some(0));
+        let lines: Vec<String> = text.lines().map(mask).collect();
         assert_eq!(
-            json_str(lines[0], "event").as_deref(),
-            Some("chunk_scheduled")
+            lines,
+            [
+                "{\"seq\": 0, \"t_ms\": _, \"event\": \"chunk_scheduled\", \"point\": \"quantized/9dB\", \
+                 \"packets\": 16, \"bler\": 0.250000, \"converged\": false}",
+                "{\"seq\": 1, \"t_ms\": _, \"event\": \"merge\", \"shards\": 2}",
+            ]
         );
-        assert_eq!(json_u64(lines[0], "packets"), Some(16));
-        assert_eq!(json_bool(lines[0], "converged"), Some(false));
-        assert_eq!(json_u64(lines[1], "seq"), Some(1));
+        assert!(text.ends_with("}\n"));
         let _ = fs::remove_dir_all(&dir);
     }
 }
