@@ -53,14 +53,30 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, path)
 }
 
+/// Each byte's value as a lower-case hex digit, `0xff` if it is none.
+const HEX_DIGIT: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[b"0123456789abcdef"[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
 /// The unread rest of an artifact being parsed; every method consumes
 /// its token or answers `None`.
 pub(crate) struct Cursor<'a>(pub(crate) &'a [u8]);
 
 impl Cursor<'_> {
-    /// Consumes the literal `lit`; chains into the next token.
-    pub(crate) fn tag(&mut self, lit: &[u8]) -> Option<&mut Self> {
-        self.0 = self.0.strip_prefix(lit)?;
+    /// Consumes the literal `lit`; chains into the next token. The
+    /// length is a constant, so the compare compiles inline.
+    pub(crate) fn tag<const N: usize>(&mut self, lit: &[u8; N]) -> Option<&mut Self> {
+        let (head, rest) = self.0.split_first_chunk::<N>()?;
+        if head != lit {
+            return None;
+        }
+        self.0 = rest;
         Some(self)
     }
 
@@ -71,15 +87,21 @@ impl Cursor<'_> {
         Some(())
     }
 
-    /// Consumes exactly 16 lower-case hex digits.
+    /// Consumes exactly 16 lower-case hex digits. Table-driven and
+    /// branch-free per digit: a random key would mispredict a branch on
+    /// every other nibble.
     pub(crate) fn hex16(&mut self) -> Option<u64> {
-        let (digits, rest) = self.0.split_at_checked(16)?;
-        let value = digits.iter().try_fold(0u64, |v, &b| {
-            let nibble = char::from(b)
-                .to_digit(16)
-                .filter(|_| !b.is_ascii_uppercase())?;
-            Some(v << 4 | u64::from(nibble))
-        })?;
+        let (digits, rest) = self.0.split_first_chunk::<16>()?;
+        let mut value = 0u64;
+        let mut invalid = 0u8;
+        for &b in digits {
+            let nibble = HEX_DIGIT[usize::from(b)];
+            invalid |= nibble;
+            value = value << 4 | u64::from(nibble & 0xf);
+        }
+        if invalid > 0xf {
+            return None;
+        }
         self.0 = rest;
         Some(value)
     }
@@ -87,14 +109,23 @@ impl Cursor<'_> {
     /// Consumes a canonical unsigned decimal: no sign, no leading zero,
     /// no overflow.
     pub(crate) fn uint(&mut self) -> Option<u64> {
-        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
-        let (digits, rest) = self.0.split_at(len);
-        if digits.is_empty() || (digits[0] == b'0' && len > 1) {
+        let digit = |b: u8| b.wrapping_sub(b'0');
+        let (&first, mut rest) = self.0.split_first()?;
+        let mut value = u64::from(digit(first));
+        if value > 9 {
             return None;
         }
-        let value = digits.iter().try_fold(0u64, |v, &d| {
-            v.checked_mul(10)?.checked_add(u64::from(d - b'0'))
-        })?;
+        while let Some((&b, tail)) = rest.split_first() {
+            let d = digit(b);
+            if d > 9 {
+                break;
+            }
+            if value == 0 {
+                return None; // a leading zero
+            }
+            value = value.checked_mul(10)?.checked_add(u64::from(d))?;
+            rest = tail;
+        }
         self.0 = rest;
         Some(value)
     }

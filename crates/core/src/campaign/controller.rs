@@ -189,12 +189,10 @@ impl CampaignSettings {
             let Some((first, len)) = self.next_chunk(realized, max_packets, &replay.stats) else {
                 break;
             };
+            // The first chunk fixes the point's transmission budget.
+            let transmissions = (replay.chunks > 0).then_some(replay.stats.failures_at.len());
             let chunk = fetch(first, len)
-                .filter(|c| {
-                    c.packets == len as u64
-                        && (replay.chunks == 0
-                            || c.failures_at.len() == replay.stats.failures_at.len())
-                })
+                .filter(|c| chunk_fits(c, len, transmissions))
                 .ok_or((first, len))?;
             if replay.chunks == 0 {
                 replay.stats = chunk;
@@ -206,6 +204,16 @@ impl CampaignSettings {
         }
         Ok(replay)
     }
+}
+
+/// Whether a stored chunk is the one the schedule asked for: it covers
+/// exactly `len` packets and holds one failure count per transmission
+/// of the point's budget (`transmissions`; `None` accepts any budget),
+/// so it merges into the point. The campaign's store fetch and
+/// [`CampaignSettings::replay`] use only chunks that fit; any other is
+/// a miss.
+pub(crate) fn chunk_fits(chunk: &HarqStats, len: usize, transmissions: Option<usize>) -> bool {
+    chunk.packets == len as u64 && transmissions.is_none_or(|t| chunk.failures_at.len() == t)
 }
 
 /// What the controller's schedule derives for one point: the outcome

@@ -634,7 +634,13 @@ impl Campaign {
                     n_packets: len,
                 };
                 chunks_run[i] += 1;
-                if let Some(hit) = store.fetch(id) {
+                // A stored chunk of another shape (a hand-edited list,
+                // say) cannot merge: it is a counted miss and is
+                // simulated afresh.
+                let transmissions = Some(stats[i].failures_at.len());
+                if let Some(hit) =
+                    store.fetch_if(id, |c| controller::chunk_fits(c, len, transmissions))
+                {
                     chunks_hit[i] += 1;
                     packets_hit[i] += len;
                     stats[i].merge(&hit);

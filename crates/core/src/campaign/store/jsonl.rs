@@ -23,10 +23,25 @@
 //! skipped and counted (`store_torn_tails_dropped` on open), never
 //! read as a record. A line that parses but violates the stats
 //! invariants is corruption (see [`validate_record`]).
+//!
+//! ## The record table
+//!
+//! An open streams the file through a 64 KiB buffer, one line at a
+//! time, and parses each line once, straight into the resident table:
+//! a fixed-size [`Slot`] per chunk (the four counters and a range) in a
+//! map keyed by [`ChunkId`], and one shared arena holding every
+//! `failures_at` list, so loading a record allocates nothing of its
+//! own. Map and arena are sized from the file length before the scan.
+//! A later line for the same chunk replaces the slot (last write wins);
+//! the superseded list stays in the arena unread. [`get`] builds the
+//! [`HarqStats`] from its slot, one allocation per fetch.
+//!
+//! [`get`]: StoreBackend::get
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
@@ -35,12 +50,122 @@ use hspa_phy::harq::HarqStats;
 use super::{corrupt_error, validate_record, BackendKind, ChunkId, LenientLoad, StoreBackend};
 use crate::artifact::Cursor;
 
+/// Read-buffer size of a scan: a few `read(2)` calls cover a store of
+/// thousands of records.
+const READ_BUF: usize = 64 * 1024;
+
+/// Bytes per line the table reserves slots for. The shortest canonical
+/// line is 122 bytes, and only a chunk whose every counter is a single
+/// digit has it; a typical record with four failure counts is ~140. An
+/// underestimate costs one rehash; an upper bound would double the map
+/// for a file just past a power of two.
+const LINE_BYTES: u64 = 128;
+
+/// Bytes per `failures_at` entry the arena reserves for (~35 on a line
+/// of four entries).
+const FAILURE_BYTES: u64 = 32;
+
 /// Append-only JSONL store of per-chunk [`HarqStats`].
 #[derive(Debug)]
 pub struct JsonlBackend {
     path: PathBuf,
+    table: Table,
+}
+
+/// The fixed-size fields of one record. Its `failures_at` list is
+/// `arena[start..start + len]` of the arena it was parsed or inserted
+/// into.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    packets: u64,
+    delivered: u64,
+    transmissions: u64,
+    info_bits: u64,
+    start: usize,
+    len: usize,
+}
+
+impl Slot {
+    fn stats(&self, arena: &[u64]) -> HarqStats {
+        HarqStats {
+            packets: self.packets,
+            delivered: self.delivered,
+            transmissions: self.transmissions,
+            info_bits: self.info_bits,
+            failures_at: arena[self.start..self.start + self.len].to_vec(),
+        }
+    }
+}
+
+/// The resident records (see the module docs).
+#[derive(Debug, Default)]
+struct Table {
     // determinism: unordered-ok(keyed access only; never iterated — exports re-read the file in line order)
-    records: HashMap<ChunkId, HarqStats>,
+    slots: HashMap<ChunkId, Slot, BuildHasherDefault<ChunkHasher>>,
+    arena: Vec<u64>,
+}
+
+impl Table {
+    /// An empty table reserved for a store file of `bytes`.
+    fn for_file_len(bytes: u64) -> Self {
+        let mut table = Self::default();
+        table
+            .slots
+            .reserve(usize::try_from(bytes / LINE_BYTES).unwrap_or(0));
+        table
+            .arena
+            .reserve(usize::try_from(bytes / FAILURE_BYTES).unwrap_or(0));
+        table
+    }
+
+    fn insert(&mut self, id: ChunkId, stats: &HarqStats) {
+        let start = self.arena.len();
+        self.arena.extend_from_slice(&stats.failures_at);
+        self.slots.insert(
+            id,
+            Slot {
+                packets: stats.packets,
+                delivered: stats.delivered,
+                transmissions: stats.transmissions,
+                info_bits: stats.info_bits,
+                start,
+                len: stats.failures_at.len(),
+            },
+        );
+    }
+}
+
+/// An Fx-style multiply-rotate hasher for [`ChunkId`] keys. The key's
+/// `point` is already an FNV-1a hash, so one multiply per word spreads
+/// it. The map is never iterated, so the hash reaches no output: a
+/// file crafted to collide can only slow its own open.
+#[derive(Default)]
+struct ChunkHasher(u64);
+
+impl ChunkHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for ChunkHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.add(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl JsonlBackend {
@@ -53,51 +178,47 @@ impl JsonlBackend {
         // `Path::exists` swallows stat errors (it answers `false` for a
         // permission-denied path); query the metadata directly so those
         // errors are distinguishable from a genuinely absent store.
-        let exists = match fs::metadata(path) {
-            Ok(_) => true,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
+        let existing_len = match fs::metadata(path) {
+            Ok(meta) => Some(meta.len()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(e),
         };
-        if !resume && exists {
+        if !resume && existing_len.is_some() {
             fs::remove_file(path)?;
         }
-        if !(resume && exists) {
+        let Some(len) = existing_len.filter(|_| resume) else {
             // Materialize an empty store eagerly: a campaign whose every
             // chunk is a store hit (or whose shard owns no points) still
             // leaves a well-formed `.jsonl` behind, so shard artifact
             // collection and `campaign-admin merge` never chase a file
             // that only the first miss would have created.
             File::create(path)?;
-        }
-        // determinism: unordered-ok(keyed access only; never iterated)
-        let mut records = HashMap::new();
-        if resume && exists {
-            // Torn tails of interrupted runs are skipped, not fatal;
-            // records that parse but violate the stats invariants are
-            // corruption and must not feed merged statistics.
-            scan(path, |line_no, line| match line {
-                Ok((id, stats)) => {
-                    records.insert(id, stats);
-                    Ok(())
-                }
-                Err(LineIssue::Torn) => {
-                    crate::telemetry::counter_add(
-                        crate::telemetry::Counter::StoreTornTailsDropped,
-                        1,
-                    );
-                    Ok(())
-                }
-                Err(LineIssue::Corrupt(why)) => Err(corrupt_error(path, line_no, &why)),
-            })?;
-            // A killed writer can leave the final line without its
-            // newline. Terminate it now, or the first fresh append of
-            // this (rescue) run would concatenate onto the torn tail
-            // and turn a valid new record into a second torn line.
-            terminate_torn_tail(path)?;
-        }
+            return Ok(Self::attach(path));
+        };
+        let mut table = Table::for_file_len(len);
+        // Torn tails of interrupted runs are skipped, not fatal; records
+        // that parse but violate the stats invariants are corruption and
+        // must not feed merged statistics.
+        let slots = &mut table.slots;
+        scan(path, &mut table.arena, |line_no, line| match line {
+            Ok((id, slot)) => {
+                slots.insert(id, slot);
+                Ok(())
+            }
+            Err(LineIssue::Torn) => {
+                crate::telemetry::counter_add(crate::telemetry::Counter::StoreTornTailsDropped, 1);
+                Ok(())
+            }
+            Err(LineIssue::Corrupt(why)) => Err(corrupt_error(path, line_no, &why)),
+        })?;
+        // A killed writer can leave the final line without its newline.
+        // Terminate it now, or the first fresh append of this (rescue)
+        // run would concatenate onto the torn tail and turn a valid new
+        // record into a second torn line.
+        terminate_torn_tail(path)?;
         Ok(Self {
             path: path.to_path_buf(),
-            records,
+            table,
         })
     }
 
@@ -106,9 +227,36 @@ impl JsonlBackend {
     pub fn attach(path: &Path) -> Self {
         Self {
             path: path.to_path_buf(),
-            // determinism: unordered-ok(keyed access only; never iterated)
-            records: HashMap::new(),
+            table: Table::default(),
         }
+    }
+
+    /// Strict or lenient whole-file scan into file-order records,
+    /// duplicates kept: a corrupt record is an error when `strict`,
+    /// else dropped and counted.
+    fn load(&self, strict: bool) -> std::io::Result<LenientLoad> {
+        let mut arena = Vec::new();
+        let mut slots = Vec::new();
+        let (mut torn_lines, mut corrupt_records) = (0, 0);
+        scan(&self.path, &mut arena, |line_no, line| {
+            match line {
+                Ok(rec) => slots.push(rec),
+                Err(LineIssue::Torn) => torn_lines += 1,
+                Err(LineIssue::Corrupt(why)) if strict => {
+                    return Err(corrupt_error(&self.path, line_no, &why))
+                }
+                Err(LineIssue::Corrupt(_)) => corrupt_records += 1,
+            }
+            Ok(())
+        })?;
+        Ok(LenientLoad {
+            records: slots
+                .into_iter()
+                .map(|(id, slot)| (id, slot.stats(&arena)))
+                .collect(),
+            torn_lines,
+            corrupt_records,
+        })
     }
 }
 
@@ -122,11 +270,12 @@ impl StoreBackend for JsonlBackend {
     }
 
     fn len(&self) -> usize {
-        self.records.len()
+        self.table.slots.len()
     }
 
     fn get(&mut self, id: ChunkId) -> Option<HarqStats> {
-        self.records.get(&id).cloned()
+        let slot = self.table.slots.get(&id)?;
+        Some(slot.stats(&self.table.arena))
     }
 
     fn append(&mut self, id: ChunkId, stats: &HarqStats) -> std::io::Result<()> {
@@ -153,37 +302,17 @@ impl StoreBackend for JsonlBackend {
         // together, so a kill can never leave a complete record whose
         // newline is missing.
         file.write_all(line.as_bytes())?;
-        self.records.insert(id, stats.clone());
+        self.table.insert(id, stats);
         Ok(())
     }
 
     fn load_all(&self) -> std::io::Result<(Vec<(ChunkId, HarqStats)>, usize)> {
-        let mut records = Vec::new();
-        let mut malformed = 0usize;
-        scan(&self.path, |line_no, line| {
-            match line {
-                Ok(rec) => records.push(rec),
-                Err(LineIssue::Torn) => malformed += 1,
-                Err(LineIssue::Corrupt(why)) => {
-                    return Err(corrupt_error(&self.path, line_no, &why))
-                }
-            }
-            Ok(())
-        })?;
-        Ok((records, malformed))
+        let load = self.load(true)?;
+        Ok((load.records, load.torn_lines))
     }
 
     fn load_all_lenient(&self) -> std::io::Result<LenientLoad> {
-        let mut load = LenientLoad::default();
-        scan(&self.path, |_, line| {
-            match line {
-                Ok(rec) => load.records.push(rec),
-                Err(LineIssue::Torn) => load.torn_lines += 1,
-                Err(LineIssue::Corrupt(_)) => load.corrupt_records += 1,
-            }
-            Ok(())
-        })?;
-        Ok(load)
+        self.load(false)
     }
 
     fn replace_all(&mut self, records: &[(ChunkId, HarqStats)]) -> std::io::Result<()> {
@@ -199,7 +328,10 @@ impl StoreBackend for JsonlBackend {
         let tmp = PathBuf::from(tmp);
         fs::write(&tmp, out)?;
         fs::rename(&tmp, &self.path)?;
-        self.records = records.iter().cloned().collect();
+        self.table = Table::default();
+        for (id, stats) in records {
+            self.table.insert(*id, stats);
+        }
         Ok(())
     }
 }
@@ -256,18 +388,19 @@ enum LineIssue {
     Corrupt(String),
 }
 
-/// Streams the store file through [`classify_record`], one line at a
+/// Streams the store file through [`classify_line`], one line at a
 /// time into one reused buffer, handing `visit` each non-empty line's
-/// outcome with its 1-based line number. The file is never held in
-/// memory whole. A torn line that is not valid UTF-8 is an
-/// [`InvalidData`](std::io::ErrorKind::InvalidData) error rather than a
-/// torn line: the store is a text file, and binary garbage in it is
-/// not an interrupted append.
+/// outcome with its 1-based line number; accepted records' lists land
+/// in `arena`. The file is never held in memory whole. A torn line that
+/// is not valid UTF-8 is an [`InvalidData`](std::io::ErrorKind::InvalidData)
+/// error rather than a torn line: the store is a text file, and binary
+/// garbage in it is not an interrupted append.
 fn scan(
     path: &Path,
-    mut visit: impl FnMut(usize, Result<(ChunkId, HarqStats), LineIssue>) -> std::io::Result<()>,
+    arena: &mut Vec<u64>,
+    mut visit: impl FnMut(usize, Result<(ChunkId, Slot), LineIssue>) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
-    let mut reader = BufReader::new(File::open(path)?);
+    let mut reader = BufReader::with_capacity(READ_BUF, File::open(path)?);
     let mut buf = Vec::new();
     let mut line_no = 0usize;
     loop {
@@ -281,7 +414,7 @@ fn scan(
         if line.is_empty() {
             continue;
         }
-        let outcome = classify_record(line);
+        let outcome = classify_line(line, arena);
         // A parsed line is pure ASCII; only a rejected one needs the
         // UTF-8 check.
         if matches!(outcome, Err(LineIssue::Torn)) && std::str::from_utf8(line).is_err() {
@@ -298,38 +431,48 @@ fn scan(
 }
 
 /// Parses and range-validates one store line (without its newline).
-fn classify_record(line: &[u8]) -> Result<(ChunkId, HarqStats), LineIssue> {
-    let (id, stats) = parse_record(line).ok_or(LineIssue::Torn)?;
-    validate_record(id, &stats).map_err(LineIssue::Corrupt)?;
-    Ok((id, stats))
+/// An accepted record's list is left in `arena`; a rejected line
+/// leaves `arena` as it was.
+fn classify_line(line: &[u8], arena: &mut Vec<u64>) -> Result<(ChunkId, Slot), LineIssue> {
+    let mark = arena.len();
+    let outcome = match parse_line(line, arena) {
+        Some((id, slot)) => validate_record(id, slot.packets, slot.delivered)
+            .map(|()| (id, slot))
+            .map_err(LineIssue::Corrupt),
+        None => Err(LineIssue::Torn),
+    };
+    if outcome.is_err() {
+        arena.truncate(mark);
+    }
+    outcome
 }
 
-/// Parses one store line in a single pass over its bytes; `None`
-/// unless the line is exactly what [`encode_record`] writes (see the
-/// module grammar). Invariants between the fields are **not** checked
-/// here — that is [`classify_record`]'s job, so the strict loaders can
-/// distinguish a routine torn line from corruption.
-fn parse_record(line: &[u8]) -> Option<(ChunkId, HarqStats)> {
+/// Parses one store line in a single pass over its bytes, pushing its
+/// `failures_at` list onto `arena` (a rejected line may leave part of
+/// it there; [`classify_line`] drops it). `None` unless the line is
+/// exactly what [`encode_record`] writes (see the module grammar).
+/// Invariants between the fields are **not** checked here — that is
+/// [`classify_line`]'s job, so the strict loaders can distinguish a
+/// routine torn line from corruption.
+fn parse_line(line: &[u8], arena: &mut Vec<u64>) -> Option<(ChunkId, Slot)> {
     let mut cur = Cursor(line);
-    cur.tag(b"{\"point\":\"")?;
-    let point = cur.hex16()?;
-    cur.tag(b"\",\"first\":")?;
-    let first_packet = cur.usize()?;
-    cur.tag(b",\"len\":")?;
-    let n_packets = cur.usize()?;
-    cur.tag(b",\"packets\":")?;
-    let packets = cur.uint()?;
-    cur.tag(b",\"delivered\":")?;
-    let delivered = cur.uint()?;
-    cur.tag(b",\"transmissions\":")?;
-    let transmissions = cur.uint()?;
-    cur.tag(b",\"info_bits\":")?;
-    let info_bits = cur.uint()?;
+    let id = ChunkId {
+        point: cur.tag(b"{\"point\":\"")?.hex16()?,
+        first_packet: cur.tag(b"\",\"first\":")?.usize()?,
+        n_packets: cur.tag(b",\"len\":")?.usize()?,
+    };
+    let mut slot = Slot {
+        packets: cur.tag(b",\"packets\":")?.uint()?,
+        delivered: cur.tag(b",\"delivered\":")?.uint()?,
+        transmissions: cur.tag(b",\"transmissions\":")?.uint()?,
+        info_bits: cur.tag(b",\"info_bits\":")?.uint()?,
+        start: arena.len(),
+        len: 0,
+    };
     cur.tag(b",\"failures_at\":[")?;
-    let mut failures_at = Vec::new();
     if cur.tag(b"]").is_none() {
         loop {
-            failures_at.push(cur.uint()?);
+            arena.push(cur.uint()?);
             if cur.tag(b",").is_none() {
                 cur.tag(b"]")?;
                 break;
@@ -337,22 +480,22 @@ fn parse_record(line: &[u8]) -> Option<(ChunkId, HarqStats)> {
         }
     }
     cur.tag(b"}")?;
-    if !cur.0.is_empty() {
-        return None;
-    }
-    let id = ChunkId {
-        point,
-        first_packet,
-        n_packets,
-    };
-    let stats = HarqStats {
-        packets,
-        delivered,
-        transmissions,
-        info_bits,
-        failures_at,
-    };
-    Some((id, stats))
+    slot.len = arena.len() - slot.start;
+    cur.0.is_empty().then_some((id, slot))
+}
+
+/// [`classify_line`] into a record of its own.
+#[cfg(test)]
+fn classify_record(line: &[u8]) -> Result<(ChunkId, HarqStats), LineIssue> {
+    let mut arena = Vec::new();
+    classify_line(line, &mut arena).map(|(id, slot)| (id, slot.stats(&arena)))
+}
+
+/// [`parse_line`] into a record of its own.
+#[cfg(test)]
+fn parse_record(line: &[u8]) -> Option<(ChunkId, HarqStats)> {
+    let mut arena = Vec::new();
+    parse_line(line, &mut arena).map(|(id, slot)| (id, slot.stats(&arena)))
 }
 
 #[cfg(test)]
@@ -728,6 +871,92 @@ mod tests {
                     }
                     check_mutant(&m)?;
                 }
+            }
+        }
+    }
+
+    /// The record table against a reference map where the later write
+    /// wins, over random sequences of store operations.
+    mod model {
+        use std::collections::BTreeMap;
+
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        use super::super::*;
+        use crate::campaign::store::{temp_store_path, ResultStore};
+
+        const POINTS: u64 = 4;
+        const FIRSTS: [usize; 3] = [0, 8, 16];
+        const LENS: [usize; 2] = [8, 16];
+
+        /// A valid record on a small key pool, so keys repeat.
+        fn record(rng: &mut StdRng) -> (ChunkId, HarqStats) {
+            let id = ChunkId {
+                point: rng.gen_range(0..POINTS),
+                first_packet: FIRSTS[rng.gen_range(0..FIRSTS.len())],
+                n_packets: LENS[rng.gen_range(0..LENS.len())],
+            };
+            let packets = id.n_packets as u64;
+            let stats = HarqStats {
+                packets,
+                delivered: rng.gen_range(0..=packets),
+                transmissions: rng.gen_range(0u64..100),
+                info_bits: rng.gen_range(0u64..1000),
+                failures_at: (0..rng.gen_range(0usize..5))
+                    .map(|_| rng.gen_range(0u64..50))
+                    .collect(),
+            };
+            (id, stats)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn record_table_matches_a_last_write_wins_model(seed in 0u64..u64::MAX) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let path = temp_store_path(&format!("model-{seed:x}"), "jsonl");
+                let mut store = ResultStore::open(&path, false).unwrap();
+                let mut model: BTreeMap<ChunkId, HarqStats> = BTreeMap::new();
+                for _ in 0..rng.gen_range(1usize..40) {
+                    match rng.gen_range(0u32..10) {
+                        0..=4 => {
+                            let (id, stats) = record(&mut rng);
+                            store.put(id, &stats).unwrap();
+                            model.insert(id, stats);
+                        }
+                        5 => {
+                            let records: Vec<_> =
+                                (0..rng.gen_range(0usize..8)).map(|_| record(&mut rng)).collect();
+                            store.backend.replace_all(&records).unwrap();
+                            model = records.into_iter().collect();
+                        }
+                        6 => {
+                            store.compact().unwrap();
+                        }
+                        7 => {
+                            drop(store);
+                            store = ResultStore::open(&path, false).unwrap();
+                            model.clear();
+                        }
+                        _ => {
+                            drop(store);
+                            store = ResultStore::open(&path, true).unwrap();
+                        }
+                    }
+                    prop_assert_eq!(store.len(), model.len());
+                    for point in 0..POINTS {
+                        for first_packet in FIRSTS {
+                            for n_packets in LENS {
+                                let id = ChunkId { point, first_packet, n_packets };
+                                prop_assert_eq!(store.backend.get(id), model.get(&id).cloned());
+                            }
+                        }
+                    }
+                }
+                drop(store);
+                let _ = fs::remove_file(&path);
             }
         }
     }

@@ -11,13 +11,15 @@
 //!
 //! * [`BackendKind::Jsonl`] (`.jsonl`) — one hand-written JSON line per
 //!   record. Human-greppable, trivially diffable, and the interchange
-//!   format (`campaign-admin export`/`import`). Every open parses the
-//!   whole file with one strict single-pass parser that accepts only
+//!   format (`campaign-admin export`/`import`). Every open streams the
+//!   whole file through one strict single-pass parser that accepts only
 //!   the canonical line the writer emits — fixed key order, a
 //!   16-digit lower-case hex key, unsigned decimals without sign or
 //!   leading zero, no whitespace, nothing after the closing `}` (the
-//!   grammar is in the `jsonl` module docs). Any other line is counted
-//!   as a torn line and never read as a record.
+//!   grammar is in the `jsonl` module docs) — straight into a flat
+//!   record table: fixed-size slots plus one shared arena for the
+//!   `failures_at` lists. Any other line is counted as a torn line and
+//!   never read as a record.
 //! * [`BackendKind::Indexed`] (`.seg`) — append-only binary segment
 //!   frames with a persistent point-key index sidecar (`.seg.idx`).
 //!   Open replays only the un-indexed tail and lookups seek straight to
@@ -256,7 +258,17 @@ impl ResultStore {
     /// Looks up a chunk, counting the outcome toward the hit/miss tally
     /// (and the global telemetry hit/miss counters).
     pub fn fetch(&mut self, id: ChunkId) -> Option<HarqStats> {
-        match self.backend.get(id) {
+        self.fetch_if(id, |_| true)
+    }
+
+    /// [`fetch`](Self::fetch) that serves a stored chunk only if `usable`
+    /// accepts it; a refused chunk counts as a miss.
+    pub fn fetch_if(
+        &mut self,
+        id: ChunkId,
+        usable: impl FnOnce(&HarqStats) -> bool,
+    ) -> Option<HarqStats> {
+        match self.backend.get(id).filter(usable) {
             Some(stats) => {
                 self.hits += 1;
                 telemetry::counter_add(Counter::StoreChunkHits, 1);
@@ -362,19 +374,21 @@ pub(super) fn corrupt_error(path: &Path, loc: impl fmt::Display, why: &str) -> s
     )
 }
 
-/// Checks the cross-field stats invariants both backends enforce; a
-/// violation means the record must not feed merged statistics.
-pub(super) fn validate_record(id: ChunkId, stats: &HarqStats) -> Result<(), String> {
-    if stats.packets != id.n_packets as u64 {
+/// Checks the cross-field stats invariants both backends enforce, on
+/// the two counters they involve; a violation means the record must not
+/// feed merged statistics. The `failures_at` length is not checked: the
+/// store does not know the campaign's transmission budget, so the
+/// campaign's own fetch rejects a chunk of the wrong shape.
+pub(super) fn validate_record(id: ChunkId, packets: u64, delivered: u64) -> Result<(), String> {
+    if packets != id.n_packets as u64 {
         return Err(format!(
-            "stats cover {} packets but the chunk range claims {}",
-            stats.packets, id.n_packets
+            "stats cover {packets} packets but the chunk range claims {}",
+            id.n_packets
         ));
     }
-    if stats.delivered > stats.packets {
+    if delivered > packets {
         return Err(format!(
-            "delivered {} > packets {} would underflow the failure count",
-            stats.delivered, stats.packets
+            "delivered {delivered} > packets {packets} would underflow the failure count"
         ));
     }
     Ok(())

@@ -134,7 +134,7 @@ impl SegmentBackend {
         while pos < tail.len() {
             match read_frame(&tail[pos..]) {
                 FrameRead::Ok(id, stats, consumed) => {
-                    validate_record(id, &stats)
+                    validate_record(id, stats.packets, stats.delivered)
                         .map_err(|why| corrupt_error(path, covered + pos as u64, &why))?;
                     frames.push((id, covered + pos as u64));
                     pos += consumed;
@@ -277,7 +277,7 @@ impl SegmentBackend {
         while pos < bytes.len() {
             match read_frame(&bytes[pos..]) {
                 FrameRead::Ok(id, stats, consumed) => {
-                    match validate_record(id, &stats) {
+                    match validate_record(id, stats.packets, stats.delivered) {
                         Ok(()) => load.records.push((id, stats)),
                         Err(why) if strict => {
                             return Err(corrupt_error(&self.path, pos, &why));

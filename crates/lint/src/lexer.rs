@@ -89,14 +89,14 @@ pub fn lex(src: &str) -> Lexed {
         out.tokens.push(Token { tok, line });
     };
 
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    // `i` stays on a char boundary: every arm consumes whole chars.
+    while let Some(c) = src[i..].chars().next() {
         match c {
             '\n' => {
                 line += 1;
                 i += 1;
             }
-            c if c.is_whitespace() => i += 1,
+            c if c.is_whitespace() => i += c.len_utf8(),
             '/' if bytes.get(i + 1) == Some(&b'/') => {
                 let start = i + 2;
                 let mut j = start;
@@ -159,21 +159,16 @@ pub fn lex(src: &str) -> Lexed {
                 i += consumed;
             }
             c if c.is_alphabetic() || c == '_' => {
-                let mut j = i;
-                while j < bytes.len() {
-                    let ch = bytes[j] as char;
-                    if ch.is_alphanumeric() || ch == '_' {
-                        j += 1;
-                    } else {
-                        break;
-                    }
-                }
-                push(&mut out, Tok::Ident(src[i..j].to_string()), line);
-                i = j;
+                let rest = &src[i..];
+                let len = rest
+                    .find(|ch: char| !(ch.is_alphanumeric() || ch == '_'))
+                    .unwrap_or(rest.len());
+                push(&mut out, Tok::Ident(rest[..len].to_string()), line);
+                i += len;
             }
             c => {
                 push(&mut out, Tok::Punct(c), line);
-                i += 1;
+                i += c.len_utf8();
             }
         }
     }
@@ -296,46 +291,29 @@ fn lex_prefixed_string(rest: &str) -> (Tok, usize, u32) {
 }
 
 /// Lexes a `'`-introduced token: char literal or lifetime. Returns
-/// (token, bytes consumed).
+/// (token, bytes consumed). Walks `char`s, so a literal or lifetime of
+/// any UTF-8 width ends on a char boundary.
 fn lex_quote(rest: &str) -> (Tok, usize) {
-    let b = rest.as_bytes();
-    match b.get(1) {
-        Some(b'\\') => {
-            // Escaped char literal: scan to the closing quote.
-            let mut j = 2;
+    let body = &rest[1..];
+    match body.chars().next() {
+        Some('\\') => {
+            // Escaped char literal: skip the escaped character, then
+            // scan to the closing quote (`'\''` closes on the third).
+            let b = rest.as_bytes();
+            let mut j = 3;
             while j < b.len() && b[j] != b'\'' {
                 j += 1;
             }
             (Tok::Char, (j + 1).min(b.len()))
         }
-        Some(&c) if (c as char).is_alphanumeric() || c == b'_' => {
-            if b.get(2) == Some(&b'\'') {
-                // 'a'
-                (Tok::Char, 3)
-            } else {
-                // 'lifetime
-                let mut j = 1;
-                while j < b.len() {
-                    let ch = b[j] as char;
-                    if ch.is_alphanumeric() || ch == '_' {
-                        j += 1;
-                    } else {
-                        break;
-                    }
-                }
-                (Tok::Lifetime(rest[1..j].to_string()), j)
-            }
+        Some(c) if body[c.len_utf8()..].starts_with('\'') => (Tok::Char, 2 + c.len_utf8()),
+        Some(c) if c.is_alphanumeric() || c == '_' => {
+            let end = body
+                .find(|ch: char| !(ch.is_alphanumeric() || ch == '_'))
+                .unwrap_or(body.len());
+            (Tok::Lifetime(body[..end].to_string()), 1 + end)
         }
-        Some(&c) => {
-            // Punctuation char like '(' — expect closing quote.
-            let _ = c;
-            if b.get(2) == Some(&b'\'') {
-                (Tok::Char, 3)
-            } else {
-                (Tok::Punct('\''), 1)
-            }
-        }
-        None => (Tok::Punct('\''), 1),
+        _ => (Tok::Punct('\''), 1),
     }
 }
 
@@ -433,6 +411,59 @@ mod tests {
             .collect();
         assert_eq!(lifetimes.len(), 2);
         assert_eq!(chars.len(), 2);
+    }
+
+    #[test]
+    fn non_ascii_chars_and_lifetimes() {
+        let toks = |src: &str| {
+            lex(src)
+                .tokens
+                .into_iter()
+                .map(|t| t.tok)
+                .collect::<Vec<_>>()
+        };
+        for lit in ["'é'", "'字'", "'\\u{e9}'", "'a'", "'\\''", "'🦀'"] {
+            assert_eq!(
+                toks(&format!("let c = {lit}; x")),
+                [
+                    Tok::Ident("let".into()),
+                    Tok::Ident("c".into()),
+                    Tok::Punct('='),
+                    Tok::Char,
+                    Tok::Punct(';'),
+                    Tok::Ident("x".into()),
+                ],
+                "{lit}"
+            );
+        }
+        for (src, name) in [
+            ("&'static str", "static"),
+            ("&'é str", "é"),
+            ("&'a_字 str", "a_字"),
+        ] {
+            assert_eq!(
+                toks(src),
+                [
+                    Tok::Punct('&'),
+                    Tok::Lifetime(name.into()),
+                    Tok::Ident("str".into()),
+                ],
+                "{src}"
+            );
+        }
+        // Non-ASCII identifiers and punctuation lex whole.
+        assert_eq!(
+            toks("let é字_1 = a→b;"),
+            [
+                Tok::Ident("let".into()),
+                Tok::Ident("é字_1".into()),
+                Tok::Punct('='),
+                Tok::Ident("a".into()),
+                Tok::Punct('→'),
+                Tok::Ident("b".into()),
+                Tok::Punct(';'),
+            ]
+        );
     }
 
     #[test]
