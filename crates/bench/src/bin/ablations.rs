@@ -1,4 +1,4 @@
-//! Ablation studies on the design choices called out in DESIGN.md §5.
+//! Ablation studies on the receiver's design choices.
 //!
 //! Each ablation swaps exactly one design decision and re-measures the
 //! system-level metric, quantifying how much of the paper's story depends
@@ -10,7 +10,7 @@
 //! 4. HARQ combining — incremental redundancy vs Chase.
 //! 5. Equalizer — MMSE vs RAKE matched filter (component-level SINR).
 
-use bench::{banner, budget_from_args};
+use bench::cli::{banner, FigureArgs, ABLATIONS};
 use dsp::stats::linear_to_db;
 use dsp::LlrFormat;
 use hspa_phy::channel::{ChannelModel, MultipathChannel};
@@ -24,8 +24,7 @@ use silicon::fault_map::FaultKind;
 use silicon::ProtectionPlan;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut budget = budget_from_args(&args);
+    let mut budget = FigureArgs::from_env(ABLATIONS).budget;
     // Ablations compare design arms at equal sample counts; adaptive
     // stopping would vary the per-arm CI width, so stay one-shot.
     budget.campaign = None;

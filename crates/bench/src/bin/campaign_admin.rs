@@ -2,17 +2,11 @@
 //! manifests under `target/campaign/` by default).
 //!
 //! ```text
-//! campaign-admin merge  --name fig6 [--dir D] [--out-dir D2]
-//! campaign-admin gc     --name fig6 [--dir D] [--shard i/n]
-//! campaign-admin verify --name fig6 [--dir D] [--shard i/n] [--strict]
-//! campaign-admin stats  --name fig6 [--dir D] [--shard i/n]
-//! campaign-admin query  --name fig6 [--dir D] [--shard i/n] [--key HEX]
-//!                       [--snr LO:HI] [--tier TIER] [--converged BOOL]
-//! campaign-admin export --name fig6 --file OUT   [--dir D] [--shard i/n]
-//! campaign-admin import --name fig6 --file IN    [--dir D] [--shard i/n]
-//!                       [--store-backend jsonl|indexed]
-//! campaign-admin top    --name fig6 [--dir D] [--once] [--interval SECS]
+//! campaign-admin <merge|gc|verify|stats|query|export|import|top> --name fig6 [FLAGS]
 //! ```
+//!
+//! The flags are [`bench::cli::ADMIN_FLAGS`]; each subcommand reads the
+//! ones it needs.
 //!
 //! * `merge` — gathers every `<name>.shard-*-of-*` store/manifest pair
 //!   in `--dir` (e.g. CI artifacts of parallel `--shard i/n` legs),
@@ -56,22 +50,9 @@
 
 use std::path::{Path, PathBuf};
 
-use hspa_phy::turbo::AccuracyTier;
-use resilience_core::campaign::{
-    shard, store, BackendKind, Manifest, QueryFilter, ShardSpec, DEFAULT_STORE_DIR,
-};
+use bench::cli::{admin_from_args, parse_or_exit, ADMIN_COMMANDS, ADMIN_FLAGS};
+use resilience_core::campaign::{shard, store, BackendKind, Manifest, ShardSpec};
 use resilience_core::telemetry::LiveSnapshot;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: campaign-admin <merge|gc|verify|stats|query|export|import|top> \
-         --name <campaign> [--dir DIR] [--out-dir DIR] [--shard I/N] \
-         [--key HEX] [--snr LO:HI] [--tier TIER] [--converged BOOL] \
-         [--file PATH] [--store-backend jsonl|indexed] [--strict] \
-         [--once] [--interval SECS]"
-    );
-    std::process::exit(2);
-}
 
 fn fail(context: &str, e: impl std::fmt::Display) -> ! {
     eprintln!("campaign-admin {context}: {e}");
@@ -79,88 +60,12 @@ fn fail(context: &str, e: impl std::fmt::Display) -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first().cloned() else {
-        usage();
-    };
-    let mut name: Option<String> = None;
-    let mut dir = PathBuf::from(DEFAULT_STORE_DIR);
-    let mut out_dir: Option<PathBuf> = None;
-    let mut spec = ShardSpec::single();
-    let mut once = false;
-    let mut interval_secs = 2u64;
-    let mut filter = QueryFilter::new();
-    let mut file: Option<PathBuf> = None;
-    let mut backend = BackendKind::default();
-    let mut strict = false;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--name" => name = it.next().cloned(),
-            "--dir" => dir = it.next().map(PathBuf::from).unwrap_or_else(|| usage()),
-            "--out-dir" => out_dir = Some(it.next().map(PathBuf::from).unwrap_or_else(|| usage())),
-            "--shard" => {
-                spec = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--once" => once = true,
-            "--strict" => strict = true,
-            "--interval" => {
-                interval_secs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--key" => {
-                let key = it
-                    .next()
-                    .and_then(|v| u64::from_str_radix(v, 16).ok())
-                    .unwrap_or_else(|| usage());
-                filter = filter.with_key(key);
-            }
-            "--snr" => {
-                let (lo, hi) = it
-                    .next()
-                    .and_then(|v| {
-                        let (lo, hi) = v.split_once(':')?;
-                        Some((lo.parse::<f64>().ok()?, hi.parse::<f64>().ok()?))
-                    })
-                    .unwrap_or_else(|| usage());
-                filter = filter.with_snr_range(lo, hi);
-            }
-            "--tier" => {
-                let tier: AccuracyTier = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                filter = filter.with_tier(tier);
-            }
-            "--converged" => {
-                let converged: bool = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                filter = filter.with_converged(converged);
-            }
-            "--file" => file = Some(it.next().map(PathBuf::from).unwrap_or_else(|| usage())),
-            "--store-backend" => {
-                backend = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            _ => usage(),
-        }
-    }
-    let Some(name) = name else {
-        usage();
-    };
-
-    match command.as_str() {
+    let synopsis = format!("<{}> --name <campaign> [FLAGS]", ADMIN_COMMANDS.join("|"));
+    let args = parse_or_exit(&synopsis, &[ADMIN_FLAGS], admin_from_args);
+    let (name, dir, spec) = (args.name, args.dir, args.shard);
+    match args.command.as_str() {
         "merge" => {
-            let out = out_dir.unwrap_or_else(|| dir.clone());
+            let out = args.out_dir.unwrap_or_else(|| dir.clone());
             let report = shard::merge(&name, &dir, &out)
                 .unwrap_or_else(|e| fail(&format!("merge {name}"), e));
             println!(
@@ -197,7 +102,7 @@ fn main() {
             );
         }
         "verify" => {
-            let report = shard::verify_with(&name, &dir, spec, strict)
+            let report = shard::verify_with(&name, &dir, spec, args.strict)
                 .unwrap_or_else(|e| fail(&format!("verify {name}"), e));
             println!(
                 "verify campaign {name}: {}/{} points reproduced by replaying the store \
@@ -222,35 +127,29 @@ fn main() {
             print!("{text}");
         }
         "query" => {
-            let text = shard::query(&name, &dir, spec, &filter)
+            let text = shard::query(&name, &dir, spec, &args.filter)
                 .unwrap_or_else(|e| fail(&format!("query {name}"), e));
             print!("{text}");
         }
         "export" => {
-            let Some(out) = file else {
-                usage();
-            };
             let (src, _) = shard::detect_store_file(&name, &dir, spec)
                 .unwrap_or_else(|e| fail(&format!("export {name}"), e));
-            let n =
-                store::convert(&src, &out).unwrap_or_else(|e| fail(&format!("export {name}"), e));
+            let n = store::convert(&src, &args.file)
+                .unwrap_or_else(|e| fail(&format!("export {name}"), e));
             println!(
                 "exported {n} chunk records: {} -> {}",
                 src.display(),
-                out.display()
+                args.file.display()
             );
         }
         "import" => {
-            let Some(input) = file else {
-                usage();
-            };
             // Refuse an import that would leave the campaign with two
             // live backends — detection (gc, stats, merge) would then
             // error on the ambiguity.
             let other = dir.join(shard::store_file(
                 &name,
                 spec,
-                match backend {
+                match args.backend {
                     BackendKind::Jsonl => BackendKind::Indexed,
                     BackendKind::Indexed => BackendKind::Jsonl,
                 },
@@ -266,17 +165,17 @@ fn main() {
                     ),
                 );
             }
-            let dst = dir.join(shard::store_file(&name, spec, backend));
-            let n =
-                store::convert(&input, &dst).unwrap_or_else(|e| fail(&format!("import {name}"), e));
+            let dst = dir.join(shard::store_file(&name, spec, args.backend));
+            let n = store::convert(&args.file, &dst)
+                .unwrap_or_else(|e| fail(&format!("import {name}"), e));
             println!(
                 "imported {n} chunk records: {} -> {}",
-                input.display(),
+                args.file.display(),
                 dst.display()
             );
         }
-        "top" => top(&name, &dir, once, interval_secs),
-        _ => usage(),
+        "top" => top(&name, &dir, args.once, args.interval_secs),
+        other => unreachable!("admin_from_args accepts no subcommand '{other}'"),
     }
 }
 

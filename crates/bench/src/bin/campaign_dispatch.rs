@@ -5,12 +5,14 @@
 //!
 //! ```text
 //! campaign-dispatch --name fig6 --bin target/release/fig6a --legs 2 \
-//!     [--steal|--no-steal] [--work-dir D] [--stall-timeout SECS] \
-//!     [--launcher TEMPLATE] [--hosts a,b,c] [--pull TEMPLATE] \
-//!     [--backoff BASE_MS:FACTOR:MAX_MS] [--no-reshard] [--chaos-seed N] \
-//!     [--manifest-json PATH] [--telemetry] [--store-backend KIND] \
-//!     [--quiet] [-- LEG_ARGS...]
+//!     [FLAGS] [-- LEG_FLAGS...]
 //! ```
+//!
+//! The flags are [`bench::cli::DISPATCH_FLAGS`]. `LEG_FLAGS` are passed
+//! to every leg and must parse as the campaign figure binaries' flags,
+//! minus those marked `dispatcher_owned` (sharding, store resume and
+//! manifest export are the dispatcher's); a bad one exits 2 before any
+//! leg launches.
 //!
 //! `--launcher TEMPLATE` switches from local child processes to the
 //! remote-capable command launcher: the template (`ssh {host} {cmd}`
@@ -48,43 +50,27 @@
 //! 3 partial success (shards abandoned; merged manifest verified but
 //! incomplete).
 
-use std::path::Path;
-use std::time::Duration;
-
-use bench::dispatch_from_args;
-use resilience_core::campaign::{
-    dispatch, CommandLauncher, DispatchConfig, Launcher, LocalLauncher, DEFAULT_STORE_DIR,
-};
+use bench::cli::{dispatch_from_args, parse_or_exit, DISPATCH_FLAGS};
+use resilience_core::campaign::{dispatch, CommandLauncher, Launcher, LocalLauncher};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = dispatch_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("campaign-dispatch: {e}");
-        eprintln!(
-            "usage: campaign-dispatch --name <campaign> --bin <figure binary> \
-             [--legs N] [--steal|--no-steal] [--work-dir D] \
-             [--stall-timeout SECS] [--launcher TEMPLATE] [--hosts a,b,c] \
-             [--pull TEMPLATE] [--backoff BASE_MS:FACTOR:MAX_MS] \
-             [--no-reshard] [--chaos-seed N] [--manifest-json PATH] \
-             [--telemetry] [--store-backend jsonl|indexed] [--quiet] \
-             [-- LEG_ARGS...]"
-        );
-        std::process::exit(2);
-    });
+    let parsed = parse_or_exit(
+        "--name <campaign> --bin <figure binary> [FLAGS] [-- LEG_FLAGS...]",
+        &[DISPATCH_FLAGS],
+        dispatch_from_args,
+    );
 
     // With --telemetry the legs are told to write their live snapshots
     // (the dispatcher's primary heartbeat) and event logs.
     let mut leg_args = parsed.leg_args.clone();
-    if parsed.telemetry && !leg_args.iter().any(|a| a == "--telemetry") {
+    if parsed.config.telemetry && !parsed.leg_flags.contains(&"--telemetry") {
         leg_args.push("--telemetry".into());
     }
     // Forward the store backend to the legs (unless the operator pinned
     // one in the leg args themselves).
-    if let Some(kind) = parsed.store_backend {
-        if !leg_args.iter().any(|a| a == "--store-backend") {
-            leg_args.push("--store-backend".into());
-            leg_args.push(kind.to_string());
-        }
+    let pinned = parsed.leg_flags.contains(&"--store-backend");
+    if let Some(kind) = parsed.store_backend.filter(|_| !pinned) {
+        leg_args.extend(["--store-backend".into(), kind.to_string()]);
     }
     // Arm this process's failpoints too: the launch-io site lives in the
     // dispatcher, not the legs. The legs get the seed via their
@@ -93,7 +79,6 @@ fn main() {
         resilience_core::failpoint::arm(seed);
     }
 
-    let store_dir = Path::new(&parsed.work_dir).join(DEFAULT_STORE_DIR);
     let launcher: Box<dyn Launcher> = match &parsed.launcher {
         Some(template) => {
             let mut l =
@@ -120,26 +105,13 @@ fn main() {
             Box::new(l)
         }
     };
-    let mut cfg = DispatchConfig {
-        steal: parsed.steal,
-        reshard: parsed.reshard,
-        stall_timeout: match parsed.stall_timeout_secs {
-            0 => None,
-            secs => Some(Duration::from_secs(secs)),
-        },
-        telemetry: parsed.telemetry,
-        ..DispatchConfig::new(&parsed.name, parsed.legs, store_dir)
-    };
-    if let Some(backoff) = parsed.backoff {
-        cfg.backoff = backoff;
-    }
-
+    let cfg = &parsed.config;
     println!(
         "=== dispatching campaign '{}': {} legs of {} ({}){}",
-        parsed.name,
-        parsed.legs,
+        cfg.name,
+        cfg.legs,
         parsed.bin,
-        if parsed.steal {
+        if cfg.steal {
             "work stealing on"
         } else {
             "no stealing"
@@ -150,14 +122,14 @@ fn main() {
             format!(", leg args: {}", parsed.leg_args.join(" "))
         },
     );
-    let report = dispatch(&cfg, launcher.as_ref()).unwrap_or_else(|e| {
-        eprintln!("campaign-dispatch {}: {e}", parsed.name);
+    let report = dispatch(cfg, launcher.as_ref()).unwrap_or_else(|e| {
+        eprintln!("campaign-dispatch {}: {e}", cfg.name);
         std::process::exit(1);
     });
     print!("{}", report.summary());
 
     if let Some(out) = parsed.manifest_json {
-        if let Err(e) = std::fs::copy(Path::new(&report.merge.manifest_path), &out) {
+        if let Err(e) = std::fs::copy(&report.merge.manifest_path, &out) {
             eprintln!(
                 "--manifest-json: cannot copy {} to {out}: {e}",
                 report.merge.manifest_path.display()
@@ -170,7 +142,7 @@ fn main() {
     if !report.abandoned.is_empty() {
         eprintln!(
             "campaign-dispatch {}: {} shard(s) abandoned — merged manifest is partial",
-            parsed.name,
+            cfg.name,
             report.abandoned.len()
         );
         std::process::exit(3);

@@ -1,13 +1,13 @@
 //! Extension study: die-to-die variation under a fixed defect count —
 //! validates the paper's single-fault-map worst-case methodology.
 
-use bench::{banner, budget_from_args};
+use bench::cli::{banner, FigureArgs, CAMPAIGN_FIGURE};
 use resilience_core::config::SystemConfig;
 use resilience_core::experiments::die_variation;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let budget = budget_from_args(&args);
+    let args = FigureArgs::from_env(CAMPAIGN_FIGURE);
+    let budget = args.budget;
     let cfg = SystemConfig::paper_64qam().with_tier(budget.accuracy_tier);
     println!(
         "{}",
@@ -19,5 +19,5 @@ fn main() {
     }
     println!("expected: modest spread (fault count, not location, dominates) -");
     println!("supporting the paper's 'bin dies by Nf' selection criterion.\n");
-    bench::finish(&args, &budget, &["die-variation"]);
+    args.finish("die-variation");
 }

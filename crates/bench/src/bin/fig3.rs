@@ -4,6 +4,7 @@
 use resilience_core::experiments::fig3;
 
 fn main() {
+    bench::cli::no_flags();
     println!("=== DAC'12 reproduction — Fig. 3: log10 P_cell(Vdd), 65 nm\n");
     let res = fig3::run();
     println!("{}", res.table());

@@ -4,6 +4,7 @@
 use resilience_core::experiments::fig5;
 
 fn main() {
+    bench::cli::no_flags();
     println!("=== DAC'12 reproduction — Fig. 5: yield Y(Nf), 200 Kb array\n");
     let res = fig5::run();
     println!("{}", res.table());

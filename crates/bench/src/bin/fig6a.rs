@@ -1,13 +1,13 @@
 //! Regenerates Fig. 6(a) — normalized throughput vs SNR under LLR-storage
 //! defect rates of 0 / 0.1 / 1 / 5 / 10 %.
 
-use bench::{banner, budget_from_args};
+use bench::cli::{banner, FigureArgs, CAMPAIGN_FIGURE};
 use resilience_core::config::SystemConfig;
 use resilience_core::experiments::{fig6, THROUGHPUT_REQUIREMENT};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let budget = budget_from_args(&args);
+    let args = FigureArgs::from_env(CAMPAIGN_FIGURE);
+    let budget = args.budget;
     let cfg = SystemConfig::paper_64qam().with_tier(budget.accuracy_tier);
     println!(
         "{}",
@@ -27,5 +27,5 @@ fn main() {
     }
     println!("\nexpected shape: <=0.1% defects coincide with defect-free; degradation");
     println!("grows beyond that; even 10% defects still cross the 0.53 requirement.\n");
-    bench::finish(&args, &budget, &["fig6"]);
+    args.finish("fig6");
 }

@@ -1,13 +1,13 @@
 //! Regenerates Fig. 6(b) — average number of transmissions vs SNR under
 //! the same defect-rate sweep as Fig. 6(a).
 
-use bench::{banner, budget_from_args};
+use bench::cli::{banner, FigureArgs, CAMPAIGN_FIGURE};
 use resilience_core::config::SystemConfig;
 use resilience_core::experiments::fig6;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let budget = budget_from_args(&args);
+    let args = FigureArgs::from_env(CAMPAIGN_FIGURE);
+    let budget = args.budget;
     let cfg = SystemConfig::paper_64qam().with_tier(budget.accuracy_tier);
     println!(
         "{}",
@@ -17,5 +17,5 @@ fn main() {
     println!("{}", res.table_avg_tx());
     println!("expected shape: defect rates beyond 0.1% push the retransmission");
     println!("count toward the budget (4), wasting energy across the whole chain.\n");
-    bench::finish(&args, &budget, &["fig6"]);
+    args.finish("fig6");
 }

@@ -1,13 +1,13 @@
 //! Regenerates Fig. 7 — throughput after 8T-protecting 0-6 MSBs of each
 //! stored LLR, with 1% (panel a) and 10% (panel b) defects in the 6T bits.
 
-use bench::{banner, budget_from_args};
+use bench::cli::{banner, FigureArgs, CAMPAIGN_FIGURE};
 use resilience_core::config::SystemConfig;
 use resilience_core::experiments::fig7;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let budget = budget_from_args(&args);
+    let args = FigureArgs::from_env(CAMPAIGN_FIGURE);
+    let budget = args.budget;
     let cfg = SystemConfig::paper_64qam().with_tier(budget.accuracy_tier);
     println!(
         "{}",
@@ -24,5 +24,5 @@ fn main() {
     );
     println!("expected shape: protecting 3-4 MSBs recovers (almost) the defect-free");
     println!("curve even under 10% defects in the remaining bits.\n");
-    bench::finish(&args, &budget, &["fig7"]);
+    args.finish("fig7");
 }

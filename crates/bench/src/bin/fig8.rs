@@ -1,13 +1,13 @@
 //! Regenerates Fig. 8 — protection efficiency (throughput gain per unit
 //! area) vs number of protected bits at 10% defects, plus ECC baseline.
 
-use bench::{banner, budget_from_args};
+use bench::cli::{banner, FigureArgs, CAMPAIGN_FIGURE};
 use resilience_core::config::SystemConfig;
 use resilience_core::experiments::fig8;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let budget = budget_from_args(&args);
+    let args = FigureArgs::from_env(CAMPAIGN_FIGURE);
+    let budget = args.budget;
     let cfg = SystemConfig::paper_64qam().with_tier(budget.accuracy_tier);
     // Mid-waterfall SNR: where the unprotected system suffers most.
     let snr = 9.0;
@@ -20,5 +20,5 @@ fn main() {
     println!("best gain/area protection: {} MSBs", res.best_protection());
     println!("\nexpected shape: gain saturates at 3-4 protected bits (~12-13% area);");
     println!("full-word SECDED pays >=35-50% area for no additional throughput.\n");
-    bench::finish(&args, &budget, &["fig8"]);
+    args.finish("fig8");
 }

@@ -1,13 +1,13 @@
 //! Regenerates Fig. 9 — throughput under 10/11/12-bit LLR quantization
 //! with an unprotected array at 10% defects.
 
-use bench::{banner, budget_from_args};
+use bench::cli::{banner, FigureArgs, CAMPAIGN_FIGURE};
 use resilience_core::config::SystemConfig;
 use resilience_core::experiments::fig9;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let budget = budget_from_args(&args);
+    let args = FigureArgs::from_env(CAMPAIGN_FIGURE);
+    let budget = args.budget;
     let cfg = SystemConfig::paper_64qam().with_tier(budget.accuracy_tier);
     println!(
         "{}",
@@ -24,5 +24,5 @@ fn main() {
     }
     println!("\nexpected shape: under 10% defects the 10-bit system matches or beats");
     println!("11/12-bit at high SNR - bigger arrays collect more faults.\n");
-    bench::finish(&args, &budget, &["fig9"]);
+    args.finish("fig9");
 }

@@ -192,6 +192,7 @@ fn outcome_cases(tier: AccuracyTier) {
 }
 
 fn main() {
+    bench::cli::no_flags();
     println!("// --- decoder-level golden cases (Exact, f64) ---");
     decoder_cases();
     println!("// --- decoder-level golden cases (Fast32, f32 LLR path) ---");

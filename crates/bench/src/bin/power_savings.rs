@@ -1,13 +1,13 @@
 //! Regenerates the Section 6.3 power study: voltage scaling enabled by
 //! defect tolerance and MSB protection (~30% HARQ-block power saving).
 
-use bench::{banner, budget_from_args};
+use bench::cli::{banner, FigureArgs, CAMPAIGN_FIGURE};
 use resilience_core::config::SystemConfig;
 use resilience_core::experiments::power;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let budget = budget_from_args(&args);
+    let args = FigureArgs::from_env(CAMPAIGN_FIGURE);
+    let budget = args.budget;
     let cfg = SystemConfig::paper_64qam().with_tier(budget.accuracy_tier);
     let snr = 9.0; // the paper's retransmission comparison point
     println!(
@@ -19,5 +19,5 @@ fn main() {
     println!("expected shape: 6T@0.8V saves ~30-40% with no throughput cost;");
     println!("hybrid@0.6V saves more while needing fewer retransmissions than the");
     println!("unprotected 0.6V array (paper: 2.4 vs 3.5 at 9 dB).\n");
-    bench::finish(&args, &budget, &["power"]);
+    args.finish("power");
 }

@@ -9,6 +9,7 @@ use silicon::repair::{yield_with_repair, ArrayGeometry, SpareBudget};
 use silicon::yield_model::yield_accepting;
 
 fn main() {
+    bench::cli::no_flags();
     let g = ArrayGeometry {
         rows: 256,
         cols: 128,

@@ -1,12 +1,12 @@
 //! Extension study: transient soft errors vs persistent defects (§3).
 
-use bench::{banner, budget_from_args};
+use bench::cli::{banner, FigureArgs, CAMPAIGN_FIGURE};
 use resilience_core::config::SystemConfig;
 use resilience_core::experiments::soft_errors;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let budget = budget_from_args(&args);
+    let args = FigureArgs::from_env(CAMPAIGN_FIGURE);
+    let budget = args.budget;
     let cfg = SystemConfig::paper_64qam().with_tier(budget.accuracy_tier);
     println!(
         "{}",
@@ -17,5 +17,5 @@ fn main() {
     println!("expected shape: throughput unaffected until ~1e-4 upsets/bit/read,");
     println!("orders of magnitude above the model's prediction - persistent RDF");
     println!("defects, not soft errors, are the binding constraint (paper §3).\n");
-    bench::finish(&args, &budget, &["soft-errors"]);
+    args.finish("soft-errors");
 }
