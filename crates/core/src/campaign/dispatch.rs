@@ -2,67 +2,45 @@
 //! watches their liveness, steals work from stragglers, and folds the
 //! artifacts back into the single-host files.
 //!
-//! PR 3's sharding made a multi-host campaign *possible*; running one
-//! was still an operator loop — start each `--shard i/n` leg by hand,
-//! gather the suffixed files, invoke `campaign-admin merge`, re-run
-//! anything that died. [`dispatch`] closes that loop for a pool of legs
-//! behind a pluggable [`Launcher`]:
+//! A dispatch has two halves. **The core**, `machine::Dispatcher`, is a
+//! pure state machine that makes every policy decision: fed events (a
+//! leg exited clean, failed or lied about success; a launch failed;
+//! progress seen; a re-split result; a tick) at a time the caller
+//! supplies, it answers with actions (launch, kill, split, merge,
+//! abort). It reads no clock and touches no file, so its tests run on a
+//! simulated clock. **The driver**, [`dispatch`], does only the I/O:
+//! the directory pre-flight, launches behind the `launch-io` failpoint,
+//! leg polls and kills, heartbeat reads, the store split of a
+//! re-shard, the 50 ms poll sleep, and the final merge and verify.
 //!
-//! 1. **Launch.** One leg per shard spec, `0/n .. (n-1)/n`, through
-//!    [`Launcher::launch`]. The in-tree [`LocalLauncher`] spawns this
-//!    host's figure binary as child processes; [`CommandLauncher`]
-//!    generalizes the same seam to an arbitrary command template —
-//!    `ssh {host} {cmd}` fans legs out over a host pool (`sh -c {cmd}`
-//!    exercises the identical path locally), with an optional pull
-//!    template that fetches remote artifacts back after each leg. A
-//!    launch that fails with an I/O error is not fatal: it re-enters
-//!    the same attempt accounting and backoff as a dead leg.
-//! 2. **Monitor.** Legs are polled for exit and for *progress*: a leg's
-//!    primary heartbeat is the monotonic `seq` of its live telemetry
-//!    snapshot ([`crate::telemetry::LiveSnapshot`]), which advances once
-//!    per scheduling round; when a leg predates telemetry (no snapshot
-//!    file), the dispatcher falls back to the (size, mtime) signature of
-//!    its shard store and manifest files. A leg that is alive but shows
-//!    no progress within the stall timeout is a straggler — it is
-//!    killed so its work can be stolen. The heartbeat is chunk-granular
-//!    at its finest, so the timeout doubles for a shard after each
-//!    stall-kill: a leg that was merely deep inside a long chunk gets
-//!    room to finish on its rescue instead of looping to the attempt
-//!    cap.
-//! 3. **Steal.** When a leg dies (killed, crashed, or stall-killed)
-//!    while steal is enabled, the dispatcher immediately relaunches its
-//!    shard spec in the freed slot as a *rescue leg*. The rescue leg
-//!    resumes the straggler's result store (`--resume` is the campaign
-//!    default), so every chunk the straggler already simulated is
-//!    served from disk — work is stolen, never redone — and the
-//!    deterministic chunk schedule replays the identical ranges before
-//!    simulating the remainder. Relaunches wait out a
-//!    deterministically-jittered exponential [`BackoffPolicy`] so a
-//!    flapping host is not hammered. When two or more dispatch slots
-//!    sit idle, a dead shard is *re-sharded* instead of rescued 1-for-1:
-//!    its surviving store is partitioned into sub-shard slices
-//!    ([`shard::partition_store_into_slices`]) that resume in parallel
-//!    across the idle slots. A shard that still fails after
-//!    [`DispatchConfig::max_attempts`] launches is **abandoned**, not
-//!    allowed to sink the whole dispatch.
-//! 4. **Merge + verify.** Once every surviving shard has a clean leg,
-//!    the shard merge folds the artifacts into the unsuffixed
-//!    store/manifest pair, re-deriving every point's statistics from
-//!    the merged store, and [`shard::verify`] proves the store
-//!    reproduces the merged manifest. Because the merge normalizes chunk
-//!    provenance, the final manifest is **byte-identical** to a
-//!    single-host run at the same settings — whether or not any leg was
-//!    rescued or re-sharded along the way. If shards were abandoned the
-//!    survivors still merge into a *partial* manifest that lists every
-//!    finished point and passes verification; the report names the
-//!    missing points and `campaign-dispatch` exits non-zero.
+//! 1. **Launch** one leg per shard spec `0/n .. (n-1)/n`, through
+//!    [`LocalLauncher`] (child processes of this host) or
+//!    [`CommandLauncher`] (a command template such as
+//!    `ssh {host} {cmd}`). A failed launch is retried like a dead leg.
+//! 2. **Monitor.** A leg's heartbeat is the `seq` of its live telemetry
+//!    snapshot, backed by the (size, mtime) of its store and manifest.
+//!    A leg alive but silent past the stall timeout is killed; the
+//!    timeout doubles for a shard after each stall kill, so a leg deep
+//!    inside one long chunk gets room to finish.
+//! 3. **Steal.** A dead shard relaunches as a *rescue leg* after a
+//!    jittered exponential [`BackoffPolicy`], resuming the dead leg's
+//!    store: stored chunks are served from disk, never simulated again.
+//!    With two or more slots idle the shard is *re-sharded* instead,
+//!    its store split into slices that resume in parallel. A shard that
+//!    fails [`DispatchConfig::max_attempts`] times is **abandoned**.
+//!    With steal off, the first failure aborts.
+//! 4. **Merge + verify.** The completed legs merge into the unsuffixed
+//!    store/manifest pair, every statistic re-derived from the store,
+//!    and [`shard::verify`] proves the store reproduces the manifest,
+//!    which is **byte-identical** to a single-host run however many
+//!    legs were rescued. With shards abandoned the survivors still
+//!    merge into a *partial*, verified manifest.
 //!
 //! Determinism makes the self-healing safe: a packet's RNG stream
 //! depends only on its absolute position in the seed tree, and stopping
 //! decisions are pure functions of merged statistics, so *which* leg
 //! (original or rescue) simulated a chunk cannot change any result.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -74,13 +52,15 @@ use super::hash::fnv1a64;
 use super::shard::{self, MergeReport, ShardSpec, VerifyReport};
 use super::store::BackendKind;
 use super::DEFAULT_STORE_DIR;
-use crate::failpoint;
+use crate::failpoint::{self, Site};
 use crate::telemetry::{self, Counter, EventLog, Field, Gauge, LiveSnapshot};
 
-/// Largest accepted leg count. Every leg is launched concurrently up
-/// front (there is no staggering), so an implausible count — a typo'd
-/// `--legs` reaching [`dispatch`] — must error instead of fork-bombing
-/// the host or the cluster backend.
+mod machine;
+
+use machine::{Action, Dispatcher, Event, Exit, Transition};
+
+/// Largest accepted leg count. Every leg launches at once, so a typo'd
+/// `--legs` must error instead of fork-bombing the host or cluster.
 pub const MAX_LEGS: u32 = 1024;
 
 /// What a poll of a leg observed.
@@ -121,13 +101,10 @@ pub trait Launcher {
 
 /// [`Launcher`] backend that spawns a figure binary on this host, one
 /// child process per leg, appending `--shard i/n` to the configured
-/// argument list.
-///
-/// The figure binaries write their campaign artifacts under
-/// `target/campaign/` **relative to their working directory**, so the
-/// launcher pins each child's working directory: point
-/// [`LocalLauncher::store_dir`] at the same place and the dispatcher,
-/// the legs and the merge all agree on one campaign directory.
+/// arguments. The binaries write under `target/campaign/` relative to
+/// their working directory, which the launcher pins, so
+/// [`LocalLauncher::store_dir`] is where the dispatcher, the legs and
+/// the merge all meet.
 #[derive(Debug, Clone)]
 pub struct LocalLauncher {
     bin: PathBuf,
@@ -206,22 +183,48 @@ impl Launcher for LocalLauncher {
             cmd.env(failpoint::ATTEMPT_ENV, attempt.to_string());
         }
         let child = cmd.spawn()?;
-        Ok(Box::new(ProcessLeg { child }))
+        Ok(Box::new(ProcessLeg { child, pull: None }))
     }
 }
 
-/// [`Leg`] over a spawned child process.
+/// [`Leg`] over a spawned child process: the figure binary itself, or
+/// the transport (`ssh`, `sh`) of a templated launch, whose pull
+/// template runs exactly once, on exit or kill, to fetch the leg's
+/// artifacts.
 struct ProcessLeg {
     child: Child,
+    pull: Option<Vec<String>>,
+}
+
+impl ProcessLeg {
+    /// Best-effort artifact pull-back; `take` makes it once-only. A
+    /// failed pull is only logged — the missing-manifest check already
+    /// routes the leg into the rescue path.
+    fn pull_artifacts(&mut self) {
+        let Some(argv) = self.pull.take() else { return };
+        let Some((program, rest)) = argv.split_first() else {
+            return;
+        };
+        match Command::new(program)
+            .args(rest)
+            .stdout(Stdio::null())
+            .status()
+        {
+            Ok(status) if status.success() => {}
+            Ok(status) => eprintln!("dispatch: artifact pull {argv:?} exited {status}"),
+            Err(e) => eprintln!("dispatch: artifact pull {argv:?} failed: {e}"),
+        }
+    }
 }
 
 impl Leg for ProcessLeg {
     fn poll(&mut self) -> io::Result<LegStatus> {
-        Ok(match self.child.try_wait()? {
-            None => LegStatus::Running,
-            Some(status) => LegStatus::Exited {
-                success: status.success(),
-            },
+        let Some(status) = self.child.try_wait()? else {
+            return Ok(LegStatus::Running);
+        };
+        self.pull_artifacts();
+        Ok(LegStatus::Exited {
+            success: status.success(),
         })
     }
 
@@ -233,6 +236,7 @@ impl Leg for ProcessLeg {
         // so any number of repeat calls stay `Ok`.
         let _ = self.child.kill();
         self.child.wait()?;
+        self.pull_artifacts();
         Ok(())
     }
 }
@@ -269,16 +273,6 @@ impl Default for BackoffPolicy {
 }
 
 impl BackoffPolicy {
-    /// No waiting at all (unit tests, impatient local reruns).
-    pub fn none() -> Self {
-        Self {
-            base: Duration::ZERO,
-            factor: 1.0,
-            max: Duration::ZERO,
-            jitter: 0.0,
-        }
-    }
-
     /// Delay before the next launch of `spec` when `prior_attempts`
     /// launches have already been consumed. The first launch
     /// (`prior_attempts == 0`) is always immediate.
@@ -325,26 +319,15 @@ impl std::str::FromStr for BackoffPolicy {
     }
 }
 
-/// [`Launcher`] backend that starts each leg through an arbitrary
-/// command template — the remote-execution seam, with no new trait
-/// impl per transport.
-///
-/// The template is a whitespace-split argv in which two placeholders
-/// are substituted at every launch:
-///
-/// * `{host}` — the next host of [`with_hosts`](Self::with_hosts),
-///   assigned round-robin, so `ssh {host} {cmd}` fans legs out across
-///   a pool;
-/// * `{cmd}` — one shell-quoted string that changes into the working
-///   directory, exports the chaos environment when a seed is armed,
-///   and runs the figure binary with `--shard i/n[:j/m]` appended.
-///
-/// `ssh {host} {cmd}` is the canonical remote template; the test suite
-/// uses `sh -c {cmd}` to drive the exact same code path locally. An
-/// optional *pull template* (same `{host}` placeholder) runs once per
-/// leg after it exits **or** is killed — the hook where a remote
-/// backend rsyncs shard artifacts back into the dispatcher's campaign
-/// directory before the merge.
+/// [`Launcher`] backend that starts each leg through a command
+/// template: a whitespace-split argv in which `{host}` becomes the next
+/// host of [`with_hosts`](Self::with_hosts) (round-robin) and `{cmd}`
+/// one shell-quoted string that changes into the working directory,
+/// exports the chaos environment when a seed is armed, and runs the
+/// figure binary with `--shard i/n[:j/m]` appended. `ssh {host} {cmd}`
+/// is the remote template; `sh -c {cmd}` drives the same path locally.
+/// An optional *pull template* (same `{host}`) runs once per leg after
+/// it exits or is killed, to fetch its artifacts before the merge.
 #[derive(Debug)]
 pub struct CommandLauncher {
     template: Vec<String>,
@@ -482,57 +465,7 @@ impl Launcher for CommandLauncher {
         } else {
             Some(expand_template(&self.pull, &host, None))
         };
-        Ok(Box::new(CommandLeg { child, pull }))
-    }
-}
-
-/// [`Leg`] over a templated launch: the child is the transport process
-/// (`ssh`, `sh`); the pull template runs exactly once, on exit or kill,
-/// to fetch the leg's artifacts.
-struct CommandLeg {
-    child: Child,
-    pull: Option<Vec<String>>,
-}
-
-impl CommandLeg {
-    /// Best-effort artifact pull-back; `take` makes it once-only. A
-    /// failed pull is only logged — the missing-manifest check already
-    /// routes the leg into the rescue path.
-    fn pull_artifacts(&mut self) {
-        let Some(argv) = self.pull.take() else { return };
-        let Some((program, rest)) = argv.split_first() else {
-            return;
-        };
-        match Command::new(program)
-            .args(rest)
-            .stdout(Stdio::null())
-            .status()
-        {
-            Ok(status) if status.success() => {}
-            Ok(status) => eprintln!("dispatch: artifact pull {argv:?} exited {status}"),
-            Err(e) => eprintln!("dispatch: artifact pull {argv:?} failed: {e}"),
-        }
-    }
-}
-
-impl Leg for CommandLeg {
-    fn poll(&mut self) -> io::Result<LegStatus> {
-        Ok(match self.child.try_wait()? {
-            None => LegStatus::Running,
-            Some(status) => {
-                self.pull_artifacts();
-                LegStatus::Exited {
-                    success: status.success(),
-                }
-            }
-        })
-    }
-
-    fn kill(&mut self) -> io::Result<()> {
-        let _ = self.child.kill();
-        self.child.wait()?;
-        self.pull_artifacts();
-        Ok(())
+        Ok(Box::new(ProcessLeg { child, pull }))
     }
 }
 
@@ -541,58 +474,37 @@ impl Leg for CommandLeg {
 pub struct DispatchConfig {
     /// Campaign name (the store/manifest file stem, e.g. `fig6`).
     pub name: String,
-    /// Shard count: legs `0/n .. (n-1)/n`. `1` degenerates to a
-    /// supervised single-host run (no suffixed files; merge only
-    /// canonicalizes).
+    /// Shard count: legs `0/n .. (n-1)/n`. `1` is a supervised
+    /// single-host run whose merge only canonicalizes.
     pub legs: u32,
-    /// The campaign directory legs write into and the merged output
-    /// lands in (for [`LocalLauncher`], its
-    /// [`store_dir`](LocalLauncher::store_dir)).
+    /// The campaign directory the legs write into and the merge lands
+    /// in (for [`LocalLauncher`], its [`store_dir`](LocalLauncher::store_dir)).
     pub dir: PathBuf,
-    /// Steal work from dead or stalled legs by relaunching their shard
-    /// spec over the surviving store. With stealing off, any leg
-    /// failure aborts the dispatch.
+    /// Relaunch dead or stalled legs over their surviving store; off,
+    /// any leg failure aborts the dispatch.
     pub steal: bool,
-    /// Launch attempts per shard (first launch + rescues). The cap
-    /// keeps a deterministically-crashing leg from looping forever; a
-    /// shard that exhausts it is abandoned and the survivors merge
-    /// into a partial manifest instead of aborting the dispatch.
+    /// Launches per shard (first + rescues); a shard that uses them up
+    /// is abandoned and the survivors merge into a partial manifest.
     pub max_attempts: u32,
-    /// Relaunch schedule: each retry of a shard waits exponentially
-    /// longer (deterministically jittered) before its next launch.
+    /// Delay schedule of a shard's relaunches.
     pub backoff: BackoffPolicy,
-    /// Elastic re-sharding: when a shard dies while at least two
-    /// dispatch slots are idle and it is not already a slice, split
-    /// its surviving store into sub-shard slices resumed in parallel
-    /// across those slots instead of a 1-for-1 rescue.
+    /// Split a dead shard's store into slices resumed in parallel when
+    /// two or more slots are idle, instead of a 1-for-1 rescue.
     pub reshard: bool,
-    /// Kill a leg whose artifacts have not changed for this long while
-    /// it is still running (`None` disables stall detection — a leg
-    /// then only fails by exiting non-zero).
-    ///
-    /// The heartbeat is chunk-granular (a leg only touches its files
-    /// when a chunk completes) and late chunks of the doubling schedule
-    /// can legitimately run long, so a healthy leg deep inside a big
-    /// chunk looks stalled. To keep that from looping a shard to the
-    /// attempt cap, the effective timeout **doubles for a shard after
-    /// each stall-kill** — a genuinely hung leg is still reaped fast,
-    /// while a slow-but-alive one eventually gets room to finish its
-    /// chunk. Size the base value generously relative to expected
-    /// chunk duration.
+    /// Kill a running leg whose heartbeat has not moved for this long
+    /// (`None`: legs only fail by exiting non-zero). The timeout doubles
+    /// for a shard after each stall kill, since the heartbeat is
+    /// chunk-granular and late chunks run long; size it generously.
     pub stall_timeout: Option<Duration>,
-    /// Poll cadence of the monitor loop.
-    pub poll_interval: Duration,
-    /// Write a dispatcher-side telemetry event log
-    /// (`<name>.dispatch.telemetry.jsonl` in [`DispatchConfig::dir`])
-    /// recording launches, stall-kills, rescues and merge provenance.
-    /// Dispatcher metrics (counters/gauges) are recorded regardless;
-    /// this flag only controls the file.
+    /// Write the dispatcher's event log ([`dispatch_events_file`] in
+    /// `dir`); its counters and gauges are recorded regardless.
     pub telemetry: bool,
 }
 
 impl DispatchConfig {
-    /// A config with the production defaults: steal on, 3 attempts per
-    /// shard, 10-minute stall timeout, 50 ms polls.
+    /// A config with the production defaults: steal on, re-sharding on,
+    /// 3 attempts per shard, default backoff, 10-minute stall timeout,
+    /// no event log.
     pub fn new(name: impl Into<String>, legs: u32, dir: impl Into<PathBuf>) -> Self {
         Self {
             name: name.into(),
@@ -603,7 +515,6 @@ impl DispatchConfig {
             backoff: BackoffPolicy::default(),
             reshard: true,
             stall_timeout: Some(Duration::from_secs(600)),
-            poll_interval: Duration::from_millis(50),
             telemetry: false,
         }
     }
@@ -621,19 +532,18 @@ pub fn dispatch_events_file(name: &str) -> String {
 pub struct DispatchReport {
     /// Shard count dispatched.
     pub legs: u32,
-    /// Legs launched in total (`legs` + rescues).
+    /// Legs started in total (first launches + rescues; refused
+    /// launches excluded).
     pub launched: u32,
-    /// Shard specs that needed a rescue leg, in rescue order (repeats
-    /// mean repeated rescues of the same shard).
+    /// Shards that needed a rescue leg, in rescue order (a repeat is a
+    /// repeated rescue).
     pub rescued: Vec<ShardSpec>,
-    /// Of those, shards whose leg was stall-killed by the heartbeat
-    /// monitor (as opposed to dying on its own).
+    /// Shards whose leg was stall-killed by the heartbeat monitor.
     pub stalled: Vec<ShardSpec>,
-    /// Parent shards that were split into sub-shard slices after a
-    /// failure (elastic re-sharding).
+    /// Shards split into slices after a failure.
     pub resharded: Vec<ShardSpec>,
-    /// Shards (or slices) that exhausted their launch attempts; their
-    /// unfinished points are missing from the partial merge.
+    /// Shards or slices that used up their launch attempts; their
+    /// points are missing from the partial merge.
     pub abandoned: Vec<ShardSpec>,
     /// The final merge (partial when shards were abandoned — see
     /// [`MergeReport::missing_points`]).
@@ -642,8 +552,8 @@ pub struct DispatchReport {
     pub verify: VerifyReport,
 }
 
-fn spec_list(specs: &[ShardSpec]) -> String {
-    specs
+fn spec_list<T: ToString>(items: &[T]) -> String {
+    items
         .iter()
         .map(ToString::to_string)
         .collect::<Vec<_>>()
@@ -687,15 +597,7 @@ impl DispatchReport {
                 if self.merge.missing_points.is_empty() {
                     String::new()
                 } else {
-                    format!(
-                        " (indices {})",
-                        self.merge
-                            .missing_points
-                            .iter()
-                            .map(ToString::to_string)
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )
+                    format!(" (indices {})", spec_list(&self.merge.missing_points))
                 },
             ));
         }
@@ -712,76 +614,228 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// The fallback liveness heartbeat of a leg: the (size, mtime)
-/// signature of its store and manifest files. Any change counts as
-/// progress — a fresh chunk append, a manifest rewrite, even a
-/// truncation. The store is watched under **both** backend file names
-/// (`.jsonl` and `.seg`) — the dispatcher does not know which
-/// `--store-backend` the leg command line carries, and stat'ing a
-/// missing file is cheap. Used when a leg predates telemetry (writes
-/// no live snapshot); the primary heartbeat is the snapshot's `seq`.
-type ArtifactSignature = [Option<(u64, SystemTime)>; 3];
+/// A leg's heartbeat: its live-snapshot `seq` (bumped once per
+/// scheduling round), then the (size, mtime) of its store, under both
+/// backend names, and its manifest: the second signal (an append lands
+/// mid-round) and the only one for legs without telemetry.
+type Heartbeat = (Option<u64>, [Option<(u64, SystemTime)>; 3]);
 
-fn artifact_signature(dir: &Path, name: &str, spec: ShardSpec) -> ArtifactSignature {
+fn heartbeat(dir: &Path, name: &str, spec: ShardSpec) -> Heartbeat {
+    let snapshot = LiveSnapshot::read(&dir.join(shard::telemetry_file(name, spec)));
     let stat = |file: String| {
         let meta = fs::metadata(dir.join(file)).ok()?;
         Some((meta.len(), meta.modified().ok()?))
     };
-    [
+    let files = [
         stat(shard::store_file(name, spec, BackendKind::Jsonl)),
         stat(shard::store_file(name, spec, BackendKind::Indexed)),
         stat(shard::manifest_file(name, spec)),
-    ]
+    ];
+    (snapshot.map(|s| s.seq), files)
 }
 
-/// Whether a finished leg left a usable shard manifest behind: the file
-/// must parse and record the campaign + shard it was launched for. An
-/// exit-0 leg without one (wrong binary, wrote elsewhere) is treated as
-/// failed so it can be rescued — or reported — instead of feeding a
-/// confusing merge error.
+/// Whether a finished leg left a manifest for the campaign and shard it
+/// was launched for; an exit-0 leg without one lied.
 fn leg_manifest_ok(dir: &Path, name: &str, spec: ShardSpec) -> bool {
     let path = dir.join(shard::manifest_file(name, spec));
-    match super::Manifest::read(&path) {
-        Ok(m) => m.name == name && m.settings.shard == spec,
-        Err(_) => false,
+    super::Manifest::read(&path).is_ok_and(|m| m.name == name && m.settings.shard == spec)
+}
+
+/// Poll cadence of the driver loop.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// The shards to merge, and whether the merge is partial.
+type MergeList = (Vec<ShardSpec>, bool);
+
+/// The I/O half of a dispatch: the legs, the event log and the clock
+/// that the [`Dispatcher`] decides over.
+struct Driver<'a> {
+    cfg: &'a DispatchConfig,
+    launcher: &'a dyn Launcher,
+    events: Option<EventLog>,
+    machine: Dispatcher,
+    /// Running legs and the heartbeat last seen of each.
+    legs: Vec<(ShardSpec, Box<dyn Leg>, Heartbeat)>,
+    started: Instant,
+}
+
+impl Driver<'_> {
+    /// Feeds `event` to the core and carries out the actions it yields,
+    /// feeding back what launches and splits return, until the core
+    /// asks for a merge or nothing is left to do.
+    fn feed(&mut self, event: Event) -> io::Result<Option<MergeList>> {
+        let (cfg, events) = (self.cfg, self.events.as_ref());
+        // A stack, so the actions answering a launch or split run before
+        // the rest of the batch: a launch refused with stealing off
+        // aborts before the next launch starts.
+        let mut stack = self.machine.step(event, self.started.elapsed());
+        stack.reverse();
+        while let Some(action) = stack.pop() {
+            let reply = match &action {
+                &Action::Launch(spec, attempt) => {
+                    // The launch-io failpoint sits above the trait, so
+                    // every backend takes the path of a refused launch.
+                    let ctx = spec.to_string();
+                    let launched = if failpoint::should_fire_attempt(Site::LaunchIo, &ctx, attempt)
+                    {
+                        Err(io::Error::new(
+                            io::ErrorKind::ConnectionRefused,
+                            format!("failpoint launch-io (shard {spec}, attempt {attempt})"),
+                        ))
+                    } else {
+                        self.launcher.launch(spec, attempt)
+                    };
+                    match launched {
+                        Ok(leg) => {
+                            record(events, &action);
+                            self.legs
+                                .push((spec, leg, heartbeat(&cfg.dir, &cfg.name, spec)));
+                            None
+                        }
+                        Err(e) => Some(Event::LaunchFailed(spec, e.to_string())),
+                    }
+                }
+                Action::Kill(spec) => {
+                    if let Some(i) = self.legs.iter().position(|l| l.0 == *spec) {
+                        let _ = self.legs.remove(i).1.kill();
+                        telemetry::gauge_add(Gauge::LegsRunning, -1);
+                    }
+                    None
+                }
+                &Action::Split(spec, slices) => {
+                    let split =
+                        shard::partition_store_into_slices(&cfg.name, &cfg.dir, spec, slices)
+                            .map_err(|e| {
+                                eprintln!("dispatch {}: re-shard of {spec} failed: {e}", cfg.name)
+                            });
+                    Some(Event::Split(spec, split.ok()))
+                }
+                Action::Merge(completed, partial) => {
+                    return Ok(Some((completed.clone(), *partial)))
+                }
+                Action::Abort(why) => return Err(io::Error::other(why.clone())),
+                Action::Record(_) => {
+                    record(events, &action);
+                    None
+                }
+            };
+            if let Some(event) = reply {
+                let answer = self.machine.step(event, self.started.elapsed());
+                stack.extend(answer.into_iter().rev());
+            }
+        }
+        Ok(None)
+    }
+
+    /// Polls every leg, feeding exits and progress to the core, then
+    /// ticks it.
+    fn poll(&mut self) -> io::Result<Option<MergeList>> {
+        let (name, dir) = (&self.cfg.name, &self.cfg.dir);
+        let mut i = 0;
+        while i < self.legs.len() {
+            let (spec, leg, beat) = &mut self.legs[i];
+            let spec = *spec;
+            let event = match leg.poll() {
+                Err(e) => {
+                    // No leg may outlive a failed dispatch and keep
+                    // appending to the stores.
+                    telemetry::gauge_add(Gauge::LegsRunning, -(self.legs.len() as i64));
+                    for (_, mut leg, _) in self.legs.drain(..) {
+                        let _ = leg.kill();
+                    }
+                    return Err(e);
+                }
+                Ok(LegStatus::Exited { success }) => {
+                    self.legs.remove(i);
+                    telemetry::gauge_add(Gauge::LegsRunning, -1);
+                    let exit = match success {
+                        false => Exit::Failed,
+                        true if leg_manifest_ok(dir, name, spec) => Exit::Clean,
+                        true => Exit::Lied,
+                    };
+                    Event::Exited(spec, exit)
+                }
+                Ok(LegStatus::Running) => {
+                    i += 1;
+                    // An unreadable snapshot keeps the last seq.
+                    let (seq, files) = heartbeat(dir, name, spec);
+                    let seen = (seq.or(beat.0), files);
+                    if seen == *beat {
+                        continue;
+                    }
+                    *beat = seen;
+                    Event::Progress(spec)
+                }
+            };
+            self.feed(event)?;
+        }
+        self.feed(Event::Tick)
     }
 }
 
-/// One leg under supervision.
-struct RunningLeg {
-    spec: ShardSpec,
-    leg: Box<dyn Leg>,
-    signature: ArtifactSignature,
-    /// Last observed live-snapshot `seq` of the leg (`None` until the
-    /// leg writes one — telemetry-less legs stay `None` forever and are
-    /// monitored by `signature` alone).
-    last_seq: Option<u64>,
-    last_progress: Instant,
+/// The counter and event-log line of each action or transition the
+/// driver carries out; a launch is recorded once its leg exists.
+fn record(events: Option<&EventLog>, action: &Action) {
+    let num = |n: u32| Field::U64(u64::from(n));
+    let ms = |d: &Duration| Field::U64(d.as_millis() as u64);
+    let log = |line: &dyn Fn(&EventLog)| events.into_iter().for_each(line);
+    let count = telemetry::counter_add;
+    match action {
+        Action::Launch(spec, attempt) => {
+            count(Counter::LegsLaunched, 1);
+            telemetry::gauge_add(Gauge::LegsRunning, 1);
+            let shard = ("shard", Field::Str(&spec.to_string()));
+            log(&|l| l.emit("leg_launched", &[shard, ("attempt", num(*attempt))]));
+        }
+        Action::Record(Transition::LaunchFailed(spec, error)) => {
+            count(Counter::LaunchFailures, 1);
+            let shard = ("shard", Field::Str(&spec.to_string()));
+            log(&|l| l.emit("launch_failed", &[shard, ("error", Field::Str(error))]));
+        }
+        Action::Record(Transition::Done(spec)) => {
+            let shard = ("shard", Field::Str(&spec.to_string()));
+            log(&|l| l.emit("leg_done", &[shard]));
+        }
+        Action::Record(Transition::Stalled(spec, limit)) => {
+            count(Counter::StallKills, 1);
+            let shard = ("shard", Field::Str(&spec.to_string()));
+            log(&|l| l.emit("stall_kill", &[shard, ("timeout_ms", ms(limit))]));
+        }
+        Action::Record(Transition::Rescue(spec, why, backoff)) => {
+            count(Counter::RescueAttempts, 1);
+            count(Counter::BackoffWaits, u64::from(!backoff.is_zero()));
+            let fields = [("why", Field::Str(why)), ("backoff_ms", ms(backoff))];
+            let shard = ("shard", Field::Str(&spec.to_string()));
+            log(&|l| l.emit("rescue", &[shard, fields[0], fields[1]]));
+        }
+        Action::Record(Transition::Reshard(spec, why, slices, delayed)) => {
+            count(Counter::ReshardSplits, 1);
+            count(Counter::BackoffWaits, u64::from(*delayed));
+            let fields = [("slices", num(*slices)), ("why", Field::Str(why))];
+            let shard = ("shard", Field::Str(&spec.to_string()));
+            log(&|l| l.emit("reshard", &[shard, fields[0], fields[1]]));
+        }
+        Action::Record(Transition::Abandon(spec, why, attempts)) => {
+            count(Counter::ShardsAbandoned, 1);
+            let fields = [("attempts", num(*attempts)), ("why", Field::Str(why))];
+            let shard = ("shard", Field::Str(&spec.to_string()));
+            log(&|l| l.emit("abandon", &[shard, fields[0], fields[1]]));
+        }
+        Action::Kill(_) | Action::Split(..) | Action::Merge(..) | Action::Abort(_) => {}
+    }
 }
 
-/// Runs a full dispatched campaign: launch, monitor, steal, merge,
-/// verify. See the [module docs](self) for the lifecycle. On success
-/// the merged, canonicalized store/manifest pair of
-/// [`DispatchConfig::name`] is in [`DispatchConfig::dir`], with the
-/// manifest byte-identical to a single-host run at the same settings.
+/// Runs a full dispatched campaign (see the [module docs](self)). On
+/// success the merged store/manifest pair of [`DispatchConfig::name`]
+/// is in [`DispatchConfig::dir`], the manifest byte-identical to a
+/// single-host run at the same settings.
 pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<DispatchReport> {
-    if cfg.legs == 0 || cfg.legs > MAX_LEGS {
-        return Err(invalid(format!(
-            "dispatch needs 1..={MAX_LEGS} legs, got {}",
-            cfg.legs
-        )));
-    }
-    let specs: Vec<ShardSpec> = (0..cfg.legs)
-        .map(|i| ShardSpec::new(i, cfg.legs).map_err(invalid))
-        .collect::<io::Result<_>>()?;
+    let machine = Dispatcher::new(cfg).map_err(invalid)?;
     fs::create_dir_all(&cfg.dir)?;
-    // Pre-flight: leftovers of a differently-sharded run in the same
-    // directory would poison the final merge (mixed `of-N` families);
-    // refuse before burning any compute. The scan covers stores as
-    // well as manifests — a killed leg leaves only its `.jsonl` (the
-    // manifest is written at run end), and that alone marks a stale
-    // family. Same-family files are fine — they are exactly what a
-    // `--steal` re-dispatch resumes from.
+    // Pre-flight: leftovers of a differently-sharded run would poison
+    // the merge with mixed `of-N` families, so refuse before any
+    // compute. A killed leg leaves only its store, so stores count.
+    // Same-family files are what a `--steal` re-dispatch resumes.
     for entry in fs::read_dir(&cfg.dir)? {
         let entry = entry?;
         let file_name = entry.file_name();
@@ -803,423 +857,60 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
         }
     }
 
-    // Dispatcher-side event log (opt-in). Creation failure degrades to
-    // an unlogged dispatch — supervision must not die for observability.
-    let events: Option<EventLog> = if cfg.telemetry {
-        match EventLog::create(&cfg.dir.join(dispatch_events_file(&cfg.name))) {
-            Ok(log) => Some(log),
-            Err(e) => {
-                eprintln!("dispatch {}: event log create failed: {e}", cfg.name);
-                None
-            }
+    // The dispatcher's own event log is opt-in; failing to create it
+    // degrades to an unlogged dispatch.
+    let events = cfg.telemetry.then(|| {
+        EventLog::create(&cfg.dir.join(dispatch_events_file(&cfg.name)))
+            .map_err(|e| eprintln!("dispatch {}: event log create failed: {e}", cfg.name))
+    });
+    let mut driver = Driver {
+        cfg,
+        launcher,
+        events: events.and_then(Result::ok),
+        machine,
+        legs: Vec::new(),
+        started: Instant::now(),
+    };
+    let mut next = driver.feed(Event::Tick)?;
+    let (completed, partial) = loop {
+        if let Some(merge) = next {
+            break merge;
         }
-    } else {
-        None
+        std::thread::sleep(POLL_INTERVAL);
+        next = driver.poll()?;
     };
 
-    /// A relaunch waiting out its backoff delay.
-    struct PendingLaunch {
-        spec: ShardSpec,
-        not_before: Instant,
-    }
-
-    fn launch_leg(
-        cfg: &DispatchConfig,
-        launcher: &dyn Launcher,
-        spec: ShardSpec,
-        attempts: &mut BTreeMap<ShardSpec, u32>,
-        running: &mut Vec<RunningLeg>,
-        launched: &mut u32,
-        events: Option<&EventLog>,
-    ) -> io::Result<()> {
-        let attempt = {
-            let tries = attempts.entry(spec).or_insert(0);
-            *tries += 1;
-            *tries
-        };
-        // launch-fails-with-io-error: injected here, above the trait
-        // boundary, so every launcher backend exercises the same error
-        // path as a genuinely refused connection.
-        if failpoint::armed()
-            && failpoint::should_fire_attempt(failpoint::Site::LaunchIo, &spec.to_string(), attempt)
-        {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                format!("failpoint launch-io (shard {spec}, attempt {attempt})"),
-            ));
-        }
-        let leg = launcher.launch(spec, attempt)?;
-        *launched += 1;
-        telemetry::counter_add(Counter::LegsLaunched, 1);
-        telemetry::gauge_add(Gauge::LegsRunning, 1);
-        if let Some(log) = events {
-            log.emit(
-                "leg_launched",
-                &[
-                    ("shard", Field::Str(&spec.to_string())),
-                    ("attempt", Field::U64(u64::from(attempt))),
-                ],
-            );
-        }
-        running.push(RunningLeg {
-            spec,
-            leg,
-            signature: artifact_signature(&cfg.dir, &cfg.name, spec),
-            last_seq: LiveSnapshot::read(&cfg.dir.join(shard::telemetry_file(&cfg.name, spec)))
-                .map(|s| s.seq),
-            last_progress: Instant::now(),
-        });
-        Ok(())
-    }
-
-    /// A leg left supervision (completed, failed, or was killed).
-    fn leg_departed() {
-        telemetry::gauge_add(Gauge::LegsRunning, -1);
-    }
-
-    /// Routes a failed shard (dead leg or failed launch) to its next
-    /// life: abort with stealing off, abandonment past the attempt
-    /// cap, an elastic re-shard into idle slots, or a backoff-delayed
-    /// rescue relaunch. Only the no-steal abort returns `Err`.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_failure(
-        cfg: &DispatchConfig,
-        spec: ShardSpec,
-        why: &str,
-        attempts: &mut BTreeMap<ShardSpec, u32>,
-        pending: &mut Vec<PendingLaunch>,
-        running: &mut Vec<RunningLeg>,
-        report_rescued: &mut Vec<ShardSpec>,
-        report_resharded: &mut Vec<ShardSpec>,
-        abandoned: &mut Vec<ShardSpec>,
-        events: Option<&EventLog>,
-    ) -> io::Result<()> {
-        let tried = attempts.get(&spec).copied().unwrap_or(0);
-        if !cfg.steal {
-            // The dispatch is doomed at this instant: abort instead of
-            // letting the sibling legs burn compute toward a merge
-            // that will never happen. Their partial stores survive for
-            // a later `--steal` re-dispatch to resume.
-            kill_all(running);
-            return Err(io::Error::other(format!(
-                "campaign '{}' dispatch failed: {why} \
-                 (stealing disabled — re-dispatch with --steal to recover)",
-                cfg.name
-            )));
-        }
-        if tried >= cfg.max_attempts {
-            // Attempt cap: give this shard up instead of sinking the
-            // dispatch — the survivors still merge into a
-            // partial-but-verified manifest, and the report (plus a
-            // non-zero process exit) names what is missing.
-            abandoned.push(spec);
-            telemetry::counter_add(Counter::ShardsAbandoned, 1);
-            if let Some(log) = events {
-                log.emit(
-                    "abandon",
-                    &[
-                        ("shard", Field::Str(&spec.to_string())),
-                        ("attempts", Field::U64(u64::from(tried))),
-                        ("why", Field::Str(why)),
-                    ],
-                );
-            }
-            return Ok(());
-        }
-        // Elastic re-shard: with ≥2 slots idle, split the dead shard's
-        // surviving store into slices that resume in parallel. Slices
-        // inherit the parent's attempt count so a deterministic
-        // crasher still terminates at the cap.
-        let idle = (cfg.legs as usize).saturating_sub(running.len() + pending.len());
-        if cfg.reshard && spec.slice.is_none() && idle >= 2 {
-            let slices = (idle as u32).min(4);
-            match shard::partition_store_into_slices(&cfg.name, &cfg.dir, spec, slices) {
-                Ok(slice_specs) => {
-                    report_resharded.push(spec);
-                    telemetry::counter_add(Counter::ReshardSplits, 1);
-                    if let Some(log) = events {
-                        log.emit(
-                            "reshard",
-                            &[
-                                ("shard", Field::Str(&spec.to_string())),
-                                ("slices", Field::U64(u64::from(slices))),
-                                ("why", Field::Str(why)),
-                            ],
-                        );
-                    }
-                    let now = Instant::now();
-                    for slice in slice_specs {
-                        attempts.insert(slice, tried);
-                        let delay = cfg.backoff.delay(tried, slice);
-                        if !delay.is_zero() {
-                            telemetry::counter_add(Counter::BackoffWaits, 1);
-                        }
-                        pending.push(PendingLaunch {
-                            spec: slice,
-                            not_before: now + delay,
-                        });
-                    }
-                    return Ok(());
-                }
-                Err(e) => {
-                    // Fall through to a plain rescue of the parent — a
-                    // failed partition must not lose the shard.
-                    eprintln!("dispatch {}: re-shard of {spec} failed: {e}", cfg.name);
-                }
-            }
-        }
-        // Steal: queue a relaunch over the surviving store — resumed
-        // chunks are served from disk, never re-simulated.
-        report_rescued.push(spec);
-        telemetry::counter_add(Counter::RescueAttempts, 1);
-        let delay = cfg.backoff.delay(tried, spec);
-        if !delay.is_zero() {
-            telemetry::counter_add(Counter::BackoffWaits, 1);
-        }
-        if let Some(log) = events {
-            log.emit(
-                "rescue",
-                &[
-                    ("shard", Field::Str(&spec.to_string())),
-                    ("why", Field::Str(why)),
-                    ("backoff_ms", Field::U64(delay.as_millis() as u64)),
-                ],
-            );
-        }
-        pending.push(PendingLaunch {
-            spec,
-            not_before: Instant::now() + delay,
-        });
-        Ok(())
-    }
-
-    let mut report_rescued: Vec<ShardSpec> = Vec::new();
-    let mut report_stalled: Vec<ShardSpec> = Vec::new();
-    let mut report_resharded: Vec<ShardSpec> = Vec::new();
-    let mut abandoned: Vec<ShardSpec> = Vec::new();
-    let mut completed: Vec<ShardSpec> = Vec::new();
-    let mut attempts: BTreeMap<ShardSpec, u32> = BTreeMap::new();
-    // Stall-kills per shard: each one doubles that shard's effective
-    // stall timeout (see `DispatchConfig::stall_timeout`).
-    let mut stall_kills: BTreeMap<ShardSpec, u32> = BTreeMap::new();
-    let mut launched = 0u32;
-    let mut running: Vec<RunningLeg> = Vec::new();
-    let now = Instant::now();
-    let mut pending: Vec<PendingLaunch> = specs
-        .iter()
-        .map(|&spec| PendingLaunch {
-            spec,
-            not_before: now,
-        })
-        .collect();
-
-    // Launch + monitor loop: fire pending launches whose backoff has
-    // elapsed, then poll every leg; a dead leg is either complete
-    // (clean exit + usable manifest) or failed. Failed legs and failed
-    // launches route through `handle_failure` — rescue, re-shard, or
-    // abandon — while attempts remain and stealing is on.
-    while !running.is_empty() || !pending.is_empty() {
-        let now = Instant::now();
-        let mut due: Vec<ShardSpec> = Vec::new();
-        pending.retain(|p| {
-            if p.not_before <= now {
-                due.push(p.spec);
-                false
-            } else {
-                true
-            }
-        });
-        due.sort();
-        for spec in due {
-            if let Err(e) = launch_leg(
-                cfg,
-                launcher,
-                spec,
-                &mut attempts,
-                &mut running,
-                &mut launched,
-                events.as_ref(),
-            ) {
-                telemetry::counter_add(Counter::LaunchFailures, 1);
-                if let Some(log) = events.as_ref() {
-                    log.emit(
-                        "launch_failed",
-                        &[
-                            ("shard", Field::Str(&spec.to_string())),
-                            ("error", Field::Str(&e.to_string())),
-                        ],
-                    );
-                }
-                handle_failure(
-                    cfg,
-                    spec,
-                    &format!("leg {spec} failed to launch: {e}"),
-                    &mut attempts,
-                    &mut pending,
-                    &mut running,
-                    &mut report_rescued,
-                    &mut report_resharded,
-                    &mut abandoned,
-                    events.as_ref(),
-                )?;
-            }
-        }
-        let mut idx = 0;
-        while idx < running.len() {
-            let now = Instant::now();
-            let r = &mut running[idx];
-            let status = match r.leg.poll() {
-                Ok(s) => s,
-                Err(e) => {
-                    kill_all(&mut running);
-                    return Err(e);
-                }
-            };
-            let failed = match status {
-                LegStatus::Exited { success } => {
-                    let complete = success && leg_manifest_ok(&cfg.dir, &cfg.name, r.spec);
-                    if complete {
-                        if let Some(log) = events.as_ref() {
-                            log.emit("leg_done", &[("shard", Field::Str(&r.spec.to_string()))]);
-                        }
-                        completed.push(r.spec);
-                        leg_departed();
-                        running.remove(idx);
-                        continue;
-                    }
-                    Some(if success {
-                        format!("leg {} exited 0 without a usable shard manifest", r.spec)
-                    } else {
-                        format!("leg {} exited with failure", r.spec)
-                    })
-                }
-                LegStatus::Running => {
-                    // Primary heartbeat: the live-snapshot seq, bumped
-                    // once per scheduling round by a telemetry-aware
-                    // leg. The artifact signature stays as a second
-                    // signal (a store append lands mid-round, before
-                    // the next snapshot) and as the only signal for
-                    // legs that predate telemetry.
-                    let seq =
-                        LiveSnapshot::read(&cfg.dir.join(shard::telemetry_file(&cfg.name, r.spec)))
-                            .map(|s| s.seq);
-                    if seq.is_some() && seq != r.last_seq {
-                        r.last_seq = seq;
-                        r.last_progress = now;
-                    }
-                    let sig = artifact_signature(&cfg.dir, &cfg.name, r.spec);
-                    if sig != r.signature {
-                        r.signature = sig;
-                        r.last_progress = now;
-                    }
-                    let kills = stall_kills.get(&r.spec).copied().unwrap_or(0);
-                    let limit = cfg
-                        .stall_timeout
-                        .map(|t| t.saturating_mul(1 << kills.min(10)));
-                    match limit {
-                        Some(limit) if now.duration_since(r.last_progress) > limit => {
-                            let _ = r.leg.kill();
-                            report_stalled.push(r.spec);
-                            *stall_kills.entry(r.spec).or_insert(0) += 1;
-                            telemetry::counter_add(Counter::StallKills, 1);
-                            if let Some(log) = events.as_ref() {
-                                log.emit(
-                                    "stall_kill",
-                                    &[
-                                        ("shard", Field::Str(&r.spec.to_string())),
-                                        ("timeout_ms", Field::U64(limit.as_millis() as u64)),
-                                    ],
-                                );
-                            }
-                            Some(format!(
-                                "leg {} stalled (no artifact progress for {:.1}s) and was killed",
-                                r.spec,
-                                limit.as_secs_f64()
-                            ))
-                        }
-                        _ => None,
-                    }
-                }
-            };
-            let Some(why) = failed else {
-                idx += 1;
-                continue;
-            };
-            let spec = r.spec;
-            leg_departed();
-            running.remove(idx);
-            handle_failure(
-                cfg,
-                spec,
-                &why,
-                &mut attempts,
-                &mut pending,
-                &mut running,
-                &mut report_rescued,
-                &mut report_resharded,
-                &mut abandoned,
-                events.as_ref(),
-            )?;
-        }
-        if !running.is_empty() || !pending.is_empty() {
-            std::thread::sleep(cfg.poll_interval);
-        }
-    }
-
-    // Every surviving shard has a clean leg: fold its artifacts back
-    // into the single-host files and prove the merged store backs its
-    // manifest. The manifest list is explicit — completed specs only —
-    // because with re-sharding the directory can also hold leftovers
-    // of abandoned shards that must stay out of the merge. A 1-leg
-    // dispatch degenerates naturally: the lone unsuffixed manifest is
-    // merged in place, canonicalizing store order and provenance.
-    completed.sort();
-    if completed.is_empty() {
-        return Err(io::Error::other(format!(
-            "campaign '{}' dispatch failed: every shard was abandoned \
-             (abandoned: {})",
-            cfg.name,
-            spec_list(&abandoned),
-        )));
-    }
-    let single = ShardSpec::single();
+    // Merge only the completed legs (the directory can hold leftovers
+    // of abandoned shards); a 1-leg dispatch canonicalizes in place.
     let manifests: Vec<PathBuf> = completed
         .iter()
         .map(|&spec| cfg.dir.join(shard::manifest_file(&cfg.name, spec)))
         .collect();
-    let merge = shard::merge_manifests_allowing_partial(
-        &cfg.name,
-        &manifests,
-        &cfg.dir,
-        !abandoned.is_empty(),
-    )?;
-    if let Some(log) = events.as_ref() {
-        // Merge provenance: where the merged chunk set actually came
-        // from — how much was stolen/resumed rather than re-simulated.
-        log.emit(
-            "merge",
-            &[
-                ("shards", Field::U64(merge.shards as u64)),
-                ("points", Field::U64(merge.points as u64)),
-                ("chunks", Field::U64(merge.chunks as u64)),
-                (
-                    "duplicate_chunks",
-                    Field::U64(merge.duplicate_chunks as u64),
-                ),
-                ("store_served_chunks", Field::U64(merge.store_served_chunks)),
-                (
-                    "store_served_packets",
-                    Field::U64(merge.store_served_packets),
-                ),
-                ("rescued", Field::U64(report_rescued.len() as u64)),
-                ("stalled", Field::U64(report_stalled.len() as u64)),
-                ("resharded", Field::U64(report_resharded.len() as u64)),
-                ("abandoned", Field::U64(abandoned.len() as u64)),
-                ("missing_points", Field::U64(merge.missing_points_total)),
-            ],
-        );
+    let merge = shard::merge_manifests_allowing_partial(&cfg.name, &manifests, &cfg.dir, partial)?;
+    let m = driver.machine;
+    if let Some(log) = driver.events.as_ref() {
+        // Merge provenance: how much of the merged chunk set was
+        // resumed from stores rather than simulated.
+        let n = |x: usize| Field::U64(x as u64);
+        let fields = [
+            ("shards", n(merge.shards)),
+            ("points", n(merge.points)),
+            ("chunks", n(merge.chunks)),
+            ("duplicate_chunks", n(merge.duplicate_chunks)),
+            ("store_served_chunks", Field::U64(merge.store_served_chunks)),
+            (
+                "store_served_packets",
+                Field::U64(merge.store_served_packets),
+            ),
+            ("rescued", n(m.rescued.len())),
+            ("stalled", n(m.stalled.len())),
+            ("resharded", n(m.resharded.len())),
+            ("abandoned", n(m.abandoned.len())),
+            ("missing_points", Field::U64(merge.missing_points_total)),
+        ];
+        log.emit("merge", &fields);
     }
-    let verify = shard::verify(&cfg.name, &cfg.dir, single)?;
+    let verify = shard::verify(&cfg.name, &cfg.dir, ShardSpec::single())?;
     if !verify.ok() {
         return Err(invalid(format!(
             "merged campaign '{}' fails verification: {}",
@@ -1229,24 +920,14 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
     }
     Ok(DispatchReport {
         legs: cfg.legs,
-        launched,
-        rescued: report_rescued,
-        stalled: report_stalled,
-        resharded: report_resharded,
-        abandoned,
+        launched: m.launched,
+        rescued: m.rescued,
+        stalled: m.stalled,
+        resharded: m.resharded,
+        abandoned: m.abandoned,
         merge,
         verify,
     })
-}
-
-/// Best-effort cleanup on an error path: no leg may outlive a failed
-/// dispatch and keep appending to the stores.
-fn kill_all(running: &mut Vec<RunningLeg>) {
-    telemetry::gauge_add(Gauge::LegsRunning, -(running.len() as i64));
-    for r in running.iter_mut() {
-        let _ = r.leg.kill();
-    }
-    running.clear();
 }
 
 #[cfg(test)]
@@ -1261,6 +942,13 @@ mod tests {
 
     const NAME: &str = "mock";
 
+    const NO_BACKOFF: BackoffPolicy = BackoffPolicy {
+        base: Duration::ZERO,
+        factor: 1.0,
+        max: Duration::ZERO,
+        jitter: 0.0,
+    };
+
     fn temp_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("dispatch-test-{}-{tag}", std::process::id()))
     }
@@ -1270,11 +958,10 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         DispatchConfig {
             stall_timeout: None,
-            poll_interval: Duration::from_millis(1),
-            // Mock tests script exact launch sequences; immediate
-            // relaunches and 1-for-1 rescues keep them deterministic.
-            // Backoff and re-sharding have dedicated tests.
-            backoff: BackoffPolicy::none(),
+            // Tests script exact launch sequences; immediate relaunches
+            // and 1-for-1 rescues keep them deterministic. Backoff and
+            // re-sharding have dedicated tests.
+            backoff: NO_BACKOFF,
             reshard: false,
             ..DispatchConfig::new(NAME, legs, dir)
         }
@@ -1339,23 +1026,12 @@ mod tests {
         Fail,
         /// Exit 0 without writing anything (dispatcher must distrust).
         LieAboutSuccess,
-        /// Never exit, never touch a file (stall fodder).
-        Hang,
-        /// Look stalled for the given wall-clock time (no file
-        /// activity), then complete — a leg deep inside a long chunk.
-        CompleteAfter(Duration),
-        /// Never touch store/manifest, but bump the live telemetry
-        /// snapshot's seq on every poll; complete after the given time.
-        /// Models a telemetry-aware leg whose store writes are sparse.
-        HeartbeatThenComplete(Duration),
     }
 
     struct MockLeg {
         spec: ShardSpec,
         dir: PathBuf,
         behavior: Behavior,
-        started: Instant,
-        seq: u64,
     }
 
     impl Leg for MockLeg {
@@ -1368,40 +1044,6 @@ mod tests {
                 }
                 Behavior::Fail => LegStatus::Exited { success: false },
                 Behavior::LieAboutSuccess => LegStatus::Exited { success: true },
-                Behavior::Hang => LegStatus::Running,
-                Behavior::CompleteAfter(after) => {
-                    if self.started.elapsed() < after {
-                        LegStatus::Running
-                    } else {
-                        write_leg_artifacts(&self.dir, self.spec);
-                        LegStatus::Exited { success: true }
-                    }
-                }
-                Behavior::HeartbeatThenComplete(after) => {
-                    if self.started.elapsed() < after {
-                        self.seq += 1;
-                        let snap = crate::telemetry::LiveSnapshot {
-                            seq: self.seq,
-                            elapsed_ms: self.started.elapsed().as_millis() as u64,
-                            done: false,
-                            points_total: 1,
-                            points_converged: 0,
-                            packets_realized: 0,
-                            packets_from_store: 0,
-                            packets_simulated: 0,
-                            packets_per_sec: 0.0,
-                            store_chunk_hits: 0,
-                            store_chunk_misses: 0,
-                            points: Vec::new(),
-                        };
-                        snap.write_atomic(&self.dir.join(shard::telemetry_file(NAME, self.spec)))
-                            .unwrap();
-                        LegStatus::Running
-                    } else {
-                        write_leg_artifacts(&self.dir, self.spec);
-                        LegStatus::Exited { success: true }
-                    }
-                }
             })
         }
 
@@ -1453,8 +1095,6 @@ mod tests {
                 spec,
                 dir: self.dir.clone(),
                 behavior,
-                started: Instant::now(),
-                seq: 0,
             }))
         }
     }
@@ -1473,50 +1113,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_leg_without_steal_aborts() {
-        let cfg = DispatchConfig {
-            steal: false,
-            ..tiny_config("nosteal", 2)
-        };
-        let launcher = MockLauncher::new(&cfg.dir, &[("1/2", &[Behavior::Fail])]);
-        let err = dispatch(&cfg, &launcher).unwrap_err();
-        assert!(err.to_string().contains("--steal"), "{err}");
-        let _ = fs::remove_dir_all(&cfg.dir);
-    }
-
-    #[test]
-    fn unrecoverable_shard_aborts_siblings_immediately() {
-        // Leg 0 would run forever; leg 1 fails with stealing off. The
-        // dispatch is doomed at that instant and must return (killing
-        // leg 0) instead of waiting on a merge that can never happen —
-        // if this regresses, the test hangs rather than fails.
-        let cfg = DispatchConfig {
-            steal: false,
-            stall_timeout: None,
-            ..tiny_config("abort", 2)
-        };
-        let launcher = MockLauncher::new(
-            &cfg.dir,
-            &[("0/2", &[Behavior::Hang]), ("1/2", &[Behavior::Fail])],
-        );
-        let err = dispatch(&cfg, &launcher).unwrap_err();
-        assert!(err.to_string().contains("leg 1/2"), "{err}");
-        let _ = fs::remove_dir_all(&cfg.dir);
-    }
-
-    #[test]
-    fn failed_leg_is_rescued_when_stealing() {
-        let cfg = tiny_config("rescue", 2);
-        let launcher =
-            MockLauncher::new(&cfg.dir, &[("1/2", &[Behavior::Fail, Behavior::Complete])]);
-        let report = dispatch(&cfg, &launcher).expect("rescue leg completes the shard");
-        assert_eq!(report.launched, 3);
-        assert_eq!(report.rescued, vec![ShardSpec::new(1, 2).unwrap()]);
-        assert!(report.verify.ok());
-        let _ = fs::remove_dir_all(&cfg.dir);
-    }
-
-    #[test]
     fn lying_success_without_manifest_is_rescued() {
         let cfg = tiny_config("liar", 2);
         let launcher = MockLauncher::new(
@@ -1525,65 +1121,6 @@ mod tests {
         );
         let report = dispatch(&cfg, &launcher).expect("manifest check catches the lie");
         assert_eq!(report.rescued, vec![ShardSpec::new(0, 2).unwrap()]);
-        let _ = fs::remove_dir_all(&cfg.dir);
-    }
-
-    #[test]
-    fn stalled_leg_is_killed_and_rescued() {
-        let cfg = DispatchConfig {
-            stall_timeout: Some(Duration::from_millis(30)),
-            ..tiny_config("stall", 2)
-        };
-        let launcher =
-            MockLauncher::new(&cfg.dir, &[("0/2", &[Behavior::Hang, Behavior::Complete])]);
-        let report = dispatch(&cfg, &launcher).expect("straggler is stall-killed and stolen");
-        let spec = ShardSpec::new(0, 2).unwrap();
-        assert_eq!(report.stalled, vec![spec]);
-        assert_eq!(report.rescued, vec![spec]);
-        let _ = fs::remove_dir_all(&cfg.dir);
-    }
-
-    #[test]
-    fn stall_timeout_escalates_for_slow_but_healthy_legs() {
-        // The heartbeat is chunk-granular: a leg 40 ms into a long
-        // chunk looks stalled at a 25 ms timeout and is killed — but
-        // the rescue runs at a doubled (50 ms) timeout and must be
-        // allowed to finish instead of looping to the attempt cap.
-        let cfg = DispatchConfig {
-            stall_timeout: Some(Duration::from_millis(25)),
-            ..tiny_config("escalate", 2)
-        };
-        let slow = Behavior::CompleteAfter(Duration::from_millis(40));
-        let launcher = MockLauncher::new(&cfg.dir, &[("0/2", &[slow, slow])]);
-        let report = dispatch(&cfg, &launcher).expect("doubled timeout lets the chunk finish");
-        let spec = ShardSpec::new(0, 2).unwrap();
-        assert_eq!(report.stalled, vec![spec], "exactly one stall-kill");
-        assert_eq!(report.rescued, vec![spec]);
-        let _ = fs::remove_dir_all(&cfg.dir);
-    }
-
-    #[test]
-    fn snapshot_seq_heartbeat_counts_as_progress() {
-        // The leg never touches store or manifest for 80 ms — far past
-        // the 25 ms stall timeout — but bumps its live-snapshot seq on
-        // every poll. The telemetry heartbeat must keep it alive (the
-        // size+mtime fallback alone would stall-kill it, as
-        // `stall_timeout_escalates_for_slow_but_healthy_legs` shows).
-        let cfg = DispatchConfig {
-            stall_timeout: Some(Duration::from_millis(25)),
-            ..tiny_config("seq-heartbeat", 2)
-        };
-        let launcher = MockLauncher::new(
-            &cfg.dir,
-            &[(
-                "0/2",
-                &[Behavior::HeartbeatThenComplete(Duration::from_millis(80))],
-            )],
-        );
-        let report = dispatch(&cfg, &launcher).expect("heartbeating leg survives");
-        assert!(report.stalled.is_empty(), "no stall-kill: {report:?}");
-        assert!(report.rescued.is_empty());
-        assert!(report.verify.ok());
         let _ = fs::remove_dir_all(&cfg.dir);
     }
 
@@ -1636,45 +1173,6 @@ mod tests {
     }
 
     #[test]
-    fn all_shards_abandoned_is_an_error() {
-        let cfg = DispatchConfig {
-            max_attempts: 1,
-            ..tiny_config("all-gone", 2)
-        };
-        let launcher = MockLauncher::new(
-            &cfg.dir,
-            &[("0/2", &[Behavior::Fail]), ("1/2", &[Behavior::Fail])],
-        );
-        let err = dispatch(&cfg, &launcher).unwrap_err();
-        assert!(
-            err.to_string().contains("every shard was abandoned"),
-            "{err}"
-        );
-        let _ = fs::remove_dir_all(&cfg.dir);
-    }
-
-    #[test]
-    fn failed_launch_is_retried_not_fatal() {
-        let cfg = tiny_config("launch-fail", 2);
-        let launcher = MockLauncher::new(
-            &cfg.dir,
-            &[("0/2", &[Behavior::LaunchFail, Behavior::Complete])],
-        );
-        let report = dispatch(&cfg, &launcher).expect("second launch attempt succeeds");
-        assert_eq!(report.rescued, vec![ShardSpec::new(0, 2).unwrap()]);
-        let attempts: Vec<u32> = launcher
-            .launches
-            .borrow()
-            .iter()
-            .filter(|(spec, _)| spec.index == 0)
-            .map(|&(_, attempt)| attempt)
-            .collect();
-        assert_eq!(attempts, vec![1, 2], "attempt number reaches the launcher");
-        assert!(report.verify.ok());
-        let _ = fs::remove_dir_all(&cfg.dir);
-    }
-
-    #[test]
     fn dead_shard_is_resharded_across_idle_slots() {
         // Shard 0 completes on its first poll, so when shard 1 dies
         // both slots are idle — instead of a 1-for-1 rescue the shard
@@ -1711,13 +1209,53 @@ mod tests {
     }
 
     #[test]
+    fn refused_launch_without_steal_starts_no_further_leg() {
+        // The core answers the refusal with an abort before the rest of
+        // the launch batch runs, so shard 1 never starts.
+        let cfg = DispatchConfig {
+            steal: false,
+            ..tiny_config("refused", 2)
+        };
+        let launcher = MockLauncher::new(&cfg.dir, &[("0/2", &[Behavior::LaunchFail])]);
+        let err = dispatch(&cfg, &launcher).unwrap_err();
+        assert!(err.to_string().contains("failed to launch"), "{err}");
+        assert_eq!(
+            *launcher.launches.borrow(),
+            vec![(ShardSpec::new(0, 2).unwrap(), 1)]
+        );
+        let _ = fs::remove_dir_all(&cfg.dir);
+    }
+
+    #[test]
+    fn heartbeat_moves_with_the_snapshot_seq_alone() {
+        // A leg deep inside a chunk touches no store or manifest, but
+        // its live snapshot's seq still shows it alive.
+        let dir = temp_dir("heartbeat");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let spec = ShardSpec::new(0, 2).unwrap();
+        let before = heartbeat(&dir, NAME, spec);
+        let snapshot = LiveSnapshot {
+            seq: 1,
+            ..Default::default()
+        };
+        snapshot
+            .write_atomic(&dir.join(shard::telemetry_file(NAME, spec)))
+            .unwrap();
+        let after = heartbeat(&dir, NAME, spec);
+        assert_eq!((before.0, after.0), (None, Some(1)));
+        assert_eq!(before.1, after.1, "no artifact was touched");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn process_leg_kill_is_idempotent() {
         let child = Command::new("sh")
             .args(["-c", "sleep 5"])
             .stdout(Stdio::null())
             .spawn()
             .unwrap();
-        let mut leg = ProcessLeg { child };
+        let mut leg = ProcessLeg { child, pull: None };
         leg.kill().expect("first kill reaps the child");
         leg.kill()
             .expect("second kill is a no-op on the reaped child");
@@ -1743,7 +1281,7 @@ mod tests {
         assert_eq!(policy.delay(2, spec), Duration::from_millis(1000));
         assert_eq!(policy.delay(3, spec), Duration::from_millis(2000));
         assert_eq!(policy.delay(10, spec), Duration::from_secs(30), "capped");
-        assert_eq!(BackoffPolicy::none().delay(5, spec), Duration::ZERO);
+        assert_eq!(NO_BACKOFF.delay(5, spec), Duration::ZERO);
     }
 
     #[test]
@@ -1806,7 +1344,7 @@ mod tests {
         let mut leg = launcher.launch(ShardSpec::single(), 1).unwrap();
         let success = loop {
             match leg.poll().unwrap() {
-                LegStatus::Running => std::thread::sleep(Duration::from_millis(5)),
+                LegStatus::Running => std::thread::yield_now(),
                 LegStatus::Exited { success } => break success,
             }
         };
@@ -1863,5 +1401,220 @@ mod tests {
             assert!(err.to_string().contains("legs"), "{err}");
             assert!(launcher.launches.borrow().is_empty(), "nothing launched");
         }
+    }
+
+    // --- The core on a simulated clock -------------------------------
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    fn shard(index: u32, count: u32) -> ShardSpec {
+        ShardSpec::new(index, count).unwrap()
+    }
+
+    fn core(cfg: &DispatchConfig) -> Dispatcher {
+        Dispatcher::new(cfg).unwrap()
+    }
+
+    fn exited(spec: ShardSpec, exit: Exit) -> Event {
+        Event::Exited(spec, exit)
+    }
+
+    fn launches(actions: &[Action]) -> Vec<(ShardSpec, u32)> {
+        actions
+            .iter()
+            .filter_map(|a| match *a {
+                Action::Launch(spec, attempt) => Some((spec, attempt)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn kills(actions: &[Action]) -> Vec<ShardSpec> {
+        actions
+            .iter()
+            .filter_map(|a| match *a {
+                Action::Kill(spec) => Some(spec),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn abort_reason(actions: &[Action]) -> Option<&str> {
+        actions.iter().find_map(|a| match a {
+            Action::Abort(why) => Some(why.as_str()),
+            _ => None,
+        })
+    }
+
+    fn merge_all(count: u32, partial: bool) -> Action {
+        Action::Merge((0..count).map(|i| shard(i, count)).collect(), partial)
+    }
+
+    #[test]
+    fn failed_leg_without_steal_aborts() {
+        let cfg = DispatchConfig {
+            steal: false,
+            ..tiny_config("nosteal", 2)
+        };
+        let mut m = core(&cfg);
+        m.step(Event::Tick, ms(0));
+        let out = m.step(exited(shard(1, 2), Exit::Failed), ms(1));
+        let why = abort_reason(&out).expect("the first failure aborts");
+        assert!(why.contains("--steal"), "{why}");
+    }
+
+    #[test]
+    fn unrecoverable_shard_aborts_siblings_immediately() {
+        // Leg 0 would run forever; leg 1 fails with stealing off. The
+        // dispatch is doomed at that instant: leg 0 is killed in the
+        // same step instead of being waited on.
+        let cfg = DispatchConfig {
+            steal: false,
+            ..tiny_config("abort", 2)
+        };
+        let mut m = core(&cfg);
+        m.step(Event::Tick, ms(0));
+        let out = m.step(exited(shard(1, 2), Exit::Failed), ms(1));
+        assert_eq!(kills(&out), vec![shard(0, 2)]);
+        let why = abort_reason(&out).expect("abort");
+        assert!(why.contains("leg 1/2"), "{why}");
+        assert!(m.step(Event::Tick, ms(2)).is_empty(), "nothing after abort");
+    }
+
+    #[test]
+    fn failed_leg_is_rescued_when_stealing() {
+        let cfg = tiny_config("rescue", 2);
+        let mut m = core(&cfg);
+        m.step(Event::Tick, ms(0));
+        m.step(exited(shard(0, 2), Exit::Clean), ms(1));
+        m.step(exited(shard(1, 2), Exit::Failed), ms(1));
+        let out = m.step(Event::Tick, ms(2));
+        assert_eq!(launches(&out), vec![(shard(1, 2), 2)]);
+        m.step(exited(shard(1, 2), Exit::Clean), ms(3));
+        assert_eq!(m.step(Event::Tick, ms(4)), vec![merge_all(2, false)]);
+        assert_eq!(m.launched, 3);
+        assert_eq!(m.rescued, vec![shard(1, 2)]);
+    }
+
+    #[test]
+    fn stalled_leg_is_killed_and_rescued() {
+        let cfg = DispatchConfig {
+            stall_timeout: Some(ms(30)),
+            ..tiny_config("stall", 2)
+        };
+        let mut m = core(&cfg);
+        m.step(Event::Tick, ms(0));
+        m.step(exited(shard(1, 2), Exit::Clean), ms(1));
+        assert!(
+            kills(&m.step(Event::Tick, ms(30))).is_empty(),
+            "30 ms is not > 30 ms"
+        );
+        // Leg 0 hangs: past the timeout it is killed, and the rescue
+        // (no backoff) launches in the same tick.
+        let out = m.step(Event::Tick, ms(31));
+        assert_eq!(kills(&out), vec![shard(0, 2)]);
+        assert_eq!(launches(&out), vec![(shard(0, 2), 2)]);
+        m.step(exited(shard(0, 2), Exit::Clean), ms(40));
+        assert_eq!(m.step(Event::Tick, ms(40)), vec![merge_all(2, false)]);
+        assert_eq!(m.stalled, vec![shard(0, 2)]);
+        assert_eq!(m.rescued, vec![shard(0, 2)]);
+    }
+
+    #[test]
+    fn stall_timeout_escalates_for_slow_but_healthy_legs() {
+        // The heartbeat is chunk-granular: a leg 40 ms into a long
+        // chunk looks stalled at a 25 ms timeout and is killed — but
+        // the rescue runs at a doubled (50 ms) timeout and must be
+        // allowed to finish instead of looping to the attempt cap.
+        let cfg = DispatchConfig {
+            stall_timeout: Some(ms(25)),
+            ..tiny_config("escalate", 2)
+        };
+        let spec = shard(0, 2);
+        let mut m = core(&cfg);
+        m.step(Event::Tick, ms(0));
+        m.step(exited(shard(1, 2), Exit::Clean), ms(1));
+        let mut relaunched = None;
+        for t in (5..=100).step_by(5) {
+            let out = m.step(Event::Tick, ms(t));
+            if !launches(&out).is_empty() {
+                relaunched = Some(t);
+            }
+            // Each leg of shard 0 finishes 40 ms after its launch.
+            if relaunched.is_some_and(|r| t - r == 40) {
+                m.step(exited(spec, Exit::Clean), ms(t));
+                break;
+            }
+        }
+        assert_eq!(relaunched, Some(30), "first leg killed after 25 ms");
+        assert_eq!(m.step(Event::Tick, ms(70)), vec![merge_all(2, false)]);
+        assert_eq!(m.stalled, vec![spec], "exactly one stall-kill");
+        assert_eq!(m.rescued, vec![spec]);
+    }
+
+    #[test]
+    fn snapshot_seq_heartbeat_counts_as_progress() {
+        // The leg never touches store or manifest for 80 ms — far past
+        // the 25 ms stall timeout — but its live-snapshot seq advances
+        // every 5 ms, which the driver reports as progress. That must
+        // keep it alive (without it the leg is stall-killed, as
+        // `stall_timeout_escalates_for_slow_but_healthy_legs` shows).
+        let cfg = DispatchConfig {
+            stall_timeout: Some(ms(25)),
+            ..tiny_config("seq-heartbeat", 2)
+        };
+        let spec = shard(0, 2);
+        let mut m = core(&cfg);
+        m.step(Event::Tick, ms(0));
+        m.step(exited(shard(1, 2), Exit::Clean), ms(1));
+        for t in (5..80).step_by(5) {
+            m.step(Event::Progress(spec), ms(t));
+            assert!(
+                kills(&m.step(Event::Tick, ms(t))).is_empty(),
+                "killed at {t} ms"
+            );
+        }
+        m.step(exited(spec, Exit::Clean), ms(80));
+        assert_eq!(m.step(Event::Tick, ms(80)), vec![merge_all(2, false)]);
+        assert!(m.stalled.is_empty(), "no stall-kill: {m:?}");
+        assert!(m.rescued.is_empty());
+    }
+
+    #[test]
+    fn all_shards_abandoned_is_an_error() {
+        let cfg = DispatchConfig {
+            max_attempts: 1,
+            ..tiny_config("all-gone", 2)
+        };
+        let mut m = core(&cfg);
+        m.step(Event::Tick, ms(0));
+        m.step(exited(shard(0, 2), Exit::Failed), ms(1));
+        m.step(exited(shard(1, 2), Exit::Failed), ms(1));
+        let out = m.step(Event::Tick, ms(2));
+        let why = abort_reason(&out).expect("nothing to merge");
+        assert!(why.contains("every shard was abandoned"), "{why}");
+        assert_eq!(m.abandoned, vec![shard(0, 2), shard(1, 2)]);
+    }
+
+    #[test]
+    fn failed_launch_is_retried_not_fatal() {
+        let cfg = tiny_config("launch-fail", 2);
+        let spec = shard(0, 2);
+        let mut m = core(&cfg);
+        assert_eq!(
+            launches(&m.step(Event::Tick, ms(0))),
+            vec![(spec, 1), (shard(1, 2), 1)]
+        );
+        let error = "mock launch refused".to_string();
+        m.step(Event::LaunchFailed(spec, error), ms(0));
+        m.step(exited(shard(1, 2), Exit::Clean), ms(1));
+        let out = m.step(Event::Tick, ms(1));
+        assert_eq!(launches(&out), vec![(spec, 2)], "attempt number counts up");
+        m.step(exited(spec, Exit::Clean), ms(2));
+        assert_eq!(m.step(Event::Tick, ms(2)), vec![merge_all(2, false)]);
+        assert_eq!(m.rescued, vec![spec]);
+        assert_eq!(m.launched, 2, "a refused launch never ran");
     }
 }

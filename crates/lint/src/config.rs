@@ -122,8 +122,10 @@ impl LintConfig {
             wallclock_allow: vec![
                 // Telemetry exists to measure wall time.
                 p("crates/core/src/telemetry.rs"),
-                // Dispatch supervises real processes: stall detection
-                // and backoff are wall-clock by nature.
+                // The dispatch driver supervises real processes: it
+                // polls, sleeps and hands the elapsed time to the
+                // dispatcher core (`dispatch/machine.rs`), which is not
+                // listed and so must stay clock-free.
                 p("crates/core/src/campaign/dispatch.rs"),
                 // CLI/figure layer: progress reporting, not simulation.
                 p("crates/bench"),

@@ -121,6 +121,27 @@ mod tests {
     }
 
     #[test]
+    fn dispatcher_core_is_outside_the_workspace_clock_allowlist() {
+        let cfg = LintConfig::workspace(".");
+        let src = "fn f() { let t = Instant::now(); }\n";
+        let lint = |rel: &str| {
+            let mut out = Vec::new();
+            wallclock(&cfg, &SourceFile::from_source(rel, src), &mut out);
+            out.len()
+        };
+        assert_eq!(
+            lint("crates/core/src/campaign/dispatch.rs"),
+            0,
+            "the driver"
+        );
+        assert_eq!(
+            lint("crates/core/src/campaign/dispatch/machine.rs"),
+            1,
+            "the core"
+        );
+    }
+
+    #[test]
     fn string_mention_does_not_fire() {
         assert!(wallclock_diags("src/a.rs", "fn f() { log(\"Instant::now bad\"); }\n").is_empty());
     }

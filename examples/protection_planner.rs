@@ -9,6 +9,10 @@
 //! MSB-protection depth, and full-word SECDED — on throughput, area and
 //! the gain/area efficiency metric of Fig. 8, then recommends one.
 
+mod args;
+
+use args::Positional;
+
 use resilience_core::config::SystemConfig;
 use resilience_core::montecarlo::{run_point_with, DefectSpec, StorageConfig};
 use resilience_core::report::render_table;
@@ -19,9 +23,12 @@ use silicon::fault_map::FaultKind;
 use silicon::ProtectionPlan;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let defect_pct: f64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(10.0);
-    let packets: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(30);
+    let args = Positional::from_env(
+        "cargo run --release --example protection_planner [-- <defect_pct> <packets>]",
+        2,
+    );
+    let defect_pct: f64 = args.get(0, "defect %", 10.0, |p| (0.0..=100.0).contains(p));
+    let packets: usize = args.get(1, "packet count", 30, |&n| n > 0);
     let frac = defect_pct / 100.0;
     let cfg = SystemConfig::paper_64qam();
     let sim = LinkSimulator::new(cfg);

@@ -10,6 +10,10 @@
 //! the 3GPP check point (18 dB). Prints the voltage/power/throughput
 //! trade-off for the plain 6T array and the 4-MSB hybrid.
 
+mod args;
+
+use args::Positional;
+
 use resilience_core::config::SystemConfig;
 use resilience_core::montecarlo::{run_point_with, DefectSpec, StorageConfig};
 use resilience_core::simulator::LinkSimulator;
@@ -19,8 +23,11 @@ use silicon::fault_map::FaultKind;
 use silicon::ProtectionPlan;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let packets: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(30);
+    let args = Positional::from_env(
+        "cargo run --release --example voltage_scaling [-- <packets>]",
+        1,
+    );
+    let packets: usize = args.get(0, "packet count", 30, |&n| n > 0);
     let cfg = SystemConfig::paper_64qam();
     let sim = LinkSimulator::new(cfg);
     let model = CellFailureModel::dac12();

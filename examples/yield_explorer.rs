@@ -9,16 +9,20 @@
 //! faulty cells must be accepted to hit the yield target, and what defect
 //! *fraction* that is — the number the throughput experiments consume.
 
+mod args;
+
+use args::Positional;
+
 use silicon::cell::{BitCellKind, CellFailureModel};
 use silicon::yield_model::{min_accepted_faults, yield_accepting, yield_zero_defect};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cells: u64 = args
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200 * 1024);
-    let target: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0.95);
+    let args = Positional::from_env(
+        "cargo run --release --example yield_explorer [-- <cells> <target>]",
+        2,
+    );
+    let cells: u64 = args.get(0, "cell count", 200 * 1024, |&n| n > 0);
+    let target: f64 = args.get(1, "yield target", 0.95, |&y| y > 0.0 && y < 1.0);
     let model = CellFailureModel::dac12();
 
     println!(

@@ -8,14 +8,23 @@
 //! store was resumed (chunk provenance is normalized away). The same
 //! holds for a **multi-way steal** (elastic re-sharding): the dead
 //! leg's store partitioned into slice sub-shards, each resumed by its
-//! own rescue leg, must merge back to the identical bytes.
+//! own rescue leg, must merge back to the identical bytes. Both hold
+//! end to end through the real dispatch driver, with legs that run the
+//! campaign in this process.
 
+use std::cell::Cell;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use proptest::prelude::*;
+use resilience_core::campaign::dispatch::LegStatus;
 use resilience_core::campaign::store::{self, ChunkId};
-use resilience_core::campaign::{shard, Campaign, CampaignPoint, CampaignSettings};
+use resilience_core::campaign::{
+    dispatch, shard, BackoffPolicy, Campaign, CampaignPoint, CampaignSettings, DispatchConfig,
+    Launcher, Leg, ShardSpec,
+};
 use resilience_core::config::SystemConfig;
 use resilience_core::engine::SimulationEngine;
 use resilience_core::montecarlo::StorageConfig;
@@ -58,6 +67,140 @@ fn run_campaign(
     let sim = LinkSimulator::new(cfg);
     let campaign = Campaign::new(NAME, settings, SimulationEngine::serial()).with_store_dir(dir);
     campaign.run(&sim, &demo_points(&cfg, max_packets))
+}
+
+/// A [`Launcher`] whose legs run the demo campaign in this process.
+/// The first attempt of each shard whose index bit is set in
+/// `kill_mask` is "killed": it leaves a line prefix of its store and no
+/// manifest, exactly what a killed leg process leaves, then exits
+/// failed.
+struct InProcessLauncher {
+    dir: PathBuf,
+    settings: CampaignSettings,
+    max_packets: usize,
+    kill_mask: u32,
+    cut_code: usize,
+    /// Store lines the killed legs left behind.
+    kept: Cell<u64>,
+    /// Chunks the legs served from a store instead of simulating.
+    served: Cell<u64>,
+}
+
+/// A leg that already ran to completion inside `launch`.
+struct FinishedLeg {
+    success: bool,
+}
+
+impl Leg for FinishedLeg {
+    fn poll(&mut self) -> io::Result<LegStatus> {
+        Ok(LegStatus::Exited {
+            success: self.success,
+        })
+    }
+
+    fn kill(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Launcher for InProcessLauncher {
+    fn launch(&self, spec: ShardSpec, attempt: u32) -> io::Result<Box<dyn Leg>> {
+        let settings = CampaignSettings {
+            shard: spec,
+            ..self.settings
+        };
+        let report = run_campaign(&self.dir, settings, self.max_packets);
+        self.served
+            .set(self.served.get() + report.chunks_from_store());
+        let killed = attempt == 1 && spec.slice.is_none() && self.kill_mask >> spec.index & 1 == 1;
+        if killed {
+            let store_path = self
+                .dir
+                .join(shard::store_file(NAME, spec, settings.backend));
+            let full = fs::read_to_string(&store_path)?;
+            let lines: Vec<&str> = full.lines().collect();
+            let k = (self.cut_code + spec.index as usize) % (lines.len() + 1);
+            let mut truncated: String = lines[..k].join("\n");
+            if k > 0 {
+                truncated.push('\n');
+            }
+            fs::write(&store_path, truncated)?;
+            fs::remove_file(self.dir.join(shard::manifest_file(NAME, spec)))?;
+            self.kept.set(self.kept.get() + k as u64);
+        }
+        Ok(Box::new(FinishedLeg { success: !killed }))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The real dispatch driver over in-process legs, some killed
+    /// mid-store: the merged manifest is byte-identical to a
+    /// single-host run, and the rescue or slice legs serve every chunk
+    /// a killed leg stored instead of simulating it again.
+    #[test]
+    fn dispatch_with_killed_in_process_legs_matches_single_host(
+        legs in 1u32..=3,
+        kill_code in 0u32..1000,
+        cut_code in 0usize..1000,
+        reshard in proptest::bool::ANY,
+        initial_chunk in 1usize..7,
+        max_packets in 1usize..30,
+    ) {
+        // A non-empty set of shards to kill.
+        let kill_mask = kill_code % ((1 << legs) - 1) + 1;
+        let tag = format!("driver-{legs}-{kill_mask}-{cut_code}-{reshard}-{initial_chunk}-{max_packets}");
+        let ref_dir = temp_dir(&format!("{tag}-ref"));
+        let dispatch_dir = temp_dir(&format!("{tag}-dispatch"));
+        let _ = fs::remove_dir_all(&ref_dir);
+        let _ = fs::remove_dir_all(&dispatch_dir);
+        let settings = CampaignSettings {
+            initial_chunk,
+            ..Default::default()
+        };
+        run_campaign(&ref_dir, settings, max_packets);
+
+        let launcher = InProcessLauncher {
+            dir: dispatch_dir.clone(),
+            settings,
+            max_packets,
+            kill_mask,
+            cut_code,
+            kept: Cell::new(0),
+            served: Cell::new(0),
+        };
+        let cfg = DispatchConfig {
+            reshard,
+            stall_timeout: None,
+            backoff: BackoffPolicy {
+                base: Duration::ZERO,
+                factor: 1.0,
+                max: Duration::ZERO,
+                jitter: 0.0,
+            },
+            ..DispatchConfig::new(NAME, legs, &dispatch_dir)
+        };
+        let report = dispatch(&cfg, &launcher).unwrap();
+        let killed = (0..legs).filter(|i| kill_mask >> i & 1 == 1).count();
+        prop_assert_eq!(report.rescued.len() + report.resharded.len(), killed);
+        prop_assert!(report.abandoned.is_empty());
+        prop_assert_eq!(
+            launcher.served.get(),
+            launcher.kept.get(),
+            "every chunk a killed leg stored is served, none re-simulated"
+        );
+
+        let manifest_name = shard::manifest_file(NAME, ShardSpec::single());
+        prop_assert_eq!(
+            fs::read_to_string(ref_dir.join(&manifest_name)).unwrap(),
+            fs::read_to_string(dispatch_dir.join(&manifest_name)).unwrap(),
+            "dispatched manifest must equal the single-host one"
+        );
+
+        let _ = fs::remove_dir_all(&ref_dir);
+        let _ = fs::remove_dir_all(&dispatch_dir);
+    }
 }
 
 proptest! {
