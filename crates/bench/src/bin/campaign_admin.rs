@@ -304,6 +304,6 @@ fn top(name: &str, dir: &Path, once: bool, interval_secs: u64) -> ! {
             }
             println!();
         }
-        std::thread::sleep(std::time::Duration::from_secs(interval_secs.max(1)));
+        std::thread::sleep(std::time::Duration::from_secs(interval_secs));
     }
 }

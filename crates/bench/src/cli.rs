@@ -543,8 +543,8 @@ pub static ADMIN_FLAGS: &[Flag<AdminArgs>] = &[
         |p, _| { p.strict = true; Ok(()) }),
     flag(&["--once"], "", "top: render one frame and exit",
         |p, _| { p.once = true; Ok(()) }),
-    flag(&["--interval"], "SECS", "top: refresh period (default 2)",
-        |p, v| value(v).map(|s| p.interval_secs = s)),
+    flag(&["--interval"], "SECS", "top: refresh period, at least 1 (default 2)",
+        |p, v| value_if(v, |s: &u64| *s >= 1).map(|s| p.interval_secs = s)),
 ];
 
 /// Parses `campaign-admin` arguments: a subcommand, then its flags.
@@ -1185,6 +1185,7 @@ mod tests {
         &["--tier", "f16"],
         &["--converged", "1"],
         &["--interval", "-1"],
+        &["--interval", "0"],
         &["--shard", "2/2"],
     ];
 

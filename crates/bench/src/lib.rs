@@ -18,9 +18,7 @@
 //!   launches the `--shard i/n` legs of a figure binary, steals work from
 //!   dead or stalled legs, and merges and verifies the result.
 //!
-//! Two bench targets time the computational kernels (`benches/kernels.rs`)
-//! and the link simulation and engine (`benches/link_simulation.rs`) on
-//! the workspace's offline stand-in for `criterion`.
+//! Performance is measured by the repository benchmark, `perfbench/`.
 //!
 //! Every binary parses its command line against its own flag table in
 //! [`cli`]: an unknown flag or a bad value exits 2 with a usage text.

@@ -148,7 +148,6 @@ impl Dispatcher {
     /// Advances the machine by one `event` observed at `now` (time since
     /// the dispatch started). After [`Action::Merge`] or
     /// [`Action::Abort`] every step returns nothing.
-    // alloc: cold(runs once per dispatch event, never from simulation; the decode-path edge is a bare-name match with the quantizer's `step`)
     pub fn step(&mut self, event: Event, now: Duration) -> Vec<Action> {
         if self.finished {
             return Vec::new();

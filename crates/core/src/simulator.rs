@@ -76,11 +76,11 @@ struct LinkCore {
 ///
 /// The counters always advance: a stage boundary costs one monotonic
 /// clock read (vDSO `clock_gettime`, ~tens of ns) against stages that
-/// run for tens of microseconds, so the always-on overhead is well
-/// under 1% of serial throughput — pinned by the `serial_telemetry`
-/// entry of `BENCH_engine.json` and the nightly bench gate. The engine
-/// flushes these into the global [`crate::telemetry`] stage counters
-/// once per shard.
+/// run for tens of microseconds, and that cost is inside every
+/// end-to-end perfbench metric. Traced perfbench runs report each
+/// stage's share of wave time and the share no stage covers. The
+/// engine flushes these into the global [`crate::telemetry`] stage
+/// counters once per shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageNanos {
     /// Payload generation + CRC attach + turbo encode (once per packet).

@@ -819,9 +819,9 @@ struct SisoOut<'a, T> {
 /// the table-driven three-sweep BCJR that the scalar reference decoder
 /// in `tests/support/` is checked against. All buffers are
 /// `[step][state/metric][lane]` flat arrays; with `L ∈ {8, 4, 2}` the
-/// lane arrays compile to full-width SIMD on the fixed trellis (see
-/// `crates/bench/benches/kernels.rs` for the per-width
-/// microbenchmarks).
+/// lane arrays compile to full-width SIMD on the fixed trellis
+/// (perfbench's `turbo.exact.l16` and `turbo.exact.l1` legs time the
+/// 8-lane pool and the 1-lane kernel).
 ///
 /// Neither alpha nor the branch metrics are materialized for the whole
 /// trellis: the forward recursion stores one checkpoint row per

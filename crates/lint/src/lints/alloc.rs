@@ -8,11 +8,14 @@
 //!
 //! Resolution is name-based and deliberately conservative: qualified
 //! calls (`Type::func`) resolve through their impl block; bare-name
-//! calls resolve to every workspace function of that name *except* for
+//! calls resolve to every function of that name *except* for
 //! ubiquitous std-like method names, which would connect everything to
-//! everything. Allocation sites those misses might hide are still
-//! caught wherever the walk does reach, and the runtime allocation
-//! regression test backstops the rest.
+//! everything. Either way an edge only leads into the caller's own
+//! crate or a crate its `Cargo.toml` lists under `[dependencies]`, so a
+//! `dsp` method named `step` never reaches a `core` function of that
+//! name. Allocation sites those misses might hide are still caught
+//! wherever the walk does reach, and the runtime allocation regression
+//! test backstops the rest.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -173,6 +176,9 @@ pub fn check(cfg: &LintConfig, ws: &Workspace, out: &mut Vec<Diagnostic>) {
         }
     }
 
+    let krate: Vec<Option<usize>> = ws.files.iter().map(|f| ws.crate_of(&f.rel)).collect();
+    let reachable = |from: FnRef, to: &FnRef| ws.may_call(krate[from.file], krate[to.file]);
+
     let mut queue: Vec<(FnRef, Vec<String>)> = Vec::new();
     for root in &cfg.hot_path_roots {
         for &r in by_name.get(root.as_str()).into_iter().flatten() {
@@ -193,8 +199,8 @@ pub fn check(cfg: &LintConfig, ws: &Workspace, out: &mut Vec<Diagnostic>) {
         if file.anns.has(func.sig_line, &AnnKind::AllocCold) {
             continue;
         }
+        let pushed = queue.len();
         scan_body(
-            cfg,
             file,
             r,
             func,
@@ -205,12 +211,14 @@ pub fn check(cfg: &LintConfig, ws: &Workspace, out: &mut Vec<Diagnostic>) {
             &mut reported,
             out,
         );
+        // Keep only the edges this function's crate can actually call.
+        let edges = queue.split_off(pushed);
+        queue.extend(edges.into_iter().filter(|(callee, _)| reachable(r, callee)));
     }
 }
 
 #[allow(clippy::too_many_arguments)]
 fn scan_body(
-    _cfg: &LintConfig,
     file: &SourceFile,
     r: FnRef,
     func: &crate::model::Function,
@@ -395,6 +403,45 @@ mod tests {
              impl Other { fn new() { let v = Vec::new(); } }\n",
         );
         assert!(out.is_empty());
+    }
+
+    /// A `dsp`-like crate and a `core`-like crate that depends on it,
+    /// each defining `step`; `hot` says which crate holds the root.
+    fn two_crates(hot: &str) -> Vec<Diagnostic> {
+        let root = "fn simulate_packet_with() { let s = step(); }\n";
+        let alloc_step = "pub fn step() -> Vec<u8> { Vec::new() }\n";
+        let (dep_src, app_src) = if hot == "dep" {
+            (root, alloc_step)
+        } else {
+            (alloc_step, root)
+        };
+        let ws = Workspace::from_sources(&[
+            ("dep/Cargo.toml", "[package]\nname = \"dep\"\n"),
+            ("dep/src/lib.rs", dep_src),
+            (
+                "app/Cargo.toml",
+                "[package]\nname = \"app\"\n\n[dependencies]\ndep.workspace = true\n",
+            ),
+            ("app/src/lib.rs", app_src),
+        ]);
+        let mut out = Vec::new();
+        check(&cfg(), &ws, &mut out);
+        out
+    }
+
+    #[test]
+    fn bare_names_do_not_resolve_into_dependent_crates() {
+        // `dep` cannot call `app`, so `app`'s allocating `step` is not
+        // on `dep`'s hot path.
+        assert!(two_crates("dep").is_empty());
+    }
+
+    #[test]
+    fn bare_names_resolve_into_dependencies() {
+        let out = two_crates("app");
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].file, std::path::Path::new("dep/src/lib.rs"));
+        assert!(out[0].message.contains("simulate_packet_with → step"));
     }
 
     #[test]

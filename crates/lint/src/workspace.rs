@@ -1,4 +1,5 @@
-//! Workspace loading: walk the tree, lex and model every `.rs` file.
+//! Workspace loading: walk the tree, lex and model every `.rs` file,
+//! and read every `Cargo.toml` into the crate dependency graph.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -57,9 +58,55 @@ impl SourceFile {
     }
 }
 
-/// Every `.rs` file under the configured root, in sorted order.
+/// One package manifest: its directory (relative to the lint root),
+/// its `[package] name` and the names under its `[dependencies]`.
+pub struct Crate {
+    pub dir: PathBuf,
+    pub name: String,
+    pub deps: Vec<String>,
+}
+
+impl Crate {
+    /// Reads the package name and the `[dependencies]` keys of one
+    /// `Cargo.toml`; `None` for a manifest without a `[package]` name (a
+    /// virtual workspace root). Dev- and build-dependencies are skipped:
+    /// library code cannot call into them.
+    fn parse(dir: PathBuf, toml: &str) -> Option<Crate> {
+        let (mut name, mut deps) = (None, Vec::new());
+        let mut section = "";
+        for line in toml.lines().map(str::trim) {
+            if let Some(header) = line.strip_prefix('[') {
+                section = header.trim_end_matches(']');
+                continue;
+            }
+            let Some((key, value)) = line.split_once('=') else {
+                continue;
+            };
+            let key = key.trim();
+            match section {
+                "package" if key == "name" => {
+                    name = Some(value.trim().trim_matches('"').to_string());
+                }
+                "dependencies" => {
+                    // `dsp.workspace = true` names the dependency `dsp`.
+                    deps.push(key.split('.').next().unwrap_or(key).to_string());
+                }
+                _ => {}
+            }
+        }
+        Some(Crate {
+            dir,
+            name: name?,
+            deps,
+        })
+    }
+}
+
+/// Every `.rs` file under the configured root, in sorted order, and
+/// every crate whose manifest lies under it.
 pub struct Workspace {
     pub files: Vec<SourceFile>,
+    pub crates: Vec<Crate>,
 }
 
 impl Workspace {
@@ -67,26 +114,57 @@ impl Workspace {
         let mut paths = Vec::new();
         walk(&cfg.root, &cfg.root, cfg, &mut paths)?;
         paths.sort();
-        let mut files = Vec::with_capacity(paths.len());
+        let mut sources = Vec::with_capacity(paths.len());
         for rel in paths {
             let text = std::fs::read_to_string(cfg.root.join(&rel))?;
-            files.push(SourceFile::from_source(rel, &text));
+            sources.push((rel, text));
         }
-        Ok(Workspace { files })
+        Ok(Self::build(sources))
     }
 
-    /// In-memory workspace for tests.
+    /// In-memory workspace for tests. An entry whose file name is
+    /// `Cargo.toml` is a manifest; every other entry is Rust source.
     pub fn from_sources(sources: &[(&str, &str)]) -> Workspace {
-        Workspace {
-            files: sources
+        Self::build(
+            sources
                 .iter()
-                .map(|(rel, text)| SourceFile::from_source(*rel, text))
-                .collect(),
+                .map(|(rel, text)| (PathBuf::from(rel), text.to_string())),
+        )
+    }
+
+    fn build(sources: impl IntoIterator<Item = (PathBuf, String)>) -> Workspace {
+        let (mut files, mut crates) = (Vec::new(), Vec::new());
+        for (rel, text) in sources {
+            if rel.file_name().is_some_and(|f| f == "Cargo.toml") {
+                let dir = rel.parent().unwrap_or(Path::new("")).to_path_buf();
+                crates.extend(Crate::parse(dir, &text));
+            } else {
+                files.push(SourceFile::from_source(rel, &text));
+            }
         }
+        Workspace { files, crates }
     }
 
     pub fn file(&self, rel: &Path) -> Option<&SourceFile> {
         self.files.iter().find(|f| f.rel == rel)
+    }
+
+    /// Index into `crates` of the crate owning `rel`: the one whose
+    /// directory is the longest prefix of the path.
+    pub fn crate_of(&self, rel: &Path) -> Option<usize> {
+        (0..self.crates.len())
+            .filter(|&c| rel.starts_with(&self.crates[c].dir))
+            .max_by_key(|&c| self.crates[c].dir.components().count())
+    }
+
+    /// Can code in crate `from` call a function in crate `to`? Only
+    /// within one crate or into a direct `[dependencies]` entry. Files
+    /// outside every manifest are one anonymous crate.
+    pub fn may_call(&self, from: Option<usize>, to: Option<usize>) -> bool {
+        match (from, to) {
+            (Some(f), Some(t)) => f == t || self.crates[f].deps.contains(&self.crates[t].name),
+            (f, t) => f == t,
+        }
     }
 }
 
@@ -106,7 +184,7 @@ fn walk(root: &Path, dir: &Path, cfg: &LintConfig, out: &mut Vec<PathBuf>) -> io
         let ty = entry.file_type()?;
         if ty.is_dir() {
             walk(root, &path, cfg, out)?;
-        } else if name.ends_with(".rs") {
+        } else if name.ends_with(".rs") || name == "Cargo.toml" {
             out.push(rel);
         }
     }
