@@ -10,12 +10,15 @@
 //! calls (`Type::func`) resolve through their impl block; bare-name
 //! calls resolve to every function of that name *except* for
 //! ubiquitous std-like method names, which would connect everything to
-//! everything. Either way an edge only leads into the caller's own
-//! crate or a crate its `Cargo.toml` lists under `[dependencies]`, so a
-//! `dsp` method named `step` never reaches a `core` function of that
-//! name. Allocation sites those misses might hide are still caught
-//! wherever the walk does reach, and the runtime allocation regression
-//! test backstops the rest.
+//! everything. Either way an edge into a free function or an inherent
+//! method only leads into the caller's own crate or a crate its
+//! `Cargo.toml` lists under `[dependencies]`, so a `dsp` method named
+//! `step` never reaches `core`'s `Dispatcher::step`. Methods of `impl
+//! Trait for Type` blocks are exempt: a dependency reaches them through
+//! a generic or `dyn` call (`hspa-phy`'s decode pool calling `admit` on
+//! `core`'s `HarqFeed`). Allocation sites those misses might hide are
+//! still caught wherever the walk does reach, and the runtime
+//! allocation regression test backstops the rest.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -177,7 +180,10 @@ pub fn check(cfg: &LintConfig, ws: &Workspace, out: &mut Vec<Diagnostic>) {
     }
 
     let krate: Vec<Option<usize>> = ws.files.iter().map(|f| ws.crate_of(&f.rel)).collect();
-    let reachable = |from: FnRef, to: &FnRef| ws.may_call(krate[from.file], krate[to.file]);
+    let reachable = |from: FnRef, to: &FnRef| {
+        ws.files[to.file].model.functions[to.func].in_trait_impl
+            || ws.may_call(krate[from.file], krate[to.file])
+    };
 
     let mut queue: Vec<(FnRef, Vec<String>)> = Vec::new();
     for root in &cfg.hot_path_roots {
@@ -211,7 +217,8 @@ pub fn check(cfg: &LintConfig, ws: &Workspace, out: &mut Vec<Diagnostic>) {
             &mut reported,
             out,
         );
-        // Keep only the edges this function's crate can actually call.
+        // Keep only the edges this function's crate can actually call:
+        // its own crate, its dependencies, or a trait impl anywhere.
         let edges = queue.split_off(pushed);
         queue.extend(edges.into_iter().filter(|(callee, _)| reachable(r, callee)));
     }
@@ -405,16 +412,9 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    /// A `dsp`-like crate and a `core`-like crate that depends on it,
-    /// each defining `step`; `hot` says which crate holds the root.
-    fn two_crates(hot: &str) -> Vec<Diagnostic> {
-        let root = "fn simulate_packet_with() { let s = step(); }\n";
-        let alloc_step = "pub fn step() -> Vec<u8> { Vec::new() }\n";
-        let (dep_src, app_src) = if hot == "dep" {
-            (root, alloc_step)
-        } else {
-            (alloc_step, root)
-        };
+    /// Lints a `dsp`-like crate `dep` and a `core`-like crate `app` that
+    /// depends on it.
+    fn two_crates(dep_src: &str, app_src: &str) -> Vec<Diagnostic> {
         let ws = Workspace::from_sources(&[
             ("dep/Cargo.toml", "[package]\nname = \"dep\"\n"),
             ("dep/src/lib.rs", dep_src),
@@ -429,19 +429,41 @@ mod tests {
         out
     }
 
+    const CALLS_STEP: &str = "fn simulate_packet_with() { let s = step(); }\n";
+    const ALLOC_STEP: &str = "pub fn step() -> Vec<u8> { Vec::new() }\n";
+
     #[test]
     fn bare_names_do_not_resolve_into_dependent_crates() {
         // `dep` cannot call `app`, so `app`'s allocating `step` is not
         // on `dep`'s hot path.
-        assert!(two_crates("dep").is_empty());
+        assert!(two_crates(CALLS_STEP, ALLOC_STEP).is_empty());
     }
 
     #[test]
     fn bare_names_resolve_into_dependencies() {
-        let out = two_crates("app");
+        let out = two_crates(ALLOC_STEP, CALLS_STEP);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].file, std::path::Path::new("dep/src/lib.rs"));
         assert!(out[0].message.contains("simulate_packet_with → step"));
+    }
+
+    #[test]
+    fn trait_impls_in_dependent_crates_stay_reachable() {
+        // The decode pool shape: `dep` declares the trait and calls it
+        // generically; `app` implements it. The call runs `app`'s code.
+        let dep = "pub trait Feed { fn admit(&mut self); }\n\
+                   fn simulate_packet_with<F: Feed>(feed: &mut F) { feed.admit(); }\n";
+        let app = "struct HarqFeed;\n\
+                   impl dep::Feed for HarqFeed { fn admit(&mut self) { let v = Vec::new(); } }\n";
+        let out = two_crates(dep, app);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].file, std::path::Path::new("app/src/lib.rs"));
+        assert!(out[0].message.contains("simulate_packet_with → admit"));
+
+        // An inherent method of the same name stays out of reach.
+        let app = "struct HarqFeed;\n\
+                   impl HarqFeed { fn admit(&mut self) { let v = Vec::new(); } }\n";
+        assert!(two_crates(dep, app).is_empty());
     }
 
     #[test]

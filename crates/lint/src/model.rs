@@ -16,6 +16,9 @@ pub struct Function {
     pub name: String,
     /// Type name of the enclosing `impl`/`trait` block, if any.
     pub impl_type: Option<String>,
+    /// Declared in an `impl Trait for Type` block: a dependency can
+    /// reach it through a generic or `dyn` call without naming its crate.
+    pub in_trait_impl: bool,
     /// 1-based line of the `fn` keyword — annotation attachment point
     /// for fn-level `alloc: cold(...)`.
     pub sig_line: u32,
@@ -86,6 +89,7 @@ pub fn build(lexed: &Lexed) -> FileModel {
     };
     let ctx = Ctx {
         impl_type: None,
+        in_trait_impl: false,
         in_test: false,
     };
     parse_range(toks, 0, toks.len(), &ctx, &mut model);
@@ -95,6 +99,7 @@ pub fn build(lexed: &Lexed) -> FileModel {
 #[derive(Clone)]
 struct Ctx {
     impl_type: Option<String>,
+    in_trait_impl: bool,
     in_test: bool,
 }
 
@@ -193,6 +198,7 @@ fn parse_range(toks: &[Token], start: usize, end: usize, ctx: &Ctx, model: &mut 
                         }
                         let inner = Ctx {
                             impl_type: None,
+                            in_trait_impl: false,
                             in_test: is_test,
                         };
                         parse_range(toks, b + 1, close, &inner, model);
@@ -204,12 +210,13 @@ fn parse_range(toks: &[Token], start: usize, end: usize, ctx: &Ctx, model: &mut 
             }
             Tok::Ident(kw) if kw == "impl" || kw == "trait" => {
                 pending.clear();
-                let (type_name, body_open) = impl_header(toks, i + 1, end);
+                let (type_name, for_trait, body_open) = impl_header(toks, i + 1, end);
                 match body_open {
                     Some(b) => {
                         let close = matching(toks, b);
                         let inner = Ctx {
                             impl_type: type_name,
+                            in_trait_impl: kw == "impl" && for_trait,
                             in_test: ctx.in_test,
                         };
                         parse_range(toks, b + 1, close, &inner, model);
@@ -246,12 +253,14 @@ fn parse_range(toks: &[Token], start: usize, end: usize, ctx: &Ctx, model: &mut 
                         model.functions.push(Function {
                             name,
                             impl_type: ctx.impl_type.clone(),
+                            in_trait_impl: ctx.in_trait_impl,
                             sig_line,
                             body: (b + 1, close),
                             is_test,
                         });
                         let inner = Ctx {
                             impl_type: ctx.impl_type.clone(),
+                            in_trait_impl: false,
                             in_test: ctx.in_test || is_test,
                         };
                         parse_range(toks, b + 1, close, &inner, model);
@@ -369,18 +378,20 @@ fn derives_of(pending: &[Vec<String>]) -> Vec<String> {
 
 /// Parses an `impl`/`trait` header starting after the keyword: returns
 /// the implemented type name (last path ident at angle-depth 0 before
-/// `where` or the body brace) and the body-brace index.
-fn impl_header(toks: &[Token], start: usize, end: usize) -> (Option<String>, Option<usize>) {
+/// `where` or the body brace), whether a `for` precedes it (`impl Trait
+/// for Type`) and the body-brace index.
+fn impl_header(toks: &[Token], start: usize, end: usize) -> (Option<String>, bool, Option<usize>) {
     let mut angle = 0i32;
     let mut name: Option<String> = None;
+    let mut for_trait = false;
     let mut frozen = false;
     let mut j = start;
     while j < end {
         match &toks[j].tok {
             Tok::Punct('<') => angle += 1,
             Tok::Punct('>') => angle = (angle - 1).max(0),
-            Tok::Punct('{') if angle == 0 => return (name, Some(j)),
-            Tok::Punct(';') if angle == 0 => return (name, None),
+            Tok::Punct('{') if angle == 0 => return (name, for_trait, Some(j)),
+            Tok::Punct(';') if angle == 0 => return (name, for_trait, None),
             Tok::Punct('(') | Tok::Punct('[') => {
                 j = matching(toks, j) + 1;
                 continue;
@@ -392,6 +403,7 @@ fn impl_header(toks: &[Token], start: usize, end: usize) -> (Option<String>, Opt
                     // not a type name
                 } else if s == "for" {
                     name = None; // the implemented type follows
+                    for_trait = true;
                 } else {
                     name = Some(s.clone());
                 }
@@ -400,7 +412,7 @@ fn impl_header(toks: &[Token], start: usize, end: usize) -> (Option<String>, Opt
         }
         j += 1;
     }
-    (name, None)
+    (name, for_trait, None)
 }
 
 /// Parses `name: Type,` / `Variant(payload),` lists inside struct/enum
@@ -482,14 +494,14 @@ mod tests {
         let names: Vec<_> = m
             .functions
             .iter()
-            .map(|f| (f.name.as_str(), f.impl_type.as_deref()))
+            .map(|f| (f.name.as_str(), f.impl_type.as_deref(), f.in_trait_impl))
             .collect();
         assert_eq!(
             names,
             vec![
-                ("run", Some("Worker")),
-                ("free_standing", None),
-                ("fmt", Some("Report")),
+                ("run", Some("Worker"), false),
+                ("free_standing", None, false),
+                ("fmt", Some("Report"), true),
             ]
         );
     }
