@@ -9,35 +9,53 @@ Runs every workload of HEAD's BENCHMARK.json as 5 alternating pairs
 --trace 0` inside each checkout, and exits 1 when:
 
 - any run is not `correct: true, failed: 0` (or exits without a result);
-- for some end-to-end metric, HEAD's best run is worse than the
-  baseline's median by more than that metric's `bound`.
+- for some end-to-end metric, every seed's HEAD/baseline ratio is worse
+  than 1 + that metric's `bound`.
 
-A gate on HEAD's best run fails only when HEAD's whole range clears the
-bound, so one slow run on a noisy host cannot fail it. Workloads, run
-length, directions and bounds come from HEAD's BENCHMARK.json; the
-baseline's must declare the same workloads and end-to-end metrics.
-The baseline commit is the one named in `.github/perf-baseline`.
+Seeds are not equal work, so each HEAD run is compared with the
+baseline run of its own seed. The ratio is oriented so that > 1 is
+worse (head/base for a lower-is-better metric, base/head for a
+higher-is-better one), which makes the bound symmetric in log space: a
+25 % bound fails a 1.25x longer `wall_s` and a 1/1.25 = 0.8x
+`packets_per_s` alike. With 5 pairs, [min, max] of the ratios is a
+distribution-free ~94 % interval for their median, and the gate fails
+only when that whole interval lies beyond the bound, i.e. when the
+smallest ratio does; one fast or slow seed on a noisy host can neither
+fail it nor rescue a real regression. Workloads, run length, directions
+and bounds come from HEAD's BENCHMARK.json; the baseline's must declare
+the same workloads and end-to-end metrics. The baseline commit is the
+one named in `.github/perf-baseline`.
 
-The decision rule, on synthetic runs:
+The decision rule, on runs built from two real gate runs (per-seed
+HEAD/baseline values of fig6a-campaign, seeds 1-5):
 
 >>> spec = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
 ...         {"name": "packets_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
 >>> def runs(wall, rate):
 ...     return [{"wall_s": w, "packets_per_s": r} for w, r in zip(wall, rate)]
->>> base = runs([1.0] * 5, [100.0] * 5)
->>> regressions(spec, base, base)
+>>> base = runs([1.0] * 5, [1.0] * 5)
+
+HEAD against itself passes, though one seed ran 14 % slower:
+
+>>> regressions(spec, base, runs([1.138, 0.993, 1.007, 1.056, 1.004],
+...                              [0.879, 1.007, 0.993, 0.947, 0.996]))
 []
 
-A HEAD 30 % slower on every run fails both directions:
+A branch that runs the SISO kernel twice fails both metrics. Its
+fastest seed is 1.273x the baseline, and its 21.5 % drop in
+`packets_per_s` is a 1/0.785 = 1.274x slowdown:
 
->>> for line in regressions(spec, base, runs([1.3] * 5, [70.0] * 5)):
+>>> for line in regressions(spec, base, runs([1.273, 1.436, 1.419, 1.427, 1.642],
+...                                          [0.785, 0.697, 0.705, 0.701, 0.609])):
 ...     print(line)
-wall_s: best 1.3 is 30.0 % worse than the baseline median 1 (bound 25 %)
-packets_per_s: best 70 is 30.0 % worse than the baseline median 100 (bound 25 %)
+wall_s: every seed is worse than 1.25x the baseline (ratios 1.273 1.436 1.419 1.427 1.642)
+packets_per_s: every seed is worse than 1.25x the baseline (ratios 1.274 1.435 1.418 1.427 1.642)
 
-A HEAD whose best run is 10 % worse passes, however slow its other runs:
+Ratios pair by seed, so a HEAD as fast as the baseline on slow and
+fast seeds alike passes, however unequal the seeds:
 
->>> regressions(spec, base, runs([1.1, 1.4, 1.5, 1.4, 1.6], [90.0, 60.0, 65.0, 70.0, 50.0]))
+>>> uneven = runs([0.46, 0.63, 0.5, 0.55, 0.6], [130.0, 95.0, 120.0, 109.0, 100.0])
+>>> regressions(spec, uneven, uneven)
 []
 
 The baseline must declare what HEAD declares:
@@ -49,7 +67,6 @@ The baseline must declare what HEAD declares:
 
 import json
 import os
-import statistics
 import subprocess
 import sys
 
@@ -79,18 +96,25 @@ def mismatch(base_spec, head_spec):
     return problems
 
 
+def ratios(metric, base_runs, head_runs):
+    """Per-seed HEAD/baseline ratios of one end-to-end metric, oriented
+    so that > 1 is worse. Runs pair by position, i.e. by seed."""
+    name = metric["name"]
+    pairs = [(b[name], h[name]) for b, h in zip(base_runs, head_runs, strict=True)]
+    if metric["better"] == "higher":
+        return [b / h for b, h in pairs]
+    return [h / b for b, h in pairs]
+
+
 def regressions(end_to_end, base_runs, head_runs):
-    """One line per end-to-end metric whose best HEAD run is worse than
-    the baseline median by more than the metric's bound."""
+    """One line per end-to-end metric whose smallest per-seed ratio is
+    worse than 1 + the metric's bound."""
     found = []
     for m in end_to_end:
-        name, higher = m["name"], m["better"] == "higher"
-        median = statistics.median(r[name] for r in base_runs)
-        best = (max if higher else min)(r[name] for r in head_runs)
-        worse = (median - best if higher else best - median) / median
-        if worse > m["bound"]:
-            found.append(f"{name}: best {best:g} is {100 * worse:.1f} % worse than the "
-                         f"baseline median {median:g} (bound {100 * m['bound']:g} %)")
+        r = ratios(m, base_runs, head_runs)
+        if min(r) > 1 + m["bound"]:
+            found.append(f"{m['name']}: every seed is worse than {1 + m['bound']:g}x the "
+                         f"baseline (ratios {' '.join(f'{x:.3f}' for x in r)})")
     return found
 
 
@@ -126,10 +150,9 @@ def main(argv):
             order = [(base, base_runs), (head, head_runs)]
             for checkout, runs in order if seed % 2 else order[::-1]:
                 runs.append(run(checkout, workload, seed, spec["run_seconds"]))
-        for name in (m["name"] for m in spec["end_to_end"]):
-            median = statistics.median(r[name] for r in base_runs)
-            head_values = " ".join(f"{r[name]:g}" for r in head_runs)
-            print(f"{workload} {name}: baseline median {median:g}, HEAD runs {head_values}")
+        for m in spec["end_to_end"]:
+            r = " ".join(f"{x:.3f}" for x in ratios(m, base_runs, head_runs))
+            print(f"{workload} {m['name']}: HEAD/baseline per seed (> 1 is worse) {r}")
         found += [f"{workload} {line}" for line in regressions(spec["end_to_end"], base_runs, head_runs)]
     for line in found:
         print(f"perf_gate: regression: {line}", file=sys.stderr)

@@ -23,8 +23,8 @@
 //!
 //! `--chaos-seed N` arms the deterministic failpoints: in this
 //! dispatcher (launch failures) and, via the leg environment, in every
-//! launched leg (crashes, hangs, stale heartbeats, torn appends, index
-//! corruption). Failed shards retry under `--backoff`; when slots are
+//! launched leg (crashes, hangs, stale heartbeats, torn appends).
+//! Failed shards retry under `--backoff`; when slots are
 //! idle a dead shard is re-sharded into parallel slices unless
 //! `--no-reshard`; a shard that exhausts its attempts is abandoned and
 //! the survivors merge into a partial-but-verified manifest.

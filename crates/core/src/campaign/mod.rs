@@ -12,8 +12,8 @@
 //!   hard (waterfall) points up to their maximum budget;
 //! * the **persistent result store** ([`store`]) keeps every simulated
 //!   chunk keyed by a stable hash of the full point configuration
-//!   ([`hash`]) — behind a [`store::StoreBackend`] trait with a JSONL
-//!   interchange format and an indexed binary segment format
+//!   ([`hash`]) — in one resident record table, on disk as a JSONL
+//!   interchange format or a checksummed binary segment format
 //!   (`--store-backend`) — so re-running a figure skips converged
 //!   points and interrupted campaigns resume where they stopped;
 //! * the **manifest** ([`manifest`]) summarizes realized budgets,
@@ -98,7 +98,7 @@ pub use dispatch::{
 };
 pub use manifest::{Manifest, ManifestTotals};
 pub use shard::ShardSpec;
-pub use store::{BackendKind, QueryFilter, ResultStore, StoreBackend};
+pub use store::{BackendKind, QueryFilter, ResultStore};
 
 /// The default on-disk location of campaign stores and manifests.
 pub const DEFAULT_STORE_DIR: &str = "target/campaign";

@@ -275,8 +275,7 @@ fn filename_shard_spec(name: &str, path: &Path) -> Option<ShardSpec> {
 }
 
 /// The shard spec encoded in **any** shard artifact file name of
-/// `name` — store (`<name>.shard-I-of-N.jsonl` / `.seg`, plus the
-/// segment backend's `.seg.idx` sidecar) or manifest
+/// `name` — store (`<name>.shard-I-of-N.jsonl` / `.seg`) or manifest
 /// (`<name>.shard-I-of-N.manifest.json`). The dispatcher's pre-flight
 /// scans with this: a killed leg typically leaves only its store (the
 /// manifest is written at run end), and a stale-family store alone is
@@ -285,7 +284,6 @@ pub fn artifact_shard_spec(name: &str, file_name: &str) -> Option<ShardSpec> {
     let stem = file_name
         .strip_suffix(".manifest.json")
         .or_else(|| file_name.strip_suffix(".jsonl"))
-        .or_else(|| file_name.strip_suffix(".seg.idx"))
         .or_else(|| file_name.strip_suffix(".seg"))?;
     artifact_stem_spec(name, stem)
 }
@@ -648,7 +646,7 @@ pub fn merge(name: &str, in_dir: &Path, out_dir: &Path) -> io::Result<MergeRepor
 /// Every record of the parent's store moves to the slice that owns its
 /// point key (same backend, suffixed file names), so each relaunched
 /// slice leg resumes the dead leg's surviving work instead of
-/// re-simulating it. The parent's store, sidecar, manifest and live
+/// re-simulating it. The parent's store, manifest and live
 /// telemetry snapshot are then removed: the records now live in the
 /// slice stores, and a leftover parent store would hand a later
 /// `--steal` re-dispatch two overlapping sources of truth. A parent
@@ -681,9 +679,6 @@ pub fn partition_store_into_slices(
         store::write_records(&dir.join(store_file(name, *spec, backend)), &records)?;
     }
     fs::remove_file(&store_path)?;
-    if backend == BackendKind::Indexed {
-        let _ = fs::remove_file(store_path.with_extension("seg.idx"));
-    }
     for stale in [
         manifest_file(name, parent),
         telemetry_file(name, parent),
@@ -1151,7 +1146,6 @@ mod tests {
         for file in [
             "fig6.shard-0-of-2.jsonl",
             "fig6.shard-0-of-2.seg",
-            "fig6.shard-0-of-2.seg.idx",
             "fig6.shard-0-of-2.manifest.json",
         ] {
             assert_eq!(artifact_shard_spec("fig6", file), Some(spec), "{file}");
@@ -1330,7 +1324,6 @@ mod tests {
         for file in [
             "fig6.shard-1-of-2.slice-0-of-3.jsonl",
             "fig6.shard-1-of-2.slice-0-of-3.seg",
-            "fig6.shard-1-of-2.slice-0-of-3.seg.idx",
             "fig6.shard-1-of-2.slice-0-of-3.manifest.json",
         ] {
             assert_eq!(artifact_shard_spec("fig6", file), Some(spec), "{file}");

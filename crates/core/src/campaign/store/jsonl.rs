@@ -1,12 +1,11 @@
-//! The JSONL store backend: one hand-written JSON line per chunk
-//! record. This is the interchange/debug format — human-greppable,
-//! trivially diffable, and what `campaign-admin export` emits — at the
-//! cost of parsing the whole file on every open.
+//! The JSONL codec: one hand-written JSON line per chunk record. This
+//! is the interchange/debug format — human-greppable, trivially
+//! diffable, and what `campaign-admin export` emits.
 //!
 //! ## Record grammar
 //!
-//! The reader accepts exactly the lines [`encode_record`] writes, and
-//! nothing else:
+//! The reader accepts exactly the lines [`encode`] writes, and nothing
+//! else:
 //!
 //! ```text
 //! line  = '{"point":"' hex16 '","first":' uint ',"len":' uint
@@ -22,324 +21,28 @@
 //! overflowing field, or bytes after the closing `}` — is a torn line:
 //! skipped and counted (`store_torn_tails_dropped` on open), never
 //! read as a record. A line that parses but violates the stats
-//! invariants is corruption (see [`validate_record`]).
+//! invariants is corruption.
 //!
-//! ## The record table
-//!
-//! An open streams the file through a 64 KiB buffer, one line at a
-//! time, and parses each line once, straight into the resident table:
-//! a fixed-size [`Slot`] per chunk (the four counters and a range) in a
-//! map keyed by [`ChunkId`], and one shared arena holding every
-//! `failures_at` list, so loading a record allocates nothing of its
-//! own. Map and arena are sized from the file length before the scan.
-//! A later line for the same chunk replaces the slot (last write wins);
-//! the superseded list stays in the arena unread. [`get`] builds the
-//! [`HarqStats`] from its slot, one allocation per fetch.
-//!
-//! [`get`]: StoreBackend::get
+//! A scan streams the file through a 64 KiB buffer, one line at a time,
+//! and parses each line once, straight into the caller's arena.
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::fs::{self, File, OpenOptions};
-use std::hash::{BuildHasherDefault, Hasher};
-use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
+use std::fs::File;
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::path::Path;
 
 use hspa_phy::harq::HarqStats;
 
-use super::{corrupt_error, validate_record, BackendKind, ChunkId, LenientLoad, StoreBackend};
+use super::{decode_checked, ChunkId, Entry, Slot};
 use crate::artifact::Cursor;
 
 /// Read-buffer size of a scan: a few `read(2)` calls cover a store of
 /// thousands of records.
 const READ_BUF: usize = 64 * 1024;
 
-/// Bytes per line the table reserves slots for. The shortest canonical
-/// line is 122 bytes, and only a chunk whose every counter is a single
-/// digit has it; a typical record with four failure counts is ~140. An
-/// underestimate costs one rehash; an upper bound would double the map
-/// for a file just past a power of two.
-const LINE_BYTES: u64 = 128;
-
-/// Bytes per `failures_at` entry the arena reserves for (~35 on a line
-/// of four entries).
-const FAILURE_BYTES: u64 = 32;
-
-/// Append-only JSONL store of per-chunk [`HarqStats`].
-#[derive(Debug)]
-pub struct JsonlBackend {
-    path: PathBuf,
-    table: Table,
-}
-
-/// The fixed-size fields of one record. Its `failures_at` list is
-/// `arena[start..start + len]` of the arena it was parsed or inserted
-/// into.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    packets: u64,
-    delivered: u64,
-    transmissions: u64,
-    info_bits: u64,
-    start: usize,
-    len: usize,
-}
-
-impl Slot {
-    fn stats(&self, arena: &[u64]) -> HarqStats {
-        HarqStats {
-            packets: self.packets,
-            delivered: self.delivered,
-            transmissions: self.transmissions,
-            info_bits: self.info_bits,
-            failures_at: arena[self.start..self.start + self.len].to_vec(),
-        }
-    }
-}
-
-/// The resident records (see the module docs).
-#[derive(Debug, Default)]
-struct Table {
-    // determinism: unordered-ok(keyed access only; never iterated — exports re-read the file in line order)
-    slots: HashMap<ChunkId, Slot, BuildHasherDefault<ChunkHasher>>,
-    arena: Vec<u64>,
-}
-
-impl Table {
-    /// An empty table reserved for a store file of `bytes`.
-    fn for_file_len(bytes: u64) -> Self {
-        let mut table = Self::default();
-        table
-            .slots
-            .reserve(usize::try_from(bytes / LINE_BYTES).unwrap_or(0));
-        table
-            .arena
-            .reserve(usize::try_from(bytes / FAILURE_BYTES).unwrap_or(0));
-        table
-    }
-
-    fn insert(&mut self, id: ChunkId, stats: &HarqStats) {
-        let start = self.arena.len();
-        self.arena.extend_from_slice(&stats.failures_at);
-        self.slots.insert(
-            id,
-            Slot {
-                packets: stats.packets,
-                delivered: stats.delivered,
-                transmissions: stats.transmissions,
-                info_bits: stats.info_bits,
-                start,
-                len: stats.failures_at.len(),
-            },
-        );
-    }
-}
-
-/// An Fx-style multiply-rotate hasher for [`ChunkId`] keys. The key's
-/// `point` is already an FNV-1a hash, so one multiply per word spreads
-/// it. The map is never iterated, so the hash reaches no output: a
-/// file crafted to collide can only slow its own open.
-#[derive(Default)]
-struct ChunkHasher(u64);
-
-impl ChunkHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for ChunkHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.add(word);
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.add(word as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl JsonlBackend {
-    /// Opens (or creates) the store file, loading every valid record.
-    /// With `resume == false` an existing file is truncated first.
-    pub fn open(path: &Path, resume: bool) -> std::io::Result<Self> {
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir)?;
-        }
-        // `Path::exists` swallows stat errors (it answers `false` for a
-        // permission-denied path); query the metadata directly so those
-        // errors are distinguishable from a genuinely absent store.
-        let existing_len = match fs::metadata(path) {
-            Ok(meta) => Some(meta.len()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-        if !resume && existing_len.is_some() {
-            fs::remove_file(path)?;
-        }
-        let Some(len) = existing_len.filter(|_| resume) else {
-            // Materialize an empty store eagerly: a campaign whose every
-            // chunk is a store hit (or whose shard owns no points) still
-            // leaves a well-formed `.jsonl` behind, so shard artifact
-            // collection and `campaign-admin merge` never chase a file
-            // that only the first miss would have created.
-            File::create(path)?;
-            return Ok(Self::attach(path));
-        };
-        let mut table = Table::for_file_len(len);
-        // Torn tails of interrupted runs are skipped, not fatal; records
-        // that parse but violate the stats invariants are corruption and
-        // must not feed merged statistics.
-        let slots = &mut table.slots;
-        scan(path, &mut table.arena, |line_no, line| match line {
-            Ok((id, slot)) => {
-                slots.insert(id, slot);
-                Ok(())
-            }
-            Err(LineIssue::Torn) => {
-                crate::telemetry::counter_add(crate::telemetry::Counter::StoreTornTailsDropped, 1);
-                Ok(())
-            }
-            Err(LineIssue::Corrupt(why)) => Err(corrupt_error(path, line_no, &why)),
-        })?;
-        // A killed writer can leave the final line without its newline.
-        // Terminate it now, or the first fresh append of this (rescue)
-        // run would concatenate onto the torn tail and turn a valid new
-        // record into a second torn line.
-        terminate_torn_tail(path)?;
-        Ok(Self {
-            path: path.to_path_buf(),
-            table,
-        })
-    }
-
-    /// Attaches to a path for the whole-store scan surface without
-    /// loading anything.
-    pub fn attach(path: &Path) -> Self {
-        Self {
-            path: path.to_path_buf(),
-            table: Table::default(),
-        }
-    }
-
-    /// Strict or lenient whole-file scan into file-order records,
-    /// duplicates kept: a corrupt record is an error when `strict`,
-    /// else dropped and counted.
-    fn load(&self, strict: bool) -> std::io::Result<LenientLoad> {
-        let mut arena = Vec::new();
-        let mut slots = Vec::new();
-        let (mut torn_lines, mut corrupt_records) = (0, 0);
-        scan(&self.path, &mut arena, |line_no, line| {
-            match line {
-                Ok(rec) => slots.push(rec),
-                Err(LineIssue::Torn) => torn_lines += 1,
-                Err(LineIssue::Corrupt(why)) if strict => {
-                    return Err(corrupt_error(&self.path, line_no, &why))
-                }
-                Err(LineIssue::Corrupt(_)) => corrupt_records += 1,
-            }
-            Ok(())
-        })?;
-        Ok(LenientLoad {
-            records: slots
-                .into_iter()
-                .map(|(id, slot)| (id, slot.stats(&arena)))
-                .collect(),
-            torn_lines,
-            corrupt_records,
-        })
-    }
-}
-
-impl StoreBackend for JsonlBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Jsonl
-    }
-
-    fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn len(&self) -> usize {
-        self.table.slots.len()
-    }
-
-    fn get(&mut self, id: ChunkId) -> Option<HarqStats> {
-        let slot = self.table.slots.get(&id)?;
-        Some(slot.stats(&self.table.arena))
-    }
-
-    fn append(&mut self, id: ChunkId, stats: &HarqStats) -> std::io::Result<()> {
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        let mut line = String::new();
-        encode_record(&mut line, id, stats);
-        if crate::failpoint::armed() {
-            let ctx = self.path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if crate::failpoint::should_fire(crate::failpoint::Site::AppendTorn, ctx) {
-                // Tear the record mid-write and die, like a SIGKILL
-                // landing inside the write: the half record becomes the
-                // file's tail. Continuing instead of exiting would weld
-                // the next append onto the torn prefix — precisely the
-                // corruption the resume path is hardened against.
-                file.write_all(&line.as_bytes()[..line.len() / 2])?;
-                file.flush()?;
-                std::process::exit(43);
-            }
-        }
-        // One write(2) per record: the line and its newline land
-        // together, so a kill can never leave a complete record whose
-        // newline is missing.
-        file.write_all(line.as_bytes())?;
-        self.table.insert(id, stats);
-        Ok(())
-    }
-
-    fn load_all(&self) -> std::io::Result<(Vec<(ChunkId, HarqStats)>, usize)> {
-        let load = self.load(true)?;
-        Ok((load.records, load.torn_lines))
-    }
-
-    fn load_all_lenient(&self) -> std::io::Result<LenientLoad> {
-        self.load(false)
-    }
-
-    fn replace_all(&mut self, records: &[(ChunkId, HarqStats)]) -> std::io::Result<()> {
-        if let Some(dir) = self.path.parent() {
-            fs::create_dir_all(dir)?;
-        }
-        let mut out = String::new();
-        for (id, stats) in records {
-            encode_record(&mut out, *id, stats);
-        }
-        let mut tmp = self.path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}", std::process::id()));
-        let tmp = PathBuf::from(tmp);
-        fs::write(&tmp, out)?;
-        fs::rename(&tmp, &self.path)?;
-        self.table = Table::default();
-        for (id, stats) in records {
-            self.table.insert(*id, stats);
-        }
-        Ok(())
-    }
-}
-
 /// Appends one chunk record to `out` as a single JSON line, newline
 /// included — the only form the reader accepts.
-fn encode_record(out: &mut String, id: ChunkId, stats: &HarqStats) {
-    // Writing into a `String` cannot fail.
+pub(super) fn encode(out: &mut Vec<u8>, id: ChunkId, stats: &HarqStats) {
+    // Writing into a `Vec` cannot fail.
     let _ = write!(
         out,
         "{{\"point\":\"{:016x}\",\"first\":{},\"len\":{},\"packets\":{},\"delivered\":{},\"transmissions\":{},\"info_bits\":{},\"failures_at\":[",
@@ -353,20 +56,19 @@ fn encode_record(out: &mut String, id: ChunkId, stats: &HarqStats) {
     );
     for (i, f) in stats.failures_at.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
         let _ = write!(out, "{f}");
     }
-    out.push_str("]}\n");
+    out.extend_from_slice(b"]}\n");
 }
 
-/// Appends a newline to `path` if its last byte is not one (the tail a
-/// `SIGKILL` mid-append leaves), so subsequent appends start on a
-/// fresh line. The torn line itself stays in place — it is skipped on
-/// every load and `campaign-admin gc` drops it.
-fn terminate_torn_tail(path: &Path) -> std::io::Result<()> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut file = OpenOptions::new().read(true).append(true).open(path)?;
+/// Appends a newline to the store behind `file` (a read + append
+/// handle) if its last byte is not one — the tail a `SIGKILL`
+/// mid-append leaves — so subsequent appends start on a fresh line. The
+/// torn line itself stays in place: it is skipped on every load and
+/// `campaign-admin gc` drops it.
+pub(super) fn terminate_torn_tail(file: &mut File) -> std::io::Result<()> {
     if file.seek(SeekFrom::End(0))? == 0 {
         return Ok(());
     }
@@ -379,30 +81,21 @@ fn terminate_torn_tail(path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Why a store line was rejected: torn lines (truncated writes, or any
-/// line that is not exactly what [`encode_record`] writes) are routine
-/// and tolerated; corrupt records parse fully but violate the stats
-/// invariants, so using them would poison merged statistics.
-enum LineIssue {
-    Torn,
-    Corrupt(String),
-}
-
 /// Streams the store file through [`classify_line`], one line at a
 /// time into one reused buffer, handing `visit` each non-empty line's
-/// outcome with its 1-based line number; accepted records' lists land
-/// in `arena`. The file is never held in memory whole. A torn line that
-/// is not valid UTF-8 is an [`InvalidData`](std::io::ErrorKind::InvalidData)
+/// entry with its 1-based line number; records' lists land in `arena`.
+/// The file is never held in memory whole. A torn line that is not
+/// valid UTF-8 is an [`InvalidData`](std::io::ErrorKind::InvalidData)
 /// error rather than a torn line: the store is a text file, and binary
 /// garbage in it is not an interrupted append.
-fn scan(
+pub(super) fn scan(
     path: &Path,
     arena: &mut Vec<u64>,
-    mut visit: impl FnMut(usize, Result<(ChunkId, Slot), LineIssue>) -> std::io::Result<()>,
+    mut visit: impl FnMut(u64, Entry) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     let mut reader = BufReader::with_capacity(READ_BUF, File::open(path)?);
     let mut buf = Vec::new();
-    let mut line_no = 0usize;
+    let mut line_no = 0u64;
     loop {
         buf.clear();
         if reader.read_until(b'\n', &mut buf)? == 0 {
@@ -414,10 +107,10 @@ fn scan(
         if line.is_empty() {
             continue;
         }
-        let outcome = classify_line(line, arena);
+        let entry = classify_line(line, arena);
         // A parsed line is pure ASCII; only a rejected one needs the
         // UTF-8 check.
-        if matches!(outcome, Err(LineIssue::Torn)) && std::str::from_utf8(line).is_err() {
+        if matches!(entry, Entry::Torn) && std::str::from_utf8(line).is_err() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!(
@@ -426,32 +119,25 @@ fn scan(
                 ),
             ));
         }
-        visit(line_no, outcome)?;
+        visit(line_no, entry)?;
     }
 }
 
 /// Parses and range-validates one store line (without its newline).
-/// An accepted record's list is left in `arena`; a rejected line
-/// leaves `arena` as it was.
-fn classify_line(line: &[u8], arena: &mut Vec<u64>) -> Result<(ChunkId, Slot), LineIssue> {
-    let mark = arena.len();
-    let outcome = match parse_line(line, arena) {
-        Some((id, slot)) => validate_record(id, slot.packets, slot.delivered)
-            .map(|()| (id, slot))
-            .map_err(LineIssue::Corrupt),
-        None => Err(LineIssue::Torn),
-    };
-    if outcome.is_err() {
-        arena.truncate(mark);
-    }
-    outcome
+/// A record's list is left in `arena`; a rejected line leaves `arena`
+/// as it was.
+fn classify_line(line: &[u8], arena: &mut Vec<u64>) -> Entry {
+    decode_checked(arena, |arena| match parse_line(line, arena) {
+        Some((id, slot)) => Entry::Record(id, slot),
+        None => Entry::Torn,
+    })
 }
 
 /// Parses one store line in a single pass over its bytes, pushing its
 /// `failures_at` list onto `arena` (a rejected line may leave part of
 /// it there; [`classify_line`] drops it). `None` unless the line is
-/// exactly what [`encode_record`] writes (see the module grammar).
-/// Invariants between the fields are **not** checked here — that is
+/// exactly what [`encode`] writes (see the module grammar). Invariants
+/// between the fields are **not** checked here — that is
 /// [`classify_line`]'s job, so the strict loaders can distinguish a
 /// routine torn line from corruption.
 fn parse_line(line: &[u8], arena: &mut Vec<u64>) -> Option<(ChunkId, Slot)> {
@@ -486,9 +172,12 @@ fn parse_line(line: &[u8], arena: &mut Vec<u64>) -> Option<(ChunkId, Slot)> {
 
 /// [`classify_line`] into a record of its own.
 #[cfg(test)]
-fn classify_record(line: &[u8]) -> Result<(ChunkId, HarqStats), LineIssue> {
+fn classify_record(line: &[u8]) -> Result<(ChunkId, HarqStats), Entry> {
     let mut arena = Vec::new();
-    classify_line(line, &mut arena).map(|(id, slot)| (id, slot.stats(&arena)))
+    match classify_line(line, &mut arena) {
+        Entry::Record(id, slot) => Ok((id, slot.stats(&arena))),
+        other => Err(other),
+    }
 }
 
 /// [`parse_line`] into a record of its own.
@@ -500,6 +189,8 @@ fn parse_record(line: &[u8]) -> Option<(ChunkId, HarqStats)> {
 
 #[cfg(test)]
 mod tests {
+    use std::fs;
+
     use super::super::{load_all, load_all_lenient, sample_stats, temp_store_path, write_records};
     use super::*;
     use crate::campaign::store::ResultStore;
@@ -507,10 +198,10 @@ mod tests {
 
     /// One encoded record line, without its newline.
     fn line(id: ChunkId, stats: &HarqStats) -> String {
-        let mut out = String::new();
-        encode_record(&mut out, id, stats);
+        let mut out = Vec::new();
+        encode(&mut out, id, stats);
         out.pop();
-        out
+        String::from_utf8(out).unwrap()
     }
 
     fn chunk(point: u64) -> ChunkId {
@@ -539,15 +230,15 @@ mod tests {
     fn encoding_is_pinned() {
         // Every store ever written uses exactly these bytes; the strict
         // reader depends on them, so they must never drift.
-        let mut out = String::new();
-        encode_record(&mut out, chunk(0x1f), &sample_stats());
+        let mut out = Vec::new();
+        encode(&mut out, chunk(0x1f), &sample_stats());
         let empty = HarqStats {
             failures_at: Vec::new(),
             ..sample_stats()
         };
-        encode_record(&mut out, chunk(u64::MAX), &empty);
+        encode(&mut out, chunk(u64::MAX), &empty);
         assert_eq!(
-            out,
+            String::from_utf8(out).unwrap(),
             "{\"point\":\"000000000000001f\",\"first\":0,\"len\":8,\"packets\":8,\"delivered\":6,\"transmissions\":14,\"info_bits\":120,\"failures_at\":[3,2,2,2]}\n\
              {\"point\":\"ffffffffffffffff\",\"first\":0,\"len\":8,\"packets\":8,\"delivered\":6,\"transmissions\":14,\"info_bits\":120,\"failures_at\":[]}\n"
         );
@@ -561,11 +252,11 @@ mod tests {
         let full = line(chunk(1), &sample_stats());
         let half = &full.as_bytes()[..full.len() / 2];
         assert!(parse_record(half).is_none());
-        assert!(matches!(classify_record(half), Err(LineIssue::Torn)));
+        assert!(matches!(classify_record(half), Err(Entry::Torn)));
         // Non-canonical spellings are torn too, never records.
         for (what, l) in non_canonical_lines() {
             assert!(
-                matches!(classify_record(l.as_bytes()), Err(LineIssue::Torn)),
+                matches!(classify_record(l.as_bytes()), Err(Entry::Torn)),
                 "{what}: {l}"
             );
         }
@@ -688,12 +379,12 @@ mod tests {
         wrong_len.packets = 9;
         assert!(matches!(
             classify_record(line(id, &wrong_len).as_bytes()),
-            Err(LineIssue::Corrupt(_))
+            Err(Entry::Corrupt(_))
         ));
         // delivered > packets would underflow `packets - delivered`.
         let mut inverted = sample_stats();
         inverted.delivered = inverted.packets + 1;
-        let Err(LineIssue::Corrupt(why)) = classify_record(line(id, &inverted).as_bytes()) else {
+        let Err(Entry::Corrupt(why)) = classify_record(line(id, &inverted).as_bytes()) else {
             panic!("delivered > packets must classify as corrupt");
         };
         assert!(why.contains("underflow"), "{why}");
@@ -807,10 +498,10 @@ mod tests {
         }
 
         fn encoded(id: ChunkId, stats: &HarqStats) -> Vec<u8> {
-            let mut out = String::new();
-            encode_record(&mut out, id, stats);
+            let mut out = Vec::new();
+            encode(&mut out, id, stats);
             out.pop();
-            out.into_bytes()
+            out
         }
 
         /// A mangled line must be rejected (torn or corrupt), or be a
@@ -846,7 +537,7 @@ mod tests {
                 // Every strict prefix is torn.
                 for cut in 0..line.len() {
                     prop_assert!(
-                        matches!(classify_record(&line[..cut]), Err(LineIssue::Torn)),
+                        matches!(classify_record(&line[..cut]), Err(Entry::Torn)),
                         "prefix {cut} of {} not torn", String::from_utf8_lossy(&line)
                     );
                 }
@@ -879,37 +570,15 @@ mod tests {
     /// wins, over random sequences of store operations.
     mod model {
         use std::collections::BTreeMap;
+        use std::fs;
 
         use proptest::prelude::*;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
         use super::super::*;
+        use crate::campaign::store::pool::{self, record};
         use crate::campaign::store::{temp_store_path, ResultStore};
-
-        const POINTS: u64 = 4;
-        const FIRSTS: [usize; 3] = [0, 8, 16];
-        const LENS: [usize; 2] = [8, 16];
-
-        /// A valid record on a small key pool, so keys repeat.
-        fn record(rng: &mut StdRng) -> (ChunkId, HarqStats) {
-            let id = ChunkId {
-                point: rng.gen_range(0..POINTS),
-                first_packet: FIRSTS[rng.gen_range(0..FIRSTS.len())],
-                n_packets: LENS[rng.gen_range(0..LENS.len())],
-            };
-            let packets = id.n_packets as u64;
-            let stats = HarqStats {
-                packets,
-                delivered: rng.gen_range(0..=packets),
-                transmissions: rng.gen_range(0u64..100),
-                info_bits: rng.gen_range(0u64..1000),
-                failures_at: (0..rng.gen_range(0usize..5))
-                    .map(|_| rng.gen_range(0u64..50))
-                    .collect(),
-            };
-            (id, stats)
-        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
@@ -929,7 +598,7 @@ mod tests {
                         5 => {
                             let records: Vec<_> =
                                 (0..rng.gen_range(0usize..8)).map(|_| record(&mut rng)).collect();
-                            store.backend.replace_all(&records).unwrap();
+                            store.replace_all(&records).unwrap();
                             model = records.into_iter().collect();
                         }
                         6 => {
@@ -946,13 +615,8 @@ mod tests {
                         }
                     }
                     prop_assert_eq!(store.len(), model.len());
-                    for point in 0..POINTS {
-                        for first_packet in FIRSTS {
-                            for n_packets in LENS {
-                                let id = ChunkId { point, first_packet, n_packets };
-                                prop_assert_eq!(store.backend.get(id), model.get(&id).cloned());
-                            }
-                        }
+                    for id in pool::ids() {
+                        prop_assert_eq!(store.table.get(id), model.get(&id).cloned());
                     }
                 }
                 drop(store);

@@ -7,47 +7,65 @@
 //! once and skips every chunk already on disk, so interrupted campaigns
 //! resume and repeated figure regenerations are nearly free.
 //!
-//! Two interchangeable backends implement the [`StoreBackend`] trait:
+//! A [`ResultStore`] owns the path, the file format ([`BackendKind`],
+//! inferred from the extension), one resident record table, one append
+//! handle and the hit/miss tallies. Two codecs encode a record and scan
+//! a file into records:
 //!
-//! * [`BackendKind::Jsonl`] (`.jsonl`) — one hand-written JSON line per
+//! * `.jsonl` ([`BackendKind::Jsonl`]) — one hand-written JSON line per
 //!   record. Human-greppable, trivially diffable, and the interchange
-//!   format (`campaign-admin export`/`import`). Every open streams the
-//!   whole file through one strict single-pass parser that accepts only
-//!   the canonical line the writer emits — fixed key order, a
-//!   16-digit lower-case hex key, unsigned decimals without sign or
-//!   leading zero, no whitespace, nothing after the closing `}` (the
-//!   grammar is in the `jsonl` module docs) — straight into a flat
-//!   record table: fixed-size slots plus one shared arena for the
-//!   `failures_at` lists. Any other line is counted as a torn line and
-//!   never read as a record.
-//! * [`BackendKind::Indexed`] (`.seg`) — append-only binary segment
-//!   frames with a persistent point-key index sidecar (`.seg.idx`).
-//!   Open replays only the un-indexed tail and lookups seek straight to
-//!   the frame, so open/resume cost is proportional to the records
-//!   touched, not the file size.
+//!   format (`campaign-admin export`/`import`). The reader accepts only
+//!   the canonical line the writer emits (the grammar is in the `jsonl`
+//!   module docs); any other line is a torn line, never a record.
+//! * `.seg` ([`BackendKind::Indexed`]) — append-only binary frames, each
+//!   FNV-1a-32-checksummed (see the `segment` module docs).
 //!
-//! The backend is inferred from the file extension, so every path-typed
-//! entry point ([`ResultStore::open`], [`load_all`], [`write_records`])
-//! transparently serves both formats. The offline `serde` shim has no
-//! serializer, so JSONL records are written and parsed by hand; both
-//! formats are versioned through the fingerprint schema (a key mismatch
-//! is just a store miss, never corruption).
+//! ## The record table
+//!
+//! An open streams the whole file through its codec, once, straight
+//! into the table: a fixed-size [`Slot`] per chunk (the four counters
+//! and a range) in a map keyed by [`ChunkId`], and one shared arena
+//! holding every `failures_at` list, so loading a record allocates
+//! nothing of its own. Map and arena are sized from the file length
+//! before the scan. A later record for the same chunk replaces the slot
+//! (last write wins); the superseded list stays in the arena unread.
+//! [`ResultStore::fetch`] builds the [`HarqStats`] from its slot, one
+//! allocation per fetch, and never touches the file.
+//!
+//! ## Damage
+//!
+//! A torn record (a writer killed mid-append) is counted
+//! (`store_torn_tails_dropped`) and skipped, and each codec repairs the
+//! tail so the next append starts clean: JSONL terminates the torn line,
+//! a segment truncates the torn frame. A record that is complete but
+//! fails its checksum or the stats invariants is corruption: every
+//! strict read (an open, [`load_all`]) refuses the whole store with an
+//! error naming `campaign-admin gc`, which reads it with
+//! [`load_all_lenient`] and drops the damage.
+//!
+//! The offline `serde` shim has no serializer, so records are written
+//! and parsed by hand; both formats are versioned through the
+//! fingerprint schema (a key mismatch is just a store miss, never
+//! corruption).
 
 mod jsonl;
 mod query;
 mod segment;
 
+use std::collections::HashMap;
 use std::fmt;
+use std::fs::{self, File, OpenOptions};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 use hspa_phy::harq::HarqStats;
 
+use crate::failpoint::{self, Site};
 use crate::telemetry::{self, Counter};
 
-pub use jsonl::JsonlBackend;
 pub use query::QueryFilter;
-pub use segment::SegmentBackend;
 
 /// Identity of one stored chunk: point key + packet range. Ordered by
 /// `(point, first_packet, n_packets)` — the canonical store order the
@@ -68,7 +86,7 @@ pub enum BackendKind {
     /// One JSON line per chunk record — the interchange/debug format.
     #[default]
     Jsonl,
-    /// Binary segment frames plus a persistent point-key index sidecar.
+    /// Checksummed binary segment frames.
     Indexed,
 }
 
@@ -91,25 +109,34 @@ impl BackendKind {
         }
     }
 
-    /// Opens (or creates) a store of this kind for campaign use — the
-    /// resume/truncate semantics of [`ResultStore::open`].
-    pub fn open(self, path: &Path, resume: bool) -> std::io::Result<Box<dyn StoreBackend>> {
-        Ok(match self {
-            BackendKind::Jsonl => Box::new(JsonlBackend::open(path, resume)?),
-            BackendKind::Indexed => Box::new(SegmentBackend::open(path, resume)?),
-        })
+    /// The bytes an empty store file of this format holds.
+    fn header(self) -> &'static [u8] {
+        match self {
+            BackendKind::Jsonl => b"",
+            BackendKind::Indexed => segment::MAGIC,
+        }
     }
 
-    /// Attaches to a store path without touching the filesystem — the
-    /// tooling entry point behind [`load_all`] / [`write_records`].
-    /// The returned backend serves the whole-store scan surface
-    /// ([`StoreBackend::load_all`], [`StoreBackend::replace_all`]);
-    /// it holds no resident records, so [`StoreBackend::get`] misses
-    /// until the store is opened properly.
-    pub fn attach(self, path: &Path) -> Box<dyn StoreBackend> {
+    /// Appends one record, encoded, to `out`.
+    fn encode(self, out: &mut Vec<u8>, id: ChunkId, stats: &HarqStats) {
         match self {
-            BackendKind::Jsonl => Box::new(JsonlBackend::attach(path)),
-            BackendKind::Indexed => Box::new(SegmentBackend::attach(path)),
+            BackendKind::Jsonl => jsonl::encode(out, id, stats),
+            BackendKind::Indexed => segment::encode(out, id, stats),
+        }
+    }
+
+    /// Streams the store file at `path` through this codec, handing
+    /// `visit` each entry in file order with its location (a 1-based
+    /// line number or a byte offset). Records' lists land in `arena`.
+    fn scan(
+        self,
+        path: &Path,
+        arena: &mut Vec<u64>,
+        visit: impl FnMut(u64, Entry) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        match self {
+            BackendKind::Jsonl => jsonl::scan(path, arena, visit),
+            BackendKind::Indexed => segment::scan(path, arena, visit),
         }
     }
 }
@@ -137,58 +164,147 @@ impl FromStr for BackendKind {
     }
 }
 
-/// The storage contract every result-store format implements. The
-/// campaign hot path uses [`get`](Self::get)/[`append`](Self::append);
-/// the admin tooling (merge, gc, verify, stats, export) uses the
-/// whole-store scan surface, which absorbs what used to be the
-/// path-based free functions.
-pub trait StoreBackend: fmt::Debug {
-    /// Which format this backend is.
-    fn kind(&self) -> BackendKind;
+/// What a codec read at one place of a store file.
+enum Entry {
+    /// A record that passes the stats invariants; its `failures_at`
+    /// list is `arena[slot.start..][..slot.len]`.
+    Record(ChunkId, Slot),
+    /// An incomplete or unparseable record — the routine damage of an
+    /// interrupted append.
+    Torn,
+    /// A complete record that fails its checksum, its shape or the
+    /// stats invariants: using it would poison merged statistics.
+    Corrupt(String),
+}
 
-    /// The backing store file path.
-    fn path(&self) -> &Path;
+/// Runs a codec's `decode` of one record, which pushes the record's
+/// `failures_at` list onto `arena`, and checks the stats invariants on
+/// what it decoded. Anything but a [`Entry::Record`] leaves `arena` as
+/// it was.
+fn decode_checked(arena: &mut Vec<u64>, decode: impl FnOnce(&mut Vec<u64>) -> Entry) -> Entry {
+    let mark = arena.len();
+    let entry = match decode(arena) {
+        Entry::Record(id, slot) => match validate_record(id, &slot) {
+            Ok(()) => Entry::Record(id, slot),
+            Err(why) => Entry::Corrupt(why),
+        },
+        other => other,
+    };
+    if !matches!(entry, Entry::Record(..)) {
+        arena.truncate(mark);
+    }
+    entry
+}
 
-    /// Number of distinct chunk records resident (last write per
-    /// [`ChunkId`] wins, matching resume semantics).
-    fn len(&self) -> usize;
+/// The fixed-size fields of one record. Its `failures_at` list is
+/// `arena[start..start + len]` of the arena it was decoded or inserted
+/// into.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    packets: u64,
+    delivered: u64,
+    transmissions: u64,
+    info_bits: u64,
+    start: usize,
+    len: usize,
+}
 
-    /// Whether the store holds no records.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+impl Slot {
+    fn stats(&self, arena: &[u64]) -> HarqStats {
+        HarqStats {
+            packets: self.packets,
+            delivered: self.delivered,
+            transmissions: self.transmissions,
+            info_bits: self.info_bits,
+            failures_at: arena[self.start..self.start + self.len].to_vec(),
+        }
+    }
+}
+
+/// The resident records (see the module docs).
+#[derive(Debug, Default)]
+struct Table {
+    // determinism: unordered-ok(keyed access only; never iterated — exports re-read the file in record order)
+    slots: HashMap<ChunkId, Slot, BuildHasherDefault<ChunkHasher>>,
+    arena: Vec<u64>,
+}
+
+impl Table {
+    /// An empty table reserved for a store file of `bytes` in format
+    /// `kind`, from the bytes a record and a `failures_at` entry take
+    /// there. The shortest canonical JSONL line is 122 bytes, and only
+    /// a chunk whose every counter is a single digit has it; a typical
+    /// line with four failure counts is ~140 (~35 per entry). A frame
+    /// is 72 bytes plus 8 per entry. An underestimate costs a rehash,
+    /// which doubles the open of a 15,000-frame segment; an upper bound
+    /// would double the map for a file just past a power of two.
+    fn for_file(kind: BackendKind, bytes: u64) -> Self {
+        let (record, failure) = match kind {
+            BackendKind::Jsonl => (128, 32),
+            BackendKind::Indexed => (96, 24),
+        };
+        let mut table = Self::default();
+        table
+            .slots
+            .reserve(usize::try_from(bytes / record).unwrap_or(0));
+        table
+            .arena
+            .reserve(usize::try_from(bytes / failure).unwrap_or(0));
+        table
     }
 
-    /// Looks up one chunk. No hit/miss accounting here — that is
-    /// [`ResultStore`]'s concern, so counters survive backend swaps
-    /// and compaction.
-    fn get(&mut self, id: ChunkId) -> Option<HarqStats>;
+    fn insert(&mut self, id: ChunkId, stats: &HarqStats) {
+        let start = self.arena.len();
+        self.arena.extend_from_slice(&stats.failures_at);
+        self.slots.insert(
+            id,
+            Slot {
+                packets: stats.packets,
+                delivered: stats.delivered,
+                transmissions: stats.transmissions,
+                info_bits: stats.info_bits,
+                start,
+                len: stats.failures_at.len(),
+            },
+        );
+    }
 
-    /// Appends a freshly simulated chunk.
-    fn append(&mut self, id: ChunkId, stats: &HarqStats) -> std::io::Result<()>;
+    fn get(&self, id: ChunkId) -> Option<HarqStats> {
+        Some(self.slots.get(&id)?.stats(&self.arena))
+    }
+}
 
-    /// **Strict** whole-store scan in file order, keeping duplicates.
-    /// Returns the records plus the count of torn (unparseable) entries
-    /// skipped. A record that parses but violates the stats invariants
-    /// (`delivered > packets`, or a stats block covering a different
-    /// packet count than the chunk range claims) is corruption —
-    /// folding it into merged statistics would underflow the failure
-    /// count and produce a garbage BLER — so it is an error pointing
-    /// the operator at `campaign-admin gc`, never a silent skip.
-    fn load_all(&self) -> std::io::Result<(Vec<(ChunkId, HarqStats)>, usize)>;
+/// An Fx-style multiply-rotate hasher for [`ChunkId`] keys. The key's
+/// `point` is already an FNV-1a hash, so one multiply per word spreads
+/// it. The map is never iterated, so the hash reaches no output: a
+/// file crafted to collide can only slow its own open.
+#[derive(Default)]
+struct ChunkHasher(u64);
 
-    /// The **lenient** whole-store scan behind `campaign-admin gc`:
-    /// corrupt records (the ones [`load_all`](Self::load_all) refuses)
-    /// are dropped and counted instead of fatal — gc is the tool the
-    /// strict loaders tell the operator to run, so it must be able to
-    /// read past the damage it is asked to remove.
-    fn load_all_lenient(&self) -> std::io::Result<LenientLoad>;
+impl ChunkHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
 
-    /// Rewrites the store to contain exactly `records`, in the given
-    /// order, replacing any previous content (the merge/GC/compaction
-    /// rewrite path — the campaign itself only ever appends). The
-    /// replacement is atomic (write-to-temp + rename): a rewrite killed
-    /// midway must leave the old store intact, never a truncated one.
-    fn replace_all(&mut self, records: &[(ChunkId, HarqStats)]) -> std::io::Result<()>;
+impl Hasher for ChunkHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.add(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// What a lenient scan read: the surviving records plus tallies of
@@ -203,11 +319,17 @@ pub struct LenientLoad {
     pub corrupt_records: usize,
 }
 
-/// Persistent chunk store of per-chunk [`HarqStats`], dispatching to
-/// the [`StoreBackend`] inferred from the path extension.
+/// Persistent chunk store of per-chunk [`HarqStats`] (see the module
+/// docs).
 #[derive(Debug)]
 pub struct ResultStore {
-    backend: Box<dyn StoreBackend>,
+    path: PathBuf,
+    kind: BackendKind,
+    table: Table,
+    /// Append handle, opened once per open or rewrite.
+    file: File,
+    /// One encoded record, reused across appends.
+    buf: Vec<u8>,
     /// Chunks served from disk since opening.
     pub hits: u64,
     /// Chunks that had to be simulated since opening.
@@ -215,8 +337,8 @@ pub struct ResultStore {
 }
 
 impl ResultStore {
-    /// Opens (or creates) the store file, loading (JSONL) or indexing
-    /// (segment) every valid record. With `resume == false` an existing
+    /// Opens (or creates) the store file, loading every valid record
+    /// and repairing a torn tail. With `resume == false` an existing
     /// store is truncated first — the `--no-resume` path.
     ///
     /// A store that exists but cannot be read is an **error**, never an
@@ -224,12 +346,68 @@ impl ResultStore {
     /// every chunk and double-append the results once the file becomes
     /// readable again, so only [`std::io::ErrorKind::NotFound`] counts
     /// as "no store yet" — permission problems, unreadable paths and
-    /// read failures all surface to the caller.
+    /// read failures all surface to the caller. So does a corrupt
+    /// record anywhere in the file (see the module docs).
     pub fn open(path: impl Into<PathBuf>, resume: bool) -> std::io::Result<Self> {
         let path = path.into();
-        let backend = BackendKind::for_path(&path).open(&path, resume)?;
+        let kind = BackendKind::for_path(&path);
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir)?;
+        }
+        // `Path::exists` swallows stat errors (it answers `false` for a
+        // permission-denied path); query the metadata directly so those
+        // errors are distinguishable from a genuinely absent store.
+        let existing_len = match fs::metadata(&path) {
+            Ok(meta) => meta.len(),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
+            Err(e) => return Err(e),
+        };
+        let resumed = resume && existing_len > 0;
+        let mut table = Table::default();
+        let mut torn_at = None;
+        if resumed {
+            table = Table::for_file(kind, existing_len);
+            let slots = &mut table.slots;
+            kind.scan(&path, &mut table.arena, |loc, entry| match entry {
+                Entry::Record(id, slot) => {
+                    slots.insert(id, slot);
+                    Ok(())
+                }
+                Entry::Torn => {
+                    telemetry::counter_add(Counter::StoreTornTailsDropped, 1);
+                    torn_at = Some(loc);
+                    Ok(())
+                }
+                Entry::Corrupt(why) => Err(corrupt_error(&path, loc, &why)),
+            })?;
+        } else {
+            // Materialize an empty store eagerly: a campaign whose every
+            // chunk is a store hit (or whose shard owns no points) still
+            // leaves a well-formed store behind, so shard artifact
+            // collection and `campaign-admin merge` never chase a file
+            // that only the first miss would have created.
+            fs::write(&path, kind.header())?;
+        }
+        let mut file = open_append(&path)?;
+        if resumed {
+            // A torn frame is always the segment's last; a torn JSONL
+            // line may sit anywhere and stays in place, so only the
+            // segment uses `torn_at` (its byte offset).
+            match kind {
+                BackendKind::Jsonl => jsonl::terminate_torn_tail(&mut file)?,
+                BackendKind::Indexed => {
+                    if let Some(at) = torn_at {
+                        file.set_len(at)?;
+                    }
+                }
+            }
+        }
         Ok(Self {
-            backend,
+            path,
+            kind,
+            table,
+            file,
+            buf: Vec::new(),
             hits: 0,
             misses: 0,
         })
@@ -237,22 +415,18 @@ impl ResultStore {
 
     /// The backing file path.
     pub fn path(&self) -> &Path {
-        self.backend.path()
+        &self.path
     }
 
-    /// Which backend serves this store.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
-    }
-
-    /// Number of records currently held.
+    /// Number of distinct chunk records held (last write per
+    /// [`ChunkId`] wins, matching resume semantics).
     pub fn len(&self) -> usize {
-        self.backend.len()
+        self.table.slots.len()
     }
 
     /// Whether the store holds no records.
     pub fn is_empty(&self) -> bool {
-        self.backend.len() == 0
+        self.table.slots.is_empty()
     }
 
     /// Looks up a chunk, counting the outcome toward the hit/miss tally
@@ -268,7 +442,7 @@ impl ResultStore {
         id: ChunkId,
         usable: impl FnOnce(&HarqStats) -> bool,
     ) -> Option<HarqStats> {
-        match self.backend.get(id).filter(usable) {
+        match self.table.get(id).filter(usable) {
             Some(stats) => {
                 self.hits += 1;
                 telemetry::counter_add(Counter::StoreChunkHits, 1);
@@ -285,7 +459,25 @@ impl ResultStore {
 
     /// Records a freshly simulated chunk and appends it to the file.
     pub fn put(&mut self, id: ChunkId, stats: &HarqStats) -> std::io::Result<()> {
-        self.backend.append(id, stats)?;
+        self.buf.clear();
+        self.kind.encode(&mut self.buf, id, stats);
+        if failpoint::armed() {
+            let ctx = self.path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if failpoint::should_fire(Site::AppendTorn, ctx) {
+                // Tear the record mid-write and die, like a SIGKILL
+                // landing inside the write: the half record becomes the
+                // file's tail, which the next open repairs. Continuing
+                // instead of exiting would weld the next append onto
+                // the torn prefix.
+                self.file.write_all(&self.buf[..self.buf.len() / 2])?;
+                self.file.flush()?;
+                std::process::exit(43);
+            }
+        }
+        // One write(2) per record: a kill can never leave a complete
+        // record whose JSONL newline is missing.
+        self.file.write_all(&self.buf)?;
+        self.table.insert(id, stats);
         telemetry::counter_add(Counter::StoreChunksWritten, 1);
         Ok(())
     }
@@ -310,7 +502,7 @@ impl ResultStore {
     /// counters) deliberately survive compaction — served-packet totals
     /// describe this run's lookups, not the file layout.
     pub fn compact(&mut self) -> std::io::Result<usize> {
-        let (records, torn) = self.backend.load_all()?;
+        let (records, torn) = load_all(&self.path)?;
         let loaded = records.len();
         let mut dedup = std::collections::BTreeMap::new();
         for (id, stats) in records {
@@ -318,33 +510,93 @@ impl ResultStore {
         }
         let kept: Vec<(ChunkId, HarqStats)> = dedup.into_iter().collect();
         let dropped = torn + (loaded - kept.len());
-        self.backend.replace_all(&kept)?;
+        self.replace_all(&kept)?;
         Ok(dropped)
     }
+
+    /// Rewrites the store to hold exactly `records` and reloads the
+    /// table from them. The rename orphans the old inode, so the append
+    /// handle is reopened on the new file.
+    fn replace_all(&mut self, records: &[(ChunkId, HarqStats)]) -> std::io::Result<()> {
+        write_records(&self.path, records)?;
+        self.table = Table::default();
+        for (id, stats) in records {
+            self.table.insert(*id, stats);
+        }
+        self.file = open_append(&self.path)?;
+        Ok(())
+    }
+}
+
+/// The store's append handle; it reads too, for the JSONL tail repair.
+fn open_append(path: &Path) -> std::io::Result<File> {
+    OpenOptions::new().read(true).append(true).open(path)
+}
+
+/// Strict or lenient whole-file scan into file-order records,
+/// duplicates kept: a corrupt record is an error when `strict`, else
+/// dropped and counted.
+fn load(path: &Path, strict: bool) -> std::io::Result<LenientLoad> {
+    let mut arena = Vec::new();
+    let mut slots = Vec::new();
+    let (mut torn_lines, mut corrupt_records) = (0, 0);
+    BackendKind::for_path(path).scan(path, &mut arena, |loc, entry| {
+        match entry {
+            Entry::Record(id, slot) => slots.push((id, slot)),
+            Entry::Torn => torn_lines += 1,
+            Entry::Corrupt(why) if strict => return Err(corrupt_error(path, loc, &why)),
+            Entry::Corrupt(_) => corrupt_records += 1,
+        }
+        Ok(())
+    })?;
+    Ok(LenientLoad {
+        records: slots
+            .into_iter()
+            .map(|(id, slot)| (id, slot.stats(&arena)))
+            .collect(),
+        torn_lines,
+        corrupt_records,
+    })
 }
 
 /// Reads every parseable record of a store file **in file order,
 /// keeping duplicates** (unlike [`ResultStore::open`], which keeps the
 /// last write per [`ChunkId`]). Returns the records plus the count of
 /// torn entries skipped — the merge/GC admin tooling reports both.
-/// Extension-dispatching wrapper over [`StoreBackend::load_all`].
+///
+/// The scan is **strict**: a record that parses but fails its checksum
+/// or violates the stats invariants (`delivered > packets`, or a stats
+/// block covering a different packet count than the chunk range claims)
+/// is corruption — folding it into merged statistics would underflow
+/// the failure count and produce a garbage BLER — so it is an error
+/// pointing the operator at `campaign-admin gc`, never a silent skip.
 pub fn load_all(path: &Path) -> std::io::Result<(Vec<(ChunkId, HarqStats)>, usize)> {
-    BackendKind::for_path(path).attach(path).load_all()
+    let load = load(path, true)?;
+    Ok((load.records, load.torn_lines))
 }
 
-/// Lenient whole-store scan; extension-dispatching wrapper over
-/// [`StoreBackend::load_all_lenient`].
+/// The **lenient** whole-store scan behind `campaign-admin gc`: corrupt
+/// records (the ones [`load_all`] refuses) are dropped and counted
+/// instead of fatal — gc is the tool the strict loaders tell the
+/// operator to run, so it must be able to read past the damage it is
+/// asked to remove.
 pub fn load_all_lenient(path: &Path) -> std::io::Result<LenientLoad> {
-    BackendKind::for_path(path).attach(path).load_all_lenient()
+    load(path, false)
 }
 
 /// Writes a store file containing exactly `records`, in the given
-/// order, replacing any previous content. Extension-dispatching wrapper
-/// over [`StoreBackend::replace_all`].
+/// order, in the format its extension names, replacing any previous
+/// content (the merge/GC/compaction rewrite path — the campaign itself
+/// only ever appends). The replacement is atomic (write-to-temp +
+/// rename): a rewrite killed midway leaves the old store intact, never
+/// a truncated one.
 pub fn write_records(path: &Path, records: &[(ChunkId, HarqStats)]) -> std::io::Result<()> {
-    BackendKind::for_path(path)
-        .attach(path)
-        .replace_all(records)
+    let kind = BackendKind::for_path(path);
+    let mut out = kind.header().to_vec();
+    for (id, stats) in records {
+        kind.encode(&mut out, *id, stats);
+    }
+    crate::artifact::write_atomic(path, &out)
 }
 
 /// Losslessly copies a store between backends (`campaign-admin
@@ -363,7 +615,7 @@ pub fn convert(src: &Path, dst: &Path) -> std::io::Result<usize> {
 /// recovery tool because the strict loaders themselves refuse to read
 /// past the damage. `loc` is the line number (JSONL) or byte offset
 /// (segment) of the offending record.
-pub(super) fn corrupt_error(path: &Path, loc: impl fmt::Display, why: &str) -> std::io::Error {
+fn corrupt_error(path: &Path, loc: u64, why: &str) -> std::io::Error {
     std::io::Error::new(
         std::io::ErrorKind::InvalidData,
         format!(
@@ -374,12 +626,13 @@ pub(super) fn corrupt_error(path: &Path, loc: impl fmt::Display, why: &str) -> s
     )
 }
 
-/// Checks the cross-field stats invariants both backends enforce, on
-/// the two counters they involve; a violation means the record must not
-/// feed merged statistics. The `failures_at` length is not checked: the
-/// store does not know the campaign's transmission budget, so the
-/// campaign's own fetch rejects a chunk of the wrong shape.
-pub(super) fn validate_record(id: ChunkId, packets: u64, delivered: u64) -> Result<(), String> {
+/// Checks the cross-field stats invariants; a violation means the
+/// record must not feed merged statistics. The `failures_at` length is
+/// not checked: the store does not know the campaign's transmission
+/// budget, so the campaign's own fetch rejects a chunk of the wrong
+/// shape.
+fn validate_record(id: ChunkId, slot: &Slot) -> Result<(), String> {
+    let (packets, delivered) = (slot.packets, slot.delivered);
     if packets != id.n_packets as u64 {
         return Err(format!(
             "stats cover {packets} packets but the chunk range claims {}",
@@ -413,9 +666,61 @@ pub(crate) fn temp_store_path(tag: &str, ext: &str) -> PathBuf {
     ))
 }
 
+/// Random valid records on a small key pool, so keys repeat.
+#[cfg(test)]
+mod pool {
+    use hspa_phy::harq::HarqStats;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+
+    use super::ChunkId;
+
+    pub const POINTS: u64 = 4;
+    pub const FIRSTS: [usize; 3] = [0, 8, 16];
+    pub const LENS: [usize; 2] = [8, 16];
+
+    /// Every key the pool draws from.
+    pub fn ids() -> impl Iterator<Item = ChunkId> {
+        (0..POINTS).flat_map(|point| {
+            FIRSTS.into_iter().flat_map(move |first_packet| {
+                LENS.into_iter().map(move |n_packets| ChunkId {
+                    point,
+                    first_packet,
+                    n_packets,
+                })
+            })
+        })
+    }
+
+    /// A record that passes the stats invariants.
+    pub fn record(rng: &mut StdRng) -> (ChunkId, HarqStats) {
+        let id = ChunkId {
+            point: rng.gen_range(0..POINTS),
+            first_packet: FIRSTS[rng.gen_range(0..FIRSTS.len())],
+            n_packets: LENS[rng.gen_range(0..LENS.len())],
+        };
+        let packets = id.n_packets as u64;
+        let stats = HarqStats {
+            packets,
+            delivered: rng.gen_range(0..=packets),
+            transmissions: rng.gen_range(0u64..100),
+            info_bits: rng.gen_range(0u64..1000),
+            failures_at: (0..rng.gen_range(0usize..5))
+                .map(|_| rng.gen_range(0u64..50))
+                .collect(),
+        };
+        (id, stats)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
     use std::fs;
+
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     use super::*;
 
@@ -442,7 +747,6 @@ mod tests {
         for kind in [BackendKind::Jsonl, BackendKind::Indexed] {
             let path = temp_store_path("persist", kind.extension());
             let _ = fs::remove_file(&path);
-            let _ = fs::remove_file(path.with_extension("seg.idx"));
             let id = ChunkId {
                 point: 42,
                 first_packet: 0,
@@ -450,7 +754,7 @@ mod tests {
             };
             {
                 let mut store = ResultStore::open(&path, true).unwrap();
-                assert_eq!(store.backend_kind(), kind);
+                assert_eq!(store.kind, kind);
                 assert!(store.fetch(id).is_none());
                 store.put(id, &sample_stats()).unwrap();
             }
@@ -465,7 +769,6 @@ mod tests {
             let store = ResultStore::open(&path, false).unwrap();
             assert!(store.is_empty());
             let _ = fs::remove_file(&path);
-            let _ = fs::remove_file(path.with_extension("seg.idx"));
         }
     }
 
@@ -474,7 +777,6 @@ mod tests {
         for kind in [BackendKind::Jsonl, BackendKind::Indexed] {
             let path = temp_store_path("compact", kind.extension());
             let _ = fs::remove_file(&path);
-            let _ = fs::remove_file(path.with_extension("seg.idx"));
             let a = ChunkId {
                 point: 7,
                 first_packet: 0,
@@ -504,14 +806,16 @@ mod tests {
             assert_eq!(store.len(), 2);
             assert_eq!((store.hits, store.misses), (hits, misses));
             assert!((store.hit_rate() - rate).abs() < 1e-12);
-            // Served lookups keep working against the compacted file.
+            // Served lookups keep working against the compacted file,
+            // and appends land in it, not in the replaced one.
             assert_eq!(store.fetch(b).unwrap(), sample_stats());
+            store.put(a, &sample_stats()).unwrap();
 
             // And the compacted store reopens cleanly.
             let reopened = ResultStore::open(&path, true).unwrap();
             assert_eq!(reopened.len(), 2);
+            assert_eq!(load_all(&path).unwrap().0.len(), 3);
             let _ = fs::remove_file(&path);
-            let _ = fs::remove_file(path.with_extension("seg.idx"));
         }
     }
 
@@ -523,7 +827,6 @@ mod tests {
         for p in [&jsonl, &seg, &back] {
             let _ = fs::remove_file(p);
         }
-        let _ = fs::remove_file(seg.with_extension("seg.idx"));
         let records: Vec<(ChunkId, HarqStats)> = (0..5)
             .map(|i| {
                 (
@@ -547,7 +850,6 @@ mod tests {
         for p in [&jsonl, &seg, &back] {
             let _ = fs::remove_file(p);
         }
-        let _ = fs::remove_file(seg.with_extension("seg.idx"));
     }
 
     #[test]
@@ -564,5 +866,73 @@ mod tests {
         assert!(ResultStore::open(&dir, true).is_err());
         assert!(load_all(&dir).is_err());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// What one format's store reads back after the appends and the
+    /// reopen: `len`, every pool key's fetch, and the strict scan.
+    type View = (usize, Vec<Option<HarqStats>>, Vec<(ChunkId, HarqStats)>);
+
+    /// Appends `records` to a fresh store at `path`, optionally tears
+    /// one more record in half (as the `append-torn` failpoint does),
+    /// reopens, appends `fresh` after the repaired tail, and reopens
+    /// again. Returns the view and the strict scan's torn count.
+    fn replay(
+        path: &Path,
+        records: &[(ChunkId, HarqStats)],
+        torn: Option<&(ChunkId, HarqStats)>,
+        fresh: &(ChunkId, HarqStats),
+    ) -> (View, usize) {
+        let mut store = ResultStore::open(path, false).unwrap();
+        for (id, stats) in records {
+            store.put(*id, stats).unwrap();
+        }
+        if let Some((id, stats)) = torn {
+            let mut half = Vec::new();
+            store.kind.encode(&mut half, *id, stats);
+            store.file.write_all(&half[..half.len() / 2]).unwrap();
+        }
+        drop(store);
+        ResultStore::open(path, true)
+            .unwrap()
+            .put(fresh.0, &fresh.1)
+            .unwrap();
+        let mut store = ResultStore::open(path, true).unwrap();
+        let fetched = pool::ids().map(|id| store.fetch(id)).collect();
+        let (scanned, torn_lines) = load_all(path).unwrap();
+        ((store.len(), fetched, scanned), torn_lines)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn both_formats_match_a_last_write_wins_model(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut records: Vec<_> =
+                (0..rng.gen_range(0usize..40)).map(|_| pool::record(&mut rng)).collect();
+            let torn = rng.gen_bool(0.5).then(|| pool::record(&mut rng));
+            let fresh = pool::record(&mut rng);
+
+            let mut views = Vec::new();
+            for kind in [BackendKind::Jsonl, BackendKind::Indexed] {
+                let path = temp_store_path(&format!("formats-{seed:x}"), kind.extension());
+                let (view, torn_lines) = replay(&path, &records, torn.as_ref(), &fresh);
+                // A JSONL torn line is terminated and stays skippable; a
+                // torn frame is truncated away.
+                let kept_torn = kind == BackendKind::Jsonl && torn.is_some();
+                prop_assert_eq!(torn_lines, usize::from(kept_torn), "{}", kind);
+                views.push(view);
+                let _ = fs::remove_file(&path);
+            }
+
+            records.push(fresh);
+            let model: BTreeMap<ChunkId, HarqStats> = records.iter().cloned().collect();
+            let expected: View = (
+                model.len(),
+                pool::ids().map(|id| model.get(&id).cloned()).collect(),
+                records,
+            );
+            prop_assert_eq!(&views[0], &expected);
+            prop_assert_eq!(&views[1], &expected);
+        }
     }
 }

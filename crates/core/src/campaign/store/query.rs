@@ -1,8 +1,8 @@
 //! Typed query filters over campaign results — the filter-builder
 //! surface behind `campaign-admin query`. Filters select manifest
-//! points (by key, SNR range, accuracy tier, convergence state); the
-//! matching point keys then drive indexed per-point store lookups, so
-//! a query touches only the records it selects.
+//! points (by key, SNR range, accuracy tier, convergence state), and
+//! `shard::query` keeps the records of a full strict store scan
+//! (`store::load_all`) whose point key the selection holds.
 
 use crate::campaign::manifest::PointRecord;
 use hspa_phy::turbo::AccuracyTier;

@@ -1,14 +1,14 @@
 //! Deterministic fault injection for chaos-testing the campaign stack.
 //!
 //! A *failpoint* is a named site compiled into the dispatcher, the
-//! launchers and both store backends where a fault can be injected on
+//! launchers and the result store where a fault can be injected on
 //! demand: a launch that fails with an I/O error, a leg that crashes
 //! after its k-th stored chunk, a leg that hangs, a heartbeat artifact
-//! that goes stale, an append torn mid-record, an index sidecar written
-//! corrupt. Whether a given site fires is a **pure function** of a
-//! chaos seed, the site, a context string (usually the shard spec or
-//! file name) and how many times the site has been checked — so every
-//! chaos run is replayable from its seed alone.
+//! that goes stale, an append torn mid-record. Whether a given site
+//! fires is a **pure function** of a chaos seed, the site, a context
+//! string (usually the shard spec or file name) and how many times the
+//! site has been checked — so every chaos run is replayable from its
+//! seed alone.
 //!
 //! Design constraints, in order:
 //!
@@ -55,11 +55,8 @@ pub enum Site {
     /// signatures are the dispatcher's only liveness signal.
     HeartbeatStale,
     /// A store append writes only a prefix of the record, then the
-    /// process dies — the torn tail both backends must tolerate.
+    /// process dies — the torn tail both store formats must tolerate.
     AppendTorn,
-    /// The segment store's index sidecar is written as garbage, forcing
-    /// the next open to fall back to a full scan.
-    IndexCorrupt,
 }
 
 impl Site {
@@ -71,7 +68,6 @@ impl Site {
             Site::LegHang => "leg-hang",
             Site::HeartbeatStale => "heartbeat-stale",
             Site::AppendTorn => "append-torn",
-            Site::IndexCorrupt => "index-corrupt",
         }
     }
 
@@ -84,7 +80,6 @@ impl Site {
             Site::LegHang => 0x94d0_49bb_1331_11eb,
             Site::HeartbeatStale => 0xd6e8_feb8_6659_fd93,
             Site::AppendTorn => 0xa0761d6478bd642f,
-            Site::IndexCorrupt => 0xe703_7ed1_a0b4_28db,
         }
     }
 }
@@ -203,7 +198,6 @@ pub fn would_fire(seed: u64, attempt: u32, site: Site, ctx: &str, check_no: u64)
     match site {
         // One-shot sites: decided on their first check only.
         Site::LaunchIo => check_no == 1 && roll < 25,
-        Site::IndexCorrupt => check_no == 1 && roll < 30,
         // k-th-hit sites: a selected context fires on exactly one
         // deterministic check (the crash/tear lands mid-run, not at a
         // fixed place).
@@ -238,13 +232,12 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
-    const SITES: [Site; 6] = [
+    const SITES: [Site; 5] = [
         Site::LaunchIo,
         Site::LegCrash,
         Site::LegHang,
         Site::HeartbeatStale,
         Site::AppendTorn,
-        Site::IndexCorrupt,
     ];
 
     #[test]

@@ -84,9 +84,6 @@ pub enum Counter {
     /// Store: torn trailing records dropped while opening for resume
     /// (the tail a killed writer left mid-append).
     StoreTornTailsDropped,
-    /// Segment store: index-sidecar entries that pointed at unreadable
-    /// frames and were served as misses instead.
-    StoreIndexStaleMisses,
     /// Dispatcher: leg launches that failed with an I/O error before
     /// the leg process existed.
     LaunchFailures,
@@ -116,7 +113,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in exposition order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 23] = [
         Counter::PacketsSimulated,
         Counter::StoreChunkHits,
         Counter::StoreChunkMisses,
@@ -129,7 +126,6 @@ impl Counter {
         Counter::RescueAttempts,
         Counter::MergesCompleted,
         Counter::StoreTornTailsDropped,
-        Counter::StoreIndexStaleMisses,
         Counter::LaunchFailures,
         Counter::BackoffWaits,
         Counter::ReshardSplits,
@@ -160,7 +156,6 @@ impl Counter {
             Counter::RescueAttempts => "rescue_attempts",
             Counter::MergesCompleted => "merges_completed",
             Counter::StoreTornTailsDropped => "store_torn_tails_dropped",
-            Counter::StoreIndexStaleMisses => "store_index_stale_misses",
             Counter::LaunchFailures => "launch_failures",
             Counter::BackoffWaits => "backoff_waits",
             Counter::ReshardSplits => "reshard_splits",

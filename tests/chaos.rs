@@ -5,8 +5,9 @@
 //! * A torn JSONL tail (a writer killed mid-append) is dropped on
 //!   resume, counted in `store_torn_tails_dropped`, and the store stays
 //!   appendable.
-//! * A segment-index entry pointing at an unreadable frame is served as
-//!   a miss, counted in `store_index_stale_misses` — never wrong data.
+//! * A rotted segment frame, wherever it sits, fails the store's open
+//!   with an error naming `campaign-admin gc`; once gc drops it, the
+//!   campaign re-simulates the chunk to the same manifest bytes.
 //! * `partition_store_into_slices` (elastic re-sharding's storage half)
 //!   moves every surviving record to exactly the slice that owns it and
 //!   removes the parent store.
@@ -15,7 +16,7 @@
 //!   `--strict` provenance audit.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use hspa_phy::harq::HarqStats;
 use resilience_core::campaign::store::{self, ChunkId, ResultStore};
@@ -101,47 +102,6 @@ fn torn_jsonl_tail_is_dropped_counted_and_the_store_stays_appendable() {
 }
 
 #[test]
-fn stale_segment_index_entry_is_a_counted_miss_not_wrong_data() {
-    let dir = temp_dir("stale-index");
-    let path = dir.join(shard::store_file(
-        NAME,
-        ShardSpec::single(),
-        BackendKind::Indexed,
-    ));
-    let records = vec![record(1, 0), record(2, 0)];
-    store::write_records(&path, &records).unwrap();
-    assert!(
-        path.with_extension("seg.idx").exists(),
-        "replace_all must leave an index sidecar for this test to corrupt under"
-    );
-
-    // Rot the last frame's payload in place. The sidecar still points
-    // at it, the segment length is unchanged — only the checksum can
-    // tell, and only at fetch time.
-    let mut bytes = fs::read(&path).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xff;
-    fs::write(&path, &bytes).unwrap();
-
-    let mut resumed = ResultStore::open(&path, true).unwrap();
-    assert_eq!(resumed.backend_kind(), BackendKind::Indexed);
-    let before = telemetry::snapshot().counter(Counter::StoreIndexStaleMisses);
-    assert!(
-        resumed.fetch(records[1].0).is_none(),
-        "an unreadable frame must read as a miss"
-    );
-    let after = telemetry::snapshot().counter(Counter::StoreIndexStaleMisses);
-    assert!(
-        after > before,
-        "a stale index hit must bump store_index_stale_misses ({before} -> {after})"
-    );
-    // The undamaged frame is unaffected.
-    assert_eq!(resumed.fetch(records[0].0).as_ref(), Some(&records[0].1));
-
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn partition_moves_every_record_to_the_slice_that_owns_it() {
     for backend in [BackendKind::Jsonl, BackendKind::Indexed] {
         let dir = temp_dir(&format!("partition-{backend:?}"));
@@ -197,6 +157,79 @@ fn demo_points(cfg: &SystemConfig) -> Vec<CampaignPoint> {
             fault_seed: None,
         })
         .collect()
+}
+
+/// Manifest bytes after the degenerate 0/1 merge, which normalizes the
+/// resume-provenance counters a rerun records.
+fn merged_manifest(dir: &Path, tag: &str) -> String {
+    let out = dir.join(format!("merged-{tag}"));
+    let manifest = dir.join(shard::manifest_file(NAME, ShardSpec::single()));
+    shard::merge_manifests(NAME, &[manifest], &out).unwrap();
+    fs::read_to_string(out.join(shard::manifest_file(NAME, ShardSpec::single()))).unwrap()
+}
+
+#[test]
+fn rotted_segment_frame_fails_the_open_and_gc_resimulates_it() {
+    let dir = temp_dir("rotted-frame");
+    let cfg = SystemConfig::fast_test();
+    let sim = LinkSimulator::new(cfg);
+    let points = demo_points(&cfg);
+    let settings = CampaignSettings {
+        initial_chunk: 4,
+        backend: BackendKind::Indexed,
+        ..Default::default()
+    };
+    let campaign =
+        || Campaign::new(NAME, settings, SimulationEngine::serial()).with_store_dir(&dir);
+    campaign().run(&sim, &points);
+    let reference = merged_manifest(&dir, "ref");
+    let path = campaign().store_path();
+    let (mut records, torn) = store::load_all(&path).unwrap();
+    assert_eq!(torn, 0);
+    assert!(
+        records.len() >= 3,
+        "need a first, a middle and a last frame"
+    );
+    let pristine = fs::read(&path).unwrap();
+
+    // Where each frame ends: the length of the store holding the
+    // records before it and itself.
+    let scratch = dir.join("prefix.seg");
+    let frame_end = |k: usize| {
+        store::write_records(&scratch, &records[..=k]).unwrap();
+        fs::metadata(&scratch).unwrap().len() as usize
+    };
+    let middle = records.len() / 2;
+    for k in [0, middle, records.len() - 1] {
+        // Rot the frame's last payload byte: only its checksum can tell.
+        let mut bytes = pristine.clone();
+        bytes[frame_end(k) - 1] ^= 0xff;
+        fs::write(&path, &bytes).unwrap();
+        let err = ResultStore::open(&path, true).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "frame {k}");
+        assert!(
+            err.to_string().contains("campaign-admin gc"),
+            "frame {k}: {err}"
+        );
+    }
+
+    // The middle frame stays rotted; gc drops it and nothing else.
+    let gc = shard::gc(NAME, &dir, ShardSpec::single()).unwrap();
+    assert_eq!(gc.dropped_corrupt, 1);
+    assert_eq!(gc.kept, records.len() - 1);
+
+    // The rerun serves every other chunk from the store and simulates
+    // the dropped one again, to the same bytes.
+    let rerun = campaign().run(&sim, &points);
+    assert_eq!(rerun.chunks_from_store(), records.len() as u64 - 1);
+    assert_eq!(merged_manifest(&dir, "rerun"), reference);
+    let (mut healed, torn) = store::load_all(&path).unwrap();
+    assert_eq!(torn, 0);
+    healed.sort_by_key(|(id, _)| *id);
+    records.sort_by_key(|(id, _)| *id);
+    assert_eq!(healed, records, "the re-simulated chunk is the lost one");
+
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
