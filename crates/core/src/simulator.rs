@@ -3,11 +3,18 @@
 //! [`LinkSimulator`] wires the full chain of the paper's Fig. 1:
 //!
 //! ```text
-//! payload → CRC24 → turbo encode → rate match(RV) → channel interleave
-//!        → QAM modulate → fading channel + noise → MMSE equalize
-//!        → soft demap → deinterleave → HARQ combine ⟷ LLR MEMORY
+//! payload → CRC24 → turbo encode
+//!        → ┌ rate match(RV) → channel interleave → QAM modulate ┐  one gather
+//!        → fading channel + noise → MMSE equalize → soft demap
+//!        → └ deinterleave → de-rate-match(RV) ┘ + HARQ combine ⟷ LLR MEMORY
 //!        → turbo decode → CRC check → ACK / retransmission
 //! ```
+//!
+//! The bracketed stages are fused per attempt through a
+//! [`TransmissionMap`] built at construction: the modulator reads each
+//! channel bit straight from the codeword, and the demapped LLRs are
+//! added straight into the combining buffer, in rate-matched order so
+//! repeated positions sum exactly as the stage-by-stage chain sums them.
 //!
 //! The LLR memory is any [`LlrBuffer`]; swapping in a
 //! [`crate::FaultyLlrBuffer`] realizes the paper's fault-injection
@@ -24,11 +31,11 @@
 //!
 //! The simulator is split for the Monte-Carlo engine
 //! ([`crate::engine::SimulationEngine`]): all codec state — CRC, turbo
-//! code, rate matcher (with its cached RV index maps), channel
-//! interleaver, channel model — lives behind one shared [`Arc`], so
-//! cloning a `LinkSimulator` hands a worker thread a cheap handle instead
-//! of rebuilding interleaver tables. All per-packet mutable state lives
-//! in the caller-owned [`PacketScratch`], whose buffers (including the
+//! code, the per-attempt transmission maps, channel model — lives behind
+//! one shared [`Arc`], so cloning a `LinkSimulator` hands a worker thread
+//! a cheap handle instead of rebuilding interleaver tables. All
+//! per-packet mutable state lives in the caller-owned [`PacketScratch`],
+//! whose buffers (including the
 //! [`DspScratch`] with the turbo-decoder trellis, equalizer design and
 //! channel-realization workspaces) are reused across packets so the
 //! steady-state packet loop performs no heap allocation anywhere in the
@@ -45,9 +52,9 @@ use hspa_phy::channel::{
 };
 use hspa_phy::crc::Crc;
 use hspa_phy::equalizer::EqScratch;
-use hspa_phy::harq::{HarqProcess, LlrBuffer};
+use hspa_phy::harq::{combine_into, LlrBuffer};
 use hspa_phy::interleave::ChannelInterleaver;
-use hspa_phy::rate_match::RateMatcher;
+use hspa_phy::rate_match::{RateMatcher, TransmissionMap};
 use hspa_phy::turbo::{AccuracyTier, DecoderConfig, LaneFeed, TurboBatchScratch, TurboCode};
 
 use crate::config::{ChannelKind, SystemConfig};
@@ -66,8 +73,9 @@ struct LinkCore {
     config: SystemConfig,
     crc: Crc,
     code: TurboCode,
-    rate_matcher: RateMatcher,
-    interleaver: ChannelInterleaver,
+    /// Rate matching and interleaving of attempt `a` (its RV under the
+    /// configured combining), indexed by `a`.
+    tx_maps: Vec<TransmissionMap>,
     channel: Box<dyn ChannelModel + Send + Sync>,
 }
 
@@ -85,16 +93,19 @@ struct LinkCore {
 pub struct StageNanos {
     /// Payload generation + CRC attach + turbo encode (once per packet).
     pub encode: u64,
-    /// Rate matching + channel interleaving + modulation.
+    /// Modulation: one gather of the codeword's bits in channel order
+    /// (rate matching and channel interleaving fused in) through the
+    /// constellation's level table.
     pub modulate: u64,
     /// Channel realization + propagation + noise.
     pub channel: u64,
     /// MMSE design + filtering (or the flat-channel scalar path).
     pub equalize: u64,
-    /// Soft demapping + deinterleaving.
+    /// Soft demapping alone.
     pub demap: u64,
-    /// HARQ combining through the LLR buffer, plus staging the combined
-    /// LLRs into the decoder batch.
+    /// HARQ combining: the de-interleaving, de-rate-matching scatter-add
+    /// of the demapped LLRs into the combined codeword, plus the LLR
+    /// buffer's load and store/load round trip.
     pub harq: u64,
     /// Batched turbo decoding + CRC checks (whole wave, on lane 0).
     pub decode: u64,
@@ -155,13 +166,10 @@ impl Default for DspScratch {
 /// [`PacketScratch::heap_capacities`].
 #[derive(Default)]
 pub struct PacketScratch {
-    tx_bits: Vec<u8>,
-    tx_interleaved: Vec<u8>,
     symbols: Vec<Complex64>,
     received: Vec<Complex64>,
     equalized: Vec<Complex64>,
     llrs: Vec<f64>,
-    llrs_deinterleaved: Vec<f64>,
     combined: Vec<f64>,
     dsp: DspScratch,
     /// The 1-lane wave bookkeeping of `simulate_packet_with`.
@@ -185,13 +193,10 @@ impl PacketScratch {
     /// `tests/alloc_regression.rs` asserts.
     pub fn heap_capacities(&self) -> Vec<usize> {
         let mut caps = vec![
-            self.tx_bits.capacity(),
-            self.tx_interleaved.capacity(),
             self.symbols.capacity(),
             self.received.capacity(),
             self.equalized.capacity(),
             self.llrs.capacity(),
-            self.llrs_deinterleaved.capacity(),
             self.combined.capacity(),
             self.dsp.payload.capacity(),
             self.dsp.block.capacity(),
@@ -243,7 +248,8 @@ impl std::fmt::Debug for LinkSimulator {
 }
 
 impl LinkSimulator {
-    /// Builds the simulator, instantiating codec, interleavers and channel.
+    /// Builds the simulator, instantiating codec, channel, and one
+    /// [`TransmissionMap`] per HARQ attempt.
     ///
     /// # Panics
     ///
@@ -253,6 +259,11 @@ impl LinkSimulator {
         let code = TurboCode::new(config.turbo_k()).expect("validated turbo length");
         let rate_matcher = RateMatcher::new(config.turbo_k(), config.channel_bits_per_tx);
         let interleaver = ChannelInterleaver::new(config.channel_bits_per_tx);
+        let tx_maps = (0..config.max_transmissions)
+            .map(|attempt| {
+                TransmissionMap::new(&rate_matcher, &interleaver, config.combining.rv(attempt))
+            })
+            .collect();
         let channel: Box<dyn ChannelModel + Send + Sync> = match config.channel {
             ChannelKind::Awgn => Box::new(AwgnChannel),
             ChannelKind::PedestrianA => Box::new(MultipathChannel::pedestrian_a_symbol_rate()),
@@ -268,8 +279,7 @@ impl LinkSimulator {
                 config,
                 crc: Crc::gcrc24(),
                 code,
-                rate_matcher,
-                interleaver,
+                tx_maps,
                 channel,
             }),
         }
@@ -443,10 +453,10 @@ impl LinkCore {
         };
     }
 
-    /// The per-attempt front end of the packet in `scratch`: rate match,
-    /// interleave, modulate, channel, equalize, demap, then HARQ-combine
-    /// through `buffer` into `scratch.combined` — the codeword its decode
-    /// job reads.
+    /// The per-attempt front end of the packet in `scratch`: modulate
+    /// (through the attempt's [`TransmissionMap`]), channel, equalize,
+    /// demap, then HARQ-combine through `buffer` into `scratch.combined`
+    /// — the codeword its decode job reads.
     fn front_end<B: LlrBuffer>(
         &self,
         buffer: &mut B,
@@ -459,14 +469,9 @@ impl LinkCore {
             block_phase,
             attempt,
         } = scratch.in_flight;
-        let rv = cfg.combining.rv(attempt);
+        let tx_map = &self.tx_maps[attempt];
         stage!(scratch, modulate, {
-            self.rate_matcher
-                .rate_match_into(&scratch.dsp.coded, rv, &mut scratch.tx_bits);
-            self.interleaver
-                .interleave_into(&scratch.tx_bits, &mut scratch.tx_interleaved);
-            cfg.modulation
-                .modulate_into(&scratch.tx_interleaved, &mut scratch.symbols);
+            tx_map.modulate_into(&scratch.dsp.coded, cfg.modulation, &mut scratch.symbols);
         });
         stage!(scratch, channel, {
             self.channel.realize_attempt_into(
@@ -510,16 +515,11 @@ impl LinkCore {
                 eff_noise.max(1e-9),
                 &mut scratch.llrs,
             );
-            self.interleaver
-                .deinterleave_into(&scratch.llrs, &mut scratch.llrs_deinterleaved);
         });
         stage!(scratch, harq, {
-            let mut harq = HarqProcess::new(&self.rate_matcher, cfg.combining, buffer);
-            harq.combine_transmission_into(
-                attempt,
-                &scratch.llrs_deinterleaved,
-                &mut scratch.combined,
-            );
+            combine_into(buffer, attempt, &mut scratch.combined, |sum| {
+                tx_map.scatter_add(&scratch.llrs, sum)
+            });
         });
     }
 }

@@ -189,10 +189,8 @@ impl HarqCombining {
 /// One HARQ process: combines successive transmissions of one transport
 /// block through an [`LlrBuffer`].
 ///
-/// The process borrows its rate matcher — the matcher (with its cached
-/// redundancy-version index maps) is immutable shared state, so parallel
-/// Monte-Carlo workers create one `HarqProcess` per packet without
-/// cloning any codec tables.
+/// The process borrows its rate matcher — immutable shared state — so
+/// one `HarqProcess` per packet clones no codec tables.
 ///
 /// # Example
 ///
@@ -264,34 +262,37 @@ impl<'a, B: LlrBuffer> HarqProcess<'a, B> {
     ///
     /// Panics if `rx_llrs.len()` differs from the per-transmission length.
     pub fn combine_transmission(&mut self, attempt: usize, rx_llrs: &[f64]) -> Vec<f64> {
+        let rv = self.combining.rv(attempt);
+        let rate_matcher = self.rate_matcher;
         let mut combined = Vec::new();
-        self.combine_transmission_into(attempt, rx_llrs, &mut combined);
+        combine_into(&mut self.buffer, attempt, &mut combined, |sum| {
+            rate_matcher.accumulate(rx_llrs, rv, sum)
+        });
         combined
     }
+}
 
-    /// Allocation-free [`HarqProcess::combine_transmission`]: `out` is
-    /// used as the working buffer and ends up holding the combined
-    /// codeword LLRs as read back from storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rx_llrs.len()` differs from the per-transmission length.
-    pub fn combine_transmission_into(
-        &mut self,
-        attempt: usize,
-        rx_llrs: &[f64],
-        out: &mut Vec<f64>,
-    ) {
-        let rv = self.combining.rv(attempt);
-        if attempt == 0 {
-            out.clear();
-            out.resize(self.rate_matcher.coded_len(), 0.0);
-        } else {
-            self.buffer.load_into(out);
-        }
-        self.rate_matcher.accumulate(rx_llrs, rv, out);
-        self.buffer.store_load(out);
+/// One soft-combining step through `buffer`, the paper's Fig. 1(b):
+/// `out` receives the stored LLRs (zeros on attempt 0, which starts a
+/// new block), `add_transmission` adds the transmission's de-rate-matched
+/// LLRs, and the sum is written back and read again
+/// ([`LlrBuffer::store_load`]), so `out` ends up holding what the
+/// decoder reads. Allocation-free once `out` has grown to the buffer's
+/// capacity.
+pub fn combine_into<B: LlrBuffer + ?Sized>(
+    buffer: &mut B,
+    attempt: usize,
+    out: &mut Vec<f64>,
+    add_transmission: impl FnOnce(&mut [f64]),
+) {
+    if attempt == 0 {
+        out.clear();
+        out.resize(buffer.capacity(), 0.0);
+    } else {
+        buffer.load_into(out);
     }
+    add_transmission(out);
+    buffer.store_load(out);
 }
 
 /// Outcome statistics of a HARQ Monte-Carlo run (one operating point).

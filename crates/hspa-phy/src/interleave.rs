@@ -78,21 +78,8 @@ impl ChannelInterleaver {
     ///
     /// Panics if `input.len()` differs from the block length.
     pub fn interleave<T: Copy>(&self, input: &[T]) -> Vec<T> {
-        let mut out = Vec::new();
-        self.interleave_into(input, &mut out);
-        out
-    }
-
-    /// Allocation-free [`ChannelInterleaver::interleave`]: clears `out`
-    /// and fills it, reusing capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` differs from the block length.
-    pub fn interleave_into<T: Copy>(&self, input: &[T], out: &mut Vec<T>) {
         assert_eq!(input.len(), self.len, "interleaver length mismatch");
-        out.clear();
-        out.extend(self.perm.iter().map(|&i| input[i]));
+        self.perm.iter().map(|&i| input[i]).collect()
     }
 
     /// Applies the inverse permutation.
@@ -101,21 +88,8 @@ impl ChannelInterleaver {
     ///
     /// Panics if `input.len()` differs from the block length.
     pub fn deinterleave<T: Copy>(&self, input: &[T]) -> Vec<T> {
-        let mut out = Vec::new();
-        self.deinterleave_into(input, &mut out);
-        out
-    }
-
-    /// Allocation-free [`ChannelInterleaver::deinterleave`]: clears `out`
-    /// and fills it, reusing capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` differs from the block length.
-    pub fn deinterleave_into<T: Copy>(&self, input: &[T], out: &mut Vec<T>) {
         assert_eq!(input.len(), self.len, "deinterleaver length mismatch");
-        out.clear();
-        out.extend(self.inv.iter().map(|&i| input[i]));
+        self.inv.iter().map(|&i| input[i]).collect()
     }
 }
 

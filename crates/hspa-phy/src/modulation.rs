@@ -65,24 +65,44 @@ impl Modulation {
     }
 
     /// Allocation-free [`Modulation::modulate`]: clears `out` and fills
-    /// it, reusing capacity.
+    /// it, reusing capacity. The identity-map case of
+    /// [`Modulation::modulate_gather_into`].
     ///
     /// # Panics
     ///
     /// Panics if `bits.len()` is not a multiple of
     /// [`Modulation::bits_per_symbol`] or contains non-binary values.
     pub fn modulate_into(self, bits: &[u8], out: &mut Vec<Complex64>) {
-        let bps = self.bits_per_symbol();
-        assert_eq!(bits.len() % bps, 0, "bit count must be a symbol multiple");
-        crate::bits::assert_binary(bits);
-        let half = self.bits_per_axis();
-        let norm = self.norm();
-        out.clear();
-        out.extend(bits.chunks(bps).map(|chunk| {
-            let i = pam_level(&chunk[..half]) / norm;
-            let q = pam_level(&chunk[half..]) / norm;
-            Complex64::new(i, q)
-        }));
+        self.modulate_with(bits.len(), |i| bits[i], out);
+    }
+
+    /// Gather and modulate in one pass: symbol `j` carries the bits
+    /// `bits[src[b·j]], …, bits[src[b·j + b − 1]]` (`b` bits per symbol),
+    /// so `modulate_gather_into(bits, src, out)` equals modulating the
+    /// gathered stream `src.iter().map(|&i| bits[i])`, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len()` is not a multiple of
+    /// [`Modulation::bits_per_symbol`], an index is out of range, or a
+    /// gathered bit is non-binary.
+    pub fn modulate_gather_into(self, bits: &[u8], src: &[usize], out: &mut Vec<Complex64>) {
+        self.modulate_with(src.len(), |i| bits[src[i]], out);
+    }
+
+    /// Clears `out` and fills it with the symbols of the `n_bits`-bit
+    /// stream whose `i`-th bit is `bit(i)`.
+    fn modulate_with(self, n_bits: usize, bit: impl Fn(usize) -> u8, out: &mut Vec<Complex64>) {
+        assert_eq!(
+            n_bits % self.bits_per_symbol(),
+            0,
+            "bit count must be a symbol multiple"
+        );
+        match self {
+            Modulation::Qpsk => modulate_axes::<1>(self.norm(), n_bits, bit, out),
+            Modulation::Qam16 => modulate_axes::<2>(self.norm(), n_bits, bit, out),
+            Modulation::Qam64 => modulate_axes::<3>(self.norm(), n_bits, bit, out),
+        }
     }
 
     /// Max-log soft demapping: produces one LLR per bit
@@ -113,30 +133,35 @@ impl Modulation {
         let nv = noise_var * norm * norm;
         let denom = 2.0 * (nv / 2.0);
         out.clear();
-        out.reserve(symbols.len() * self.bits_per_symbol());
+        out.resize(symbols.len() * self.bits_per_symbol(), 0.0);
         // Per-constellation unrolled axis demappers: the Gray code of a
         // fixed 2/4/8-level PAM axis is compile-time constant, so the
         // min-distance search over each bit's 0-set and 1-set becomes a
         // branchless `min` tree over fixed subsets — the same minima
         // (and therefore bit-identical LLRs) as the generic level loop
-        // in `axis_llrs`, at a fraction of its branchy cost.
+        // in `axis_llrs`, at a fraction of its branchy cost. They write
+        // into fixed-size chunks of the presized `out`, which lets the
+        // compiler vectorize the loop across symbols.
         match self {
             Modulation::Qpsk => {
-                for &s in symbols {
-                    axis_llrs_2pam(s.re * norm, denom, out);
-                    axis_llrs_2pam(s.im * norm, denom, out);
+                for (s, o) in symbols.iter().zip(out.chunks_exact_mut(2)) {
+                    let (i, q) = o.split_at_mut(1);
+                    axis_llrs_2pam(s.re * norm, denom, i);
+                    axis_llrs_2pam(s.im * norm, denom, q);
                 }
             }
             Modulation::Qam16 => {
-                for &s in symbols {
-                    axis_llrs_4pam(s.re * norm, denom, out);
-                    axis_llrs_4pam(s.im * norm, denom, out);
+                for (s, o) in symbols.iter().zip(out.chunks_exact_mut(4)) {
+                    let (i, q) = o.split_at_mut(2);
+                    axis_llrs_4pam(s.re * norm, denom, i);
+                    axis_llrs_4pam(s.im * norm, denom, q);
                 }
             }
             Modulation::Qam64 => {
-                for &s in symbols {
-                    axis_llrs_8pam(s.re * norm, denom, out);
-                    axis_llrs_8pam(s.im * norm, denom, out);
+                for (s, o) in symbols.iter().zip(out.chunks_exact_mut(6)) {
+                    let (i, q) = o.split_at_mut(3);
+                    axis_llrs_8pam(s.re * norm, denom, i);
+                    axis_llrs_8pam(s.im * norm, denom, q);
                 }
             }
         }
@@ -162,53 +187,82 @@ impl std::fmt::Display for Modulation {
     }
 }
 
-/// Gray-coded PAM level for `bits` (MSB first), un-normalized
-/// (±1, ±3, …).
-///
-/// Convention: all-zero bits map to the most positive level, consistent
-/// with "bit 0 → +1" BPSK.
-fn pam_level(bits: &[u8]) -> f64 {
-    // Gray decode MSB-first into an index 0..L.
+/// Un-normalized level of PAM index `idx` on an `l`-level axis (±1,
+/// ±3, …): index 0 → +(L-1), index L-1 → -(L-1), descending by 2.
+fn pam_level(l: usize, idx: usize) -> f64 {
+    (l as f64 - 1.0) - 2.0 * idx as f64
+}
+
+/// Gray-decodes one axis's `HALF` bits (MSB first, starting at stream
+/// position `base`) into its PAM index `0..2^HALF`. Convention: all-zero
+/// bits map to index 0, the most positive level, consistent with
+/// "bit 0 → +1" BPSK. `seen` ORs in every bit read, so the caller can
+/// reject non-binary input after the pass.
+#[inline(always)]
+fn gray_index<const HALF: usize>(bit: &impl Fn(usize) -> u8, base: usize, seen: &mut u8) -> usize {
     let mut idx = 0usize;
     let mut acc = 0u8;
-    for &b in bits {
-        acc ^= b;
-        idx = (idx << 1) | acc as usize;
+    for b in 0..HALF {
+        let v = bit(base + b);
+        *seen |= v;
+        acc ^= v;
+        idx = (idx << 1) | (acc & 1) as usize;
     }
-    let l = 1usize << bits.len();
-    // Index 0 → +(L-1), index L-1 → -(L-1): descending by 2.
-    (l as f64 - 1.0) - 2.0 * idx as f64
+    idx
+}
+
+/// Square-QAM modulation with `HALF` bits per axis: each axis's Gray
+/// index looks its level up in a table whose entries are `pam_level`
+/// over `norm`, the same expression per symbol, so every symbol is
+/// bit-identical to computing the level in place.
+fn modulate_axes<const HALF: usize>(
+    norm: f64,
+    n_bits: usize,
+    bit: impl Fn(usize) -> u8,
+    out: &mut Vec<Complex64>,
+) {
+    let l = 1usize << HALF;
+    let levels: [f64; 8] = std::array::from_fn(|idx| pam_level(l, idx) / norm);
+    let mut seen = 0u8;
+    out.clear();
+    out.extend((0..n_bits / (2 * HALF)).map(|j| {
+        let base = 2 * HALF * j;
+        let i = gray_index::<HALF>(&bit, base, &mut seen);
+        let q = gray_index::<HALF>(&bit, base + HALF, &mut seen);
+        Complex64::new(levels[i], levels[q])
+    }));
+    assert!(seen <= 1, "bit vector contains non-binary values");
 }
 
 /// 2-PAM (QPSK axis): Gray map `[+1, -1]`, one bit whose 0-set is the
 /// positive level.
 #[inline]
-fn axis_llrs_2pam(y: f64, denom: f64, out: &mut Vec<f64>) {
+fn axis_llrs_2pam(y: f64, denom: f64, out: &mut [f64]) {
     let d0 = y - 1.0;
     let d1 = y - -1.0;
-    out.push((d1 * d1 - d0 * d0) / denom);
+    out[0] = (d1 * d1 - d0 * d0) / denom;
 }
 
 /// 4-PAM (16QAM axis): levels `[+3, +1, -1, -3]` carry Gray patterns
 /// `[00, 01, 11, 10]` (MSB first).
 #[inline]
-fn axis_llrs_4pam(y: f64, denom: f64, out: &mut Vec<f64>) {
+fn axis_llrs_4pam(y: f64, denom: f64, out: &mut [f64]) {
     let d0 = y - 3.0;
     let d1 = y - 1.0;
     let d2 = y - -1.0;
     let d3 = y - -3.0;
     let (q0, q1, q2, q3) = (d0 * d0, d1 * d1, d2 * d2, d3 * d3);
     // MSB: 0-set {+3, +1}, 1-set {-1, -3}.
-    out.push((q2.min(q3) - q0.min(q1)) / denom);
+    out[0] = (q2.min(q3) - q0.min(q1)) / denom;
     // LSB: 0-set {+3, -3}, 1-set {+1, -1}.
-    out.push((q1.min(q2) - q0.min(q3)) / denom);
+    out[1] = (q1.min(q2) - q0.min(q3)) / denom;
 }
 
 /// 8-PAM (64QAM axis): levels `[+7, +5, +3, +1, -1, -3, -5, -7]` carry
 /// Gray patterns `[000, 001, 011, 010, 110, 111, 101, 100]` (MSB
 /// first).
 #[inline]
-fn axis_llrs_8pam(y: f64, denom: f64, out: &mut Vec<f64>) {
+fn axis_llrs_8pam(y: f64, denom: f64, out: &mut [f64]) {
     let d0 = y - 7.0;
     let d1 = y - 5.0;
     let d2 = y - 3.0;
@@ -220,11 +274,11 @@ fn axis_llrs_8pam(y: f64, denom: f64, out: &mut Vec<f64>) {
     let (q0, q1, q2, q3) = (d0 * d0, d1 * d1, d2 * d2, d3 * d3);
     let (q4, q5, q6, q7) = (d4 * d4, d5 * d5, d6 * d6, d7 * d7);
     // MSB: 0-set is the positive half.
-    out.push((q4.min(q5).min(q6).min(q7) - q0.min(q1).min(q2).min(q3)) / denom);
+    out[0] = (q4.min(q5).min(q6).min(q7) - q0.min(q1).min(q2).min(q3)) / denom;
     // Middle bit: 0-set {±7, ±5}, 1-set {±3, ±1}.
-    out.push((q2.min(q3).min(q4).min(q5) - q0.min(q1).min(q6).min(q7)) / denom);
+    out[1] = (q2.min(q3).min(q4).min(q5) - q0.min(q1).min(q6).min(q7)) / denom;
     // LSB: 0-set {+7, +1, -1, -7}, 1-set {+5, +3, -3, -5}.
-    out.push((q1.min(q2).min(q5).min(q6) - q0.min(q3).min(q4).min(q7)) / denom);
+    out[2] = (q1.min(q2).min(q5).min(q6) - q0.min(q3).min(q4).min(q7)) / denom;
 }
 
 /// Per-axis max-log LLRs for a received PAM value `y` on the
@@ -241,8 +295,7 @@ fn axis_llrs(y: f64, bits: usize, noise_var: f64, out: &mut Vec<f64>) {
     let mut d2 = [0.0f64; 8];
     let mut bit_patterns = [0usize; 8];
     for idx in 0..l {
-        let level = (l as f64 - 1.0) - 2.0 * idx as f64;
-        let d = y - level;
+        let d = y - pam_level(l, idx);
         d2[idx] = d * d;
         // Gray encode idx back to bits.
         bit_patterns[idx] = idx ^ (idx >> 1);
@@ -317,6 +370,36 @@ mod tests {
     }
 
     #[test]
+    fn level_table_matches_levels_computed_in_place() {
+        // Every symbol pattern, against the level computed per symbol
+        // from its Gray-decoded index, bit for bit.
+        for m in [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
+            let (bps, half) = (m.bits_per_symbol(), m.bits_per_axis());
+            let bits: Vec<u8> = (0..1usize << bps)
+                .flat_map(|v| (0..bps).rev().map(move |i| ((v >> i) & 1) as u8))
+                .collect();
+            let axis = |chunk: &[u8]| {
+                let (mut idx, mut acc) = (0, 0);
+                for &b in chunk {
+                    acc ^= b;
+                    idx = (idx << 1) | acc as usize;
+                }
+                pam_level(1 << half, idx) / m.norm()
+            };
+            for (s, chunk) in m.modulate(&bits).iter().zip(bits.chunks(bps)) {
+                assert_eq!(s.re.to_bits(), axis(&chunk[..half]).to_bits(), "{m}");
+                assert_eq!(s.im.to_bits(), axis(&chunk[half..]).to_bits(), "{m}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-binary")]
+    fn non_binary_bits_are_rejected() {
+        let _ = Modulation::Qam16.modulate(&[0, 1, 2, 0]);
+    }
+
+    #[test]
     fn gray_mapping_adjacent_levels_differ_one_bit() {
         // For 8-PAM (64QAM axis): adjacent levels must differ in exactly
         // one Gray bit.
@@ -327,7 +410,8 @@ mod tests {
                 .rev()
                 .map(|i| ((v >> i) & 1) as u8)
                 .collect();
-            let level = pam_level(&bits) as i64;
+            let idx = gray_index::<3>(&|b| bits[b], 0, &mut 0);
+            let level = pam_level(8, idx) as i64;
             level_to_bits.insert(level, v);
         }
         let levels: Vec<i64> = level_to_bits.keys().copied().collect();

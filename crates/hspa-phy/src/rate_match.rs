@@ -13,9 +13,17 @@
 //! first for non-self-decodable ones (`s = 0`); parity streams share the
 //! remaining budget evenly. The whole mapping is exposed as an index map,
 //! which makes the receiver's LLR de-rate-matching (accumulation) exact.
+//!
+//! [`TransmissionMap`] composes one redundancy version's map with the
+//! channel interleaver, so a link runs each side of the channel as one
+//! pass over the channel bits: a gather into the modulator, and a
+//! scatter-add out of the demapper.
 
+use dsp::Complex64;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+
+use crate::interleave::ChannelInterleaver;
+use crate::modulation::Modulation;
 
 /// A redundancy version: `s` selects systematic priority, `r` rotates the
 /// puncturing phase.
@@ -68,28 +76,12 @@ impl Default for RedundancyVersion {
 /// assert_eq!(map.len(), 240);
 /// assert!(map.iter().all(|&i| i < 312));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RateMatcher {
     k: usize,
     coded_len: usize,
     target_len: usize,
-    /// Lazily-built index maps, one slot per `(r, s)` redundancy version.
-    /// Rate matching and LLR accumulation run once per transmission of
-    /// every simulated packet, so rebuilding the map each call dominated
-    /// the hot path; the cache makes those calls allocation-free.
-    cache: [OnceLock<Vec<usize>>; RateMatcher::CACHE_SLOTS],
 }
-
-impl PartialEq for RateMatcher {
-    fn eq(&self, other: &Self) -> bool {
-        // The cache is derived state; identity is the configuration.
-        self.k == other.k
-            && self.coded_len == other.coded_len
-            && self.target_len == other.target_len
-    }
-}
-
-impl Eq for RateMatcher {}
 
 impl RateMatcher {
     /// Creates a rate matcher for information length `k` (codeword
@@ -111,16 +103,7 @@ impl RateMatcher {
             k,
             coded_len,
             target_len,
-            cache: Default::default(),
         }
-    }
-
-    const CACHE_SLOTS: usize = 2 * RedundancyVersion::R_MAX as usize;
-
-    /// The cached index map for `rv`, built on first use.
-    fn cached_map(&self, rv: RedundancyVersion) -> &[usize] {
-        let slot = (rv.r as usize % RedundancyVersion::R_MAX as usize) * 2 + rv.s as usize;
-        self.cache[slot].get_or_init(|| self.index_map(rv))
     }
 
     /// Information block length.
@@ -146,7 +129,6 @@ impl RateMatcher {
     /// The transmission index map for redundancy version `rv`:
     /// `output[j] = codeword[map[j]]`. Repetition repeats indices;
     /// puncturing omits them.
-    // alloc: cold(cache fill behind OnceLock; runs once per redundancy version, then reused)
     pub fn index_map(&self, rv: RedundancyVersion) -> Vec<usize> {
         // Stream boundaries in the TurboCode::encode layout:
         // sys = [0, k) ∪ tail1 systematic positions, but tails are stored
@@ -218,22 +200,8 @@ impl RateMatcher {
     ///
     /// Panics if `coded.len() != coded_len()`.
     pub fn rate_match(&self, coded: &[u8], rv: RedundancyVersion) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.rate_match_into(coded, rv, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`RateMatcher::rate_match`]: clears
-    /// `out` and fills it with the transmission bits, reusing its
-    /// capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coded.len() != coded_len()`.
-    pub fn rate_match_into(&self, coded: &[u8], rv: RedundancyVersion, out: &mut Vec<u8>) {
         assert_eq!(coded.len(), self.coded_len, "codeword length mismatch");
-        out.clear();
-        out.extend(self.cached_map(rv).iter().map(|&i| coded[i]));
+        self.index_map(rv).iter().map(|&i| coded[i]).collect()
     }
 
     /// De-rate-matching: accumulates received LLRs into a codeword-sized
@@ -247,8 +215,97 @@ impl RateMatcher {
     pub fn accumulate(&self, llrs: &[f64], rv: RedundancyVersion, buffer: &mut [f64]) {
         assert_eq!(llrs.len(), self.target_len, "received length mismatch");
         assert_eq!(buffer.len(), self.coded_len, "buffer length mismatch");
-        for (j, &idx) in self.cached_map(rv).iter().enumerate() {
+        for (j, &idx) in self.index_map(rv).iter().enumerate() {
             buffer[idx] += llrs[j];
+        }
+    }
+}
+
+/// One transmission's rate matching (for one redundancy version) and
+/// channel interleaving, composed into flat index maps. A link builds
+/// one per HARQ attempt up front; each transmission then costs one
+/// gather on the transmit side and one scatter-add on the receive side,
+/// bit-identical to the stage-by-stage chain (checked in
+/// `tests/transmission_equivalence.rs`).
+///
+/// # Example
+///
+/// ```
+/// use hspa_phy::interleave::ChannelInterleaver;
+/// use hspa_phy::rate_match::{RateMatcher, RedundancyVersion, TransmissionMap};
+/// use hspa_phy::Modulation;
+///
+/// let (rm, il) = (RateMatcher::new(100, 240), ChannelInterleaver::new(240));
+/// let rv = RedundancyVersion::chase();
+/// let map = TransmissionMap::new(&rm, &il, rv);
+/// let coded = vec![1u8; rm.coded_len()];
+/// let mut symbols = Vec::new();
+/// map.modulate_into(&coded, Modulation::Qpsk, &mut symbols);
+/// let staged = Modulation::Qpsk.modulate(&il.interleave(&rm.rate_match(&coded, rv)));
+/// assert_eq!(symbols, staged);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TransmissionMap {
+    coded_len: usize,
+    /// `rm[j]`: the coded position rate-matched bit `j` carries.
+    rm: Vec<usize>,
+    /// `src[i] = rm[perm[i]]`: the coded position channel bit `i`
+    /// carries.
+    src: Vec<usize>,
+    /// `inv[j]`: the channel bit rate-matched bit `j` is sent as.
+    inv: Vec<usize>,
+}
+
+impl TransmissionMap {
+    /// Composes `rate_matcher`'s map for `rv` with `interleaver`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the interleaver length differs from the rate matcher's
+    /// channel-bit budget.
+    pub fn new(
+        rate_matcher: &RateMatcher,
+        interleaver: &ChannelInterleaver,
+        rv: RedundancyVersion,
+    ) -> Self {
+        let rm = rate_matcher.index_map(rv);
+        let iota: Vec<usize> = (0..rm.len()).collect();
+        Self {
+            coded_len: rate_matcher.coded_len(),
+            src: interleaver.interleave(&rm),
+            inv: interleaver.deinterleave(&iota),
+            rm,
+        }
+    }
+
+    /// Rate match, interleave and modulate in one gather: clears `out`
+    /// and fills it with
+    /// `modulation.modulate(&interleaver.interleave(&rate_matcher.rate_match(coded, rv)))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coded.len()` is not the codeword length, the channel
+    /// bits are not a symbol multiple, or a sent bit is non-binary.
+    pub fn modulate_into(&self, coded: &[u8], modulation: Modulation, out: &mut Vec<Complex64>) {
+        assert_eq!(coded.len(), self.coded_len, "codeword length mismatch");
+        modulation.modulate_gather_into(coded, &self.src, out);
+    }
+
+    /// De-interleave and de-rate-match in one scatter-add: adds the
+    /// channel-order `llrs` into the codeword-domain `buffer` exactly as
+    /// `rate_matcher.accumulate(&interleaver.deinterleave(llrs), rv, buffer)`
+    /// does. The loop runs in rate-matched order, so a position that
+    /// repetition sends twice sums in the same order, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `llrs.len()` is not the channel-bit budget or
+    /// `buffer.len()` is not the codeword length.
+    pub fn scatter_add(&self, llrs: &[f64], buffer: &mut [f64]) {
+        assert_eq!(llrs.len(), self.inv.len(), "received length mismatch");
+        assert_eq!(buffer.len(), self.coded_len, "buffer length mismatch");
+        for (&pos, &bit) in self.rm.iter().zip(&self.inv) {
+            buffer[pos] += llrs[bit];
         }
     }
 }
