@@ -163,6 +163,19 @@ fn settings(p: &mut FigureArgs) -> &mut CampaignSettings {
     p.budget.campaign.get_or_insert_with(Default::default)
 }
 
+/// Stores the parsed value `x` into the campaign settings with `set`,
+/// then checks them against the controller's ranges
+/// ([`CampaignSettings::check`]).
+fn checked<T>(
+    p: &mut FigureArgs,
+    x: Result<T, String>,
+    set: fn(&mut CampaignSettings, T),
+) -> Result<(), String> {
+    let s = settings(p);
+    set(s, x?);
+    s.check()
+}
+
 /// Flags of every Monte-Carlo binary: the engine budget.
 #[rustfmt::skip]
 static BUDGET_FLAGS: &[Flag<FigureArgs>] = &[
@@ -182,13 +195,14 @@ static BUDGET_FLAGS: &[Flag<FigureArgs>] = &[
 #[rustfmt::skip]
 static CAMPAIGN_FLAGS: &[Flag<FigureArgs>] = &[
     flag(&["--precision"], "P", "target relative half-width of each point's BLER interval (finite, >= 0)",
-        |p, v| value_if(v, |x: &f64| (0.0..f64::INFINITY).contains(x)).map(|x| settings(p).precision = x)),
+        |p, v| checked(p, value(v), |s, x| s.precision = x)),
     flag(&["--bler-floor"], "F", "BLER below which a point counts as resolved (0..=1)",
-        |p, v| value_if(v, |x: &f64| (0.0..=1.0).contains(x)).map(|x| settings(p).bler_floor = x)),
+        |p, v| checked(p, value(v), |s, x| s.bler_floor = x)),
     flag(&["--chunk"], "N", "packets of a point's first adaptive chunk (>= 1)",
-        |p, v| value_if(v, |&n: &usize| n >= 1).map(|n| settings(p).initial_chunk = n)),
+        |p, v| checked(p, value(v), |s, n| s.initial_chunk = n)),
+    // 0 is the settings' "off", not a target: only leaving the flag out means it.
     flag(&["--target-ci"], "W", "absolute Wilson half-width target (finite, > 0); replaces --precision",
-        |p, v| value_if(v, |x: &f64| x.is_finite() && *x > 0.0).map(|x| settings(p).target_ci = x)),
+        |p, v| checked(p, value_if(v, |&w: &f64| w != 0.0), |s, w| s.target_ci = w)),
     owned(flag(&["--shard"], "I/N", "run only shard I of N, into suffixed store and manifest files",
         |p, v| value(v).map(|s| settings(p).shard = s))),
     flag(&["--store-backend"], "KIND", "result store: jsonl (default) or indexed; same manifest bytes",

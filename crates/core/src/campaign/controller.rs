@@ -96,26 +96,48 @@ impl CampaignSettings {
         }
     }
 
+    /// Checks every field against the range the command line accepts:
+    /// `precision` finite and >= 0, `bler_floor` in 0..=1,
+    /// `initial_chunk` >= 1, `target_ci` 0 (off) or finite and > 0.
+    /// `Err` names the first field out of range.
+    // alloc: cold(runs once per settings value, when a flag, a campaign or a manifest is read; the walk reaches it by name from the CRC's `check`)
+    pub fn check(&self) -> Result<(), String> {
+        let (p, f, w) = (self.precision, self.bler_floor, self.target_ci);
+        if !(p.is_finite() && p >= 0.0) {
+            Err(format!("precision must be finite and >= 0, got {p}"))
+        } else if !(0.0..=1.0).contains(&f) {
+            Err(format!("bler_floor must be in 0..=1, got {f}"))
+        } else if self.initial_chunk == 0 {
+            Err("initial_chunk must be >= 1, got 0".into())
+        } else if !(w == 0.0 || w.is_finite() && w > 0.0) {
+            Err(format!(
+                "target_ci must be 0 (off) or finite and > 0, got {w}"
+            ))
+        } else {
+            Ok(())
+        }
+    }
+
     /// The next chunk of a point that has already realized `realized`
     /// packets of a `max_packets` budget, or `None` once the budget is
     /// exhausted.
     ///
-    /// This is the schedule the campaign loop actually runs. It is a
-    /// pure function of `(realized, max_packets, merged stats)`, so a
-    /// resumed run replays exactly the same chunk ranges as the run that
+    /// This is the schedule every point's step follows. It is a pure
+    /// function of `(realized, max_packets, merged stats)`, so a resumed
+    /// run replays exactly the same chunk ranges as the run that
     /// populated the store. In the default (relative-precision) mode
     /// chunks double the cumulative packet count (`initial`, then totals
     /// `2·initial`, `4·initial`, …) and clamp to `max_packets`, so even a
     /// fully escalated point runs only O(log) rounds; in `--target-ci`
     /// mode the chunk jumps toward the Wilson-estimated sample count for
-    /// the requested absolute half-width.
+    /// the requested absolute half-width. Settings that fail
+    /// [`check`](Self::check) have no defined schedule.
     pub fn next_chunk(
         &self,
         realized: usize,
         max_packets: usize,
         stats: &HarqStats,
     ) -> Option<(usize, usize)> {
-        assert!(self.initial_chunk > 0, "initial chunk must be positive");
         if realized >= max_packets {
             return None;
         }
@@ -166,59 +188,31 @@ impl CampaignSettings {
         }
     }
 
-    /// Replays the campaign loop for one point over stored chunks: from
-    /// zero it follows [`next_chunk`](Self::next_chunk), merges each
-    /// chunk `fetch(first_packet, n_packets)` returns, and stops once
-    /// [`converged`](Self::converged) holds or the budget is used up —
+    /// Replays the campaign loop for one point over stored chunks:
+    /// the adopting schedule step stepped through every chunk
+    /// `fetch(first_packet, n_packets)` returns until the point stops —
     /// what a resume served wholly from the store does, so the result
     /// reproduces the point's manifest record. `Err` is the first
-    /// scheduled range `fetch` cannot supply; a chunk with the wrong
-    /// packet count, or a shape that cannot merge, counts as missing.
+    /// scheduled range `fetch` cannot supply; a chunk the step refuses
+    /// counts as missing.
     pub fn replay(
         &self,
         max_packets: usize,
         mut fetch: impl FnMut(usize, usize) -> Option<HarqStats>,
     ) -> Result<Replay, (usize, usize)> {
-        let mut replay = Replay {
-            stats: HarqStats::new(0, 0),
-            chunks: 0,
-            converged: false,
-        };
-        while !replay.converged {
-            let realized = replay.stats.packets as usize;
-            let Some((first, len)) = self.next_chunk(realized, max_packets, &replay.stats) else {
-                break;
-            };
-            // The first chunk fixes the point's transmission budget.
-            let transmissions = (replay.chunks > 0).then_some(replay.stats.failures_at.len());
-            let chunk = fetch(first, len)
-                .filter(|c| chunk_fits(c, len, transmissions))
-                .ok_or((first, len))?;
-            if replay.chunks == 0 {
-                replay.stats = chunk;
-            } else {
-                replay.stats.merge(&chunk);
+        let mut point = PointRun::default();
+        while let Some((first, len)) = point.due(self, max_packets) {
+            if !fetch(first, len).is_some_and(|chunk| point.offer(self, len, &chunk)) {
+                return Err((first, len));
             }
-            replay.chunks += 1;
-            replay.converged = self.converged(&replay.stats);
         }
-        Ok(replay)
+        Ok(point.replay)
     }
-}
-
-/// Whether a stored chunk is the one the schedule asked for: it covers
-/// exactly `len` packets and holds one failure count per transmission
-/// of the point's budget (`transmissions`; `None` accepts any budget),
-/// so it merges into the point. The campaign's store fetch and
-/// [`CampaignSettings::replay`] use only chunks that fit; any other is
-/// a miss.
-pub(crate) fn chunk_fits(chunk: &HarqStats, len: usize, transmissions: Option<usize>) -> bool {
-    chunk.packets == len as u64 && transmissions.is_none_or(|t| chunk.failures_at.len() == t)
 }
 
 /// What the controller's schedule derives for one point: the outcome
 /// of a campaign run, or of [`CampaignSettings::replay`] over a store.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Replay {
     /// Merged statistics of every chunk the schedule ran.
     pub stats: HarqStats,
@@ -226,6 +220,66 @@ pub struct Replay {
     pub chunks: usize,
     /// Whether the stopping rule fired (false = budget cap).
     pub converged: bool,
+}
+
+/// One point's walk through the schedule, shared by the campaign run
+/// and [`CampaignSettings::replay`]: which chunk is due, whether a chunk
+/// fits, how it merges and when the point stops. The default step
+/// adopts its first chunk, as a replay over a store must: it knows no
+/// simulator config.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub(crate) struct PointRun {
+    replay: Replay,
+    /// Failure counts a chunk must hold, one per transmission of the
+    /// point's budget; `None` until the first chunk fixes it.
+    transmissions: Option<usize>,
+}
+
+impl PointRun {
+    /// A step that merges every chunk into `stats` (a campaign run,
+    /// which knows the point's transmission budget from its config).
+    pub fn seeded(stats: HarqStats) -> Self {
+        Self {
+            transmissions: Some(stats.failures_at.len()),
+            replay: Replay {
+                stats,
+                ..Replay::default()
+            },
+        }
+    }
+
+    /// What the schedule has derived so far.
+    pub fn replay(&self) -> &Replay {
+        &self.replay
+    }
+
+    /// The `(first_packet, n_packets)` chunk due next, or `None` once the
+    /// point converged or used up its `max_packets` budget.
+    pub fn due(&self, settings: &CampaignSettings, max_packets: usize) -> Option<(usize, usize)> {
+        if self.replay.converged {
+            return None;
+        }
+        let stats = &self.replay.stats;
+        settings.next_chunk(stats.packets as usize, max_packets, stats)
+    }
+
+    /// Takes `chunk` as the `len`-packet chunk [`due`](Self::due) named
+    /// if it fits: it covers exactly `len` packets and holds one failure
+    /// count per transmission of the point's budget. Merges it, applies
+    /// the stopping rule, and returns whether it was taken.
+    pub fn offer(&mut self, settings: &CampaignSettings, len: usize, chunk: &HarqStats) -> bool {
+        let tx = chunk.failures_at.len();
+        if chunk.packets != len as u64 || self.transmissions.is_some_and(|t| t != tx) {
+            return false;
+        }
+        match self.transmissions.replace(tx) {
+            Some(_) => self.replay.stats.merge(chunk),
+            None => self.replay.stats = chunk.clone(),
+        }
+        self.replay.chunks += 1;
+        self.replay.converged = settings.converged(&self.replay.stats);
+        true
+    }
 }
 
 /// The achieved confidence-interval quality of one point — computed once
@@ -486,6 +540,72 @@ mod tests {
         // A point with no budget runs no chunk.
         let r = s.replay(0, delivered_all).unwrap();
         assert_eq!((r.stats.packets, r.chunks), (0, 0));
+    }
+
+    #[test]
+    fn check_refuses_out_of_range_settings() {
+        let d = CampaignSettings::default();
+        for ok in [
+            d,
+            CampaignSettings::exhaustive(),
+            CampaignSettings {
+                target_ci: 0.05,
+                bler_floor: 1.0,
+                initial_chunk: 1,
+                ..d
+            },
+        ] {
+            assert_eq!(ok.check(), Ok(()), "{ok:?}");
+        }
+        type Edit = fn(&mut CampaignSettings);
+        let bad: [(&str, Edit); 7] = [
+            ("bler_floor", |s| s.bler_floor = 2.0),
+            ("bler_floor", |s| s.bler_floor = -0.1),
+            ("target_ci", |s| s.target_ci = -1.0),
+            ("target_ci", |s| s.target_ci = f64::INFINITY),
+            ("initial_chunk", |s| s.initial_chunk = 0),
+            ("precision", |s| s.precision = f64::NAN),
+            ("precision", |s| s.precision = -1.0),
+        ];
+        for (field, edit) in bad {
+            let mut s = d;
+            edit(&mut s);
+            let err = s.check().unwrap_err();
+            assert!(err.starts_with(field), "{s:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_seeded_run_and_a_replay_derive_the_same_point() {
+        // The campaign run seeds the step with the point's budget; a
+        // replay adopts its first chunk. Over the same chunks both end
+        // in the same statistics, chunk count and stopping decision.
+        let s = CampaignSettings {
+            initial_chunk: 8,
+            ..Default::default()
+        };
+        // Later chunks fail more packets, so the point does not resolve
+        // at once.
+        let chunk = |first: usize, len: usize| {
+            let failed = (first / 4).min(len) as u64;
+            let mut c = stats_with(len as u64, len as u64 - failed);
+            c.failures_at = vec![failed; 4];
+            c
+        };
+        let mut run = PointRun::seeded(HarqStats::new(4, 100));
+        while let Some((first, len)) = run.due(&s, 240) {
+            assert!(run.offer(&s, len, &chunk(first, len)));
+        }
+        let replay = s.replay(240, |first, len| Some(chunk(first, len))).unwrap();
+        assert_eq!(run.replay, replay);
+        // A seeded step refuses a chunk of another transmission budget
+        // from the start; it leaves the point as it was.
+        let mut run = PointRun::seeded(HarqStats::new(4, 100));
+        let mut short = chunk(0, 8);
+        short.failures_at.pop();
+        assert!(!run.offer(&s, 8, &short));
+        assert!(!run.offer(&s, 7, &chunk(0, 8)));
+        assert_eq!(run, PointRun::seeded(HarqStats::new(4, 100)));
     }
 
     #[test]

@@ -287,14 +287,12 @@ impl Manifest {
         let mut settings = CampaignSettings {
             precision: cur.tag(b",\n  \"settings\": {\"precision\": ")?.float()?,
             bler_floor: cur.tag(b", \"bler_floor\": ")?.float()?,
-            // The schedule is undefined for an empty first chunk.
-            initial_chunk: cur
-                .tag(b", \"initial_chunk\": ")?
-                .usize()
-                .filter(|&c| c > 0)?,
+            initial_chunk: cur.tag(b", \"initial_chunk\": ")?.usize()?,
             target_ci: cur.tag(b", \"target_ci\": ")?.float()?,
             ..CampaignSettings::default()
         };
+        // The schedule is undefined for settings out of range.
+        settings.check().ok()?;
         cur.tag(b"},\n")?;
         if cur.tag(b"  \"shard\": ").is_some() {
             settings.shard = cur.string()?.parse().ok()?;
@@ -560,6 +558,37 @@ mod tests {
         // So is a manifest cut at a point-line boundary.
         let cut = &json[..json.find(",\n    {\"index\": 1").unwrap()];
         assert!(Manifest::parse(&format!("{cut}\n  ]\n}}\n")).is_none());
+    }
+
+    #[test]
+    fn out_of_range_settings_never_parse() {
+        // Each manifest re-renders to its own bytes, so only the
+        // settings check can refuse it.
+        let d = CampaignSettings::default();
+        for settings in [
+            CampaignSettings {
+                bler_floor: 2.0,
+                ..d
+            },
+            CampaignSettings {
+                target_ci: -1.0,
+                ..d
+            },
+            CampaignSettings {
+                initial_chunk: 0,
+                ..d
+            },
+            CampaignSettings {
+                precision: f64::NAN,
+                ..d
+            },
+        ] {
+            let m = Manifest {
+                settings,
+                ..sample_manifest()
+            };
+            assert!(Manifest::parse(&m.render_json()).is_none(), "{settings:?}");
+        }
     }
 
     #[test]

@@ -91,6 +91,7 @@ use crate::telemetry::{
     self, Counter, EventLog, Field, Gauge, Histogram, LiveSnapshot, PointProgress,
 };
 
+use controller::PointRun;
 pub use controller::{CampaignSettings, PrecisionCheck};
 pub use dispatch::{
     dispatch, BackoffPolicy, CommandLauncher, DispatchConfig, DispatchReport, Launcher, Leg,
@@ -98,6 +99,7 @@ pub use dispatch::{
 };
 pub use manifest::{Manifest, ManifestTotals};
 pub use shard::ShardSpec;
+use store::ChunkId;
 pub use store::{BackendKind, QueryFilter, ResultStore};
 
 /// The default on-disk location of campaign stores and manifests.
@@ -296,13 +298,19 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Creates a campaign storing under [`DEFAULT_STORE_DIR`].
+    /// Creates a campaign storing under [`DEFAULT_STORE_DIR`]. Panics,
+    /// naming the field, on settings that fail
+    /// [`CampaignSettings::check`].
     pub fn new(
         name: impl Into<String>,
         settings: CampaignSettings,
         engine: SimulationEngine,
     ) -> Self {
         let name = name.into();
+        if let Err(e) = settings.check() {
+            // lint: allow(no-panic, a caller-built out-of-range setting has no defined schedule)
+            panic!("campaign {name}: {e}");
+        }
         Self {
             manifest: RefCell::new(Manifest::new(name.clone(), settings)),
             name,
@@ -446,17 +454,11 @@ impl Campaign {
     /// Builds and atomically writes the live snapshot, plus the
     /// Prometheus text render of the global registry. Failures are
     /// warnings: exposition must never take a campaign down.
-    #[allow(clippy::too_many_arguments)]
     fn write_exposition(
         &self,
         done: bool,
         run_start: Instant,
-        points: &[CampaignPoint],
-        keys: &[u64],
-        owned: &[bool],
-        stats: &[HarqStats],
-        converged: &[bool],
-        packets_hit: &[usize],
+        state: &[PointState],
         store: &ResultStore,
     ) {
         // heartbeat-artifact-goes-stale: skip the snapshot + Prometheus
@@ -475,22 +477,20 @@ impl Campaign {
         let mut packets_realized = 0u64;
         let mut packets_from_store = 0u64;
         let mut points_converged = 0u64;
-        for (i, point) in points.iter().enumerate() {
-            if !owned[i] {
-                continue;
-            }
-            let check = PrecisionCheck::of(&stats[i], &self.settings);
-            packets_realized += stats[i].packets;
-            packets_from_store += packets_hit[i] as u64;
-            points_converged += u64::from(converged[i]);
+        for s in state.iter().filter(|s| s.owned) {
+            let r = s.step.replay();
+            let check = PrecisionCheck::of(&r.stats, &self.settings);
+            packets_realized += r.stats.packets;
+            packets_from_store += s.packets_hit as u64;
+            points_converged += u64::from(r.converged);
             progress.push(PointProgress {
-                key: keys[i],
-                label: point.label.clone(),
-                packets: stats[i].packets,
-                max_packets: point.max_packets as u64,
+                key: s.key,
+                label: s.point.label.clone(),
+                packets: r.stats.packets,
+                max_packets: s.point.max_packets as u64,
                 bler: check.bler,
                 half_width: check.rel_half_width,
-                converged: converged[i],
+                converged: r.converged,
             });
         }
         let packets_simulated = packets_realized - packets_from_store;
@@ -542,36 +542,33 @@ impl Campaign {
     /// [`shard::merge`] can reassemble the single-host manifest.
     pub fn run(&self, sim: &LinkSimulator, points: &[CampaignPoint]) -> CampaignReport {
         let cfg = *sim.config();
-        let keys: Vec<u64> = points
+        let mut state: Vec<PointState> = points
             .iter()
-            .map(|p| {
-                hash::point_key(&hash::point_fingerprint(
+            .map(|point| {
+                let key = hash::point_key(&hash::point_fingerprint(
                     &cfg,
-                    &p.storage,
-                    p.snr_db,
-                    p.seed,
-                    p.fault_seed,
-                ))
+                    &point.storage,
+                    point.snr_db,
+                    point.seed,
+                    point.fault_seed,
+                ));
+                PointState {
+                    point,
+                    step: PointRun::seeded(HarqStats::new(cfg.max_transmissions, cfg.payload_bits)),
+                    key,
+                    owned: self.settings.shard.owns(key),
+                    chunks_hit: 0,
+                    packets_hit: 0,
+                }
             })
             .collect();
+        let owned = state.iter().filter(|s| s.owned).count() as u64;
         let mut store = self.open_store();
-        let mut stats: Vec<HarqStats> = points
-            .iter()
-            .map(|_| HarqStats::new(cfg.max_transmissions, cfg.payload_bits))
-            .collect();
-        let owned: Vec<bool> = keys.iter().map(|&k| self.settings.shard.owns(k)).collect();
-        let mut converged = vec![false; points.len()];
-        let mut chunks_run = vec![0usize; points.len()];
-        let mut chunks_hit = vec![0usize; points.len()];
-        let mut packets_hit = vec![0usize; points.len()];
 
         // determinism: wallclock(telemetry only; elapsed time feeds event-log timestamps, never results)
         let run_start = Instant::now();
         let expo = self.telemetry_enabled();
-        telemetry::gauge_add(
-            Gauge::PointsTotal,
-            owned.iter().filter(|&&o| o).count() as i64,
-        );
+        telemetry::gauge_add(Gauge::PointsTotal, owned as i64);
         if expo {
             let mut events = self.events.borrow_mut();
             if events.is_none() {
@@ -588,10 +585,7 @@ impl Campaign {
                     &[
                         ("campaign", Field::Str(&self.name)),
                         ("points", Field::U64(points.len() as u64)),
-                        (
-                            "owned",
-                            Field::U64(owned.iter().filter(|&&o| o).count() as u64),
-                        ),
+                        ("owned", Field::U64(owned)),
                         ("shard", Field::Str(&self.settings.shard.to_string())),
                     ],
                 );
@@ -599,20 +593,12 @@ impl Campaign {
         }
 
         loop {
-            // Points still owed a chunk. The schedule is driven by each
-            // point's realized packet count (`stats[i].packets`), a pure
-            // function of the merged statistics — identical whether the
-            // packets were simulated or replayed from the store.
+            // Points still owed a chunk. Each point's step schedules from
+            // its merged statistics alone — identical whether the packets
+            // were simulated or replayed from the store.
             let mut due: Vec<(usize, usize, usize)> = Vec::new();
-            for (i, point) in points.iter().enumerate() {
-                if !owned[i] || converged[i] {
-                    continue;
-                }
-                if let Some((first, len)) = self.settings.next_chunk(
-                    stats[i].packets as usize,
-                    point.max_packets,
-                    &stats[i],
-                ) {
+            for (i, s) in state.iter().enumerate().filter(|(_, s)| s.owned) {
+                if let Some((first, len)) = s.step.due(&self.settings, s.point.max_packets) {
                     due.push((i, first, len));
                 }
             }
@@ -625,55 +611,51 @@ impl Campaign {
             }
 
             // Serve what the store already knows; simulate the rest as
-            // one sharded engine batch.
-            let mut misses: Vec<(usize, usize, usize)> = Vec::new();
-            for &(i, first, len) in &due {
-                let id = store::ChunkId {
-                    point: keys[i],
-                    first_packet: first,
-                    n_packets: len,
+            // one sharded engine batch. A stored chunk the step refuses
+            // (a hand-edited list of another shape, say) is a counted
+            // miss and is simulated afresh.
+            let mut misses: Vec<(usize, ChunkId)> = Vec::new();
+            for &(i, first_packet, n_packets) in &due {
+                let s = &mut state[i];
+                let id = ChunkId {
+                    point: s.key,
+                    first_packet,
+                    n_packets,
                 };
-                chunks_run[i] += 1;
-                // A stored chunk of another shape (a hand-edited list,
-                // say) cannot merge: it is a counted miss and is
-                // simulated afresh.
-                let transmissions = Some(stats[i].failures_at.len());
-                if let Some(hit) =
-                    store.fetch_if(id, |c| controller::chunk_fits(c, len, transmissions))
+                if store
+                    .fetch_if(id, |c| s.step.offer(&self.settings, n_packets, c))
+                    .is_some()
                 {
-                    chunks_hit[i] += 1;
-                    packets_hit[i] += len;
-                    stats[i].merge(&hit);
+                    s.chunks_hit += 1;
+                    s.packets_hit += n_packets;
                 } else {
-                    misses.push((i, first, len));
+                    misses.push((i, id));
                 }
             }
             if !misses.is_empty() {
                 let chunks: Vec<ChunkSpec> = misses
                     .iter()
-                    .map(|&(i, first_packet, n_packets)| ChunkSpec {
+                    .map(|&(i, id)| ChunkSpec {
                         storage: points[i].storage.clone(),
                         snr_db: points[i].snr_db,
-                        first_packet,
-                        n_packets,
+                        first_packet: id.first_packet,
+                        n_packets: id.n_packets,
                         seed: points[i].seed,
                         fault_seed: points[i].fault_seed,
                     })
                     .collect();
                 let fresh = self.engine.run_chunks(sim, &chunks);
                 assert_eq!(fresh.len(), misses.len(), "one stats block per chunk");
-                for (&(i, first, len), chunk_stats) in misses.iter().zip(&fresh) {
-                    let id = store::ChunkId {
-                        point: keys[i],
-                        first_packet: first,
-                        n_packets: len,
-                    };
+                for (&(i, id), chunk_stats) in misses.iter().zip(&fresh) {
                     // A failed write only loses resumability, never
                     // correctness — warn and continue.
                     if let Err(e) = store.put(id, chunk_stats) {
                         eprintln!("campaign {}: store append failed: {e}", self.name);
                     }
-                    stats[i].merge(chunk_stats);
+                    let taken = state[i]
+                        .step
+                        .offer(&self.settings, id.n_packets, chunk_stats);
+                    assert!(taken, "a simulated chunk fits its point");
                 }
             }
 
@@ -697,12 +679,10 @@ impl Campaign {
                 }
             }
 
-            // Stopping decisions depend only on merged statistics, so
-            // they are identical whether chunks were simulated or read
-            // back — the resume path cannot change results.
+            // A due point was not converged when the round began, so a
+            // converged one stopped this round.
             for &(i, _, _) in &due {
-                if !converged[i] && self.settings.converged(&stats[i]) {
-                    converged[i] = true;
+                if state[i].step.replay().converged {
                     telemetry::counter_add(Counter::PointsConverged, 1);
                     telemetry::gauge_add(Gauge::PointsConvergedNow, 1);
                 }
@@ -714,119 +694,105 @@ impl Campaign {
                 // tightened toward the stopping rule.
                 if let Some(log) = self.events.borrow().as_ref() {
                     for &(i, first, len) in &due {
-                        let check = PrecisionCheck::of(&stats[i], &self.settings);
+                        let r = state[i].step.replay();
+                        let check = PrecisionCheck::of(&r.stats, &self.settings);
                         log.emit(
                             "chunk_done",
                             &[
-                                ("key", Field::Str(&format!("{:016x}", keys[i]))),
+                                ("key", Field::Str(&format!("{:016x}", state[i].key))),
                                 ("label", Field::Str(&points[i].label)),
                                 ("first_packet", Field::U64(first as u64)),
                                 ("n_packets", Field::U64(len as u64)),
-                                ("packets", Field::U64(stats[i].packets)),
+                                ("packets", Field::U64(r.stats.packets)),
                                 ("bler", Field::F64(check.bler)),
                                 ("ci_lo", Field::F64(check.ci.0)),
                                 ("ci_hi", Field::F64(check.ci.1)),
                                 ("rel_half_width", Field::F64(check.rel_half_width)),
-                                ("converged", Field::Bool(converged[i])),
+                                ("converged", Field::Bool(r.converged)),
                             ],
                         );
                     }
                 }
-                self.write_exposition(
-                    false,
-                    run_start,
-                    points,
-                    &keys,
-                    &owned,
-                    &stats,
-                    &converged,
-                    &packets_hit,
-                    &store,
-                );
+                self.write_exposition(false, run_start, &state, &store);
             }
         }
 
         if expo {
-            self.write_exposition(
-                true,
-                run_start,
-                points,
-                &keys,
-                &owned,
-                &stats,
-                &converged,
-                &packets_hit,
-                &store,
-            );
+            self.write_exposition(true, run_start, &state, &store);
             if let Some(log) = self.events.borrow().as_ref() {
+                let replays = state.iter().map(|s| s.step.replay());
+                let converged = replays.clone().filter(|r| r.converged).count();
                 log.emit(
                     "run_finished",
                     &[
                         ("campaign", Field::Str(&self.name)),
-                        (
-                            "converged",
-                            Field::U64(converged.iter().filter(|&&c| c).count() as u64),
-                        ),
+                        ("converged", Field::U64(converged as u64)),
                         (
                             "packets_realized",
-                            Field::U64(stats.iter().map(|s| s.packets).sum()),
+                            Field::U64(replays.map(|r| r.stats.packets).sum()),
                         ),
                     ],
                 );
             }
         }
 
-        let outcomes: Vec<PointOutcome> = points
-            .iter()
-            .enumerate()
-            .map(|(i, point)| PointOutcome {
-                label: point.label.clone(),
-                key: keys[i],
-                owned: owned[i],
-                snr_db: point.snr_db,
-                check: PrecisionCheck::of(&stats[i], &self.settings),
-                stats: stats[i].clone(),
-                max_packets: point.max_packets,
-                converged: converged[i],
-                chunks: chunks_run[i],
-                chunks_from_store: chunks_hit[i],
-                packets_from_store: packets_hit[i],
-                tier: cfg.accuracy_tier,
-            })
-            .collect();
-
         {
             let mut manifest = self.manifest.borrow_mut();
             let base = manifest.points_enumerated;
-            for (i, o) in outcomes.iter().enumerate().filter(|(_, o)| o.owned) {
-                let replay = controller::Replay {
-                    stats: o.stats.clone(),
-                    chunks: o.chunks,
-                    converged: o.converged,
-                };
+            for (i, s) in state.iter().enumerate().filter(|(_, s)| s.owned) {
                 manifest.points.push(manifest::PointRecord {
-                    chunks_from_store: o.chunks_from_store,
-                    packets_from_store: o.packets_from_store,
+                    chunks_from_store: s.chunks_hit,
+                    packets_from_store: s.packets_hit,
                     ..manifest::PointRecord::new(
                         base + i as u64,
-                        o.key,
-                        &o.label,
-                        o.snr_db,
-                        o.max_packets,
-                        o.tier,
+                        s.key,
+                        &s.point.label,
+                        s.point.snr_db,
+                        s.point.max_packets,
+                        cfg.accuracy_tier,
                         &self.settings,
-                        &replay,
+                        s.step.replay(),
                     )
                 });
             }
-            manifest.points_enumerated = base + outcomes.len() as u64;
+            manifest.points_enumerated = base + points.len() as u64;
             if let Err(e) = manifest.write(&self.manifest_path()) {
                 eprintln!("campaign {}: manifest write failed: {e}", self.name);
             }
         }
 
+        let outcomes = state
+            .iter()
+            .map(|s| PointOutcome {
+                label: s.point.label.clone(),
+                key: s.key,
+                owned: s.owned,
+                snr_db: s.point.snr_db,
+                check: PrecisionCheck::of(&s.step.replay().stats, &self.settings),
+                max_packets: s.point.max_packets,
+                converged: s.step.replay().converged,
+                chunks: s.step.replay().chunks,
+                stats: s.step.replay().stats.clone(),
+                chunks_from_store: s.chunks_hit,
+                packets_from_store: s.packets_hit,
+                tier: cfg.accuracy_tier,
+            })
+            .collect();
         CampaignReport { outcomes }
     }
+}
+
+/// One point's state across a [`Campaign::run`] call: its schedule
+/// step, store key, shard ownership and store provenance.
+struct PointState<'p> {
+    point: &'p CampaignPoint,
+    step: PointRun,
+    key: u64,
+    owned: bool,
+    /// Chunks served from the store.
+    chunks_hit: usize,
+    /// Packets served from the store.
+    packets_hit: usize,
 }
 
 #[cfg(test)]
@@ -912,6 +878,16 @@ mod tests {
         let r2 = c2.run(&sim, &points[..1]);
         assert_eq!(r2.chunks_from_store(), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "campaign t4: bler_floor must be in 0..=1")]
+    fn out_of_range_settings_are_refused_at_construction() {
+        let settings = CampaignSettings {
+            bler_floor: 2.0,
+            ..Default::default()
+        };
+        Campaign::new("t4", settings, SimulationEngine::serial());
     }
 
     #[test]

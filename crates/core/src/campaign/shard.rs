@@ -266,14 +266,6 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// The shard spec encoded in a manifest file name
-/// (`<name>.shard-I-of-N.manifest.json`), or `None` for unsuffixed /
-/// foreign file names.
-fn filename_shard_spec(name: &str, path: &Path) -> Option<ShardSpec> {
-    let stem = path.file_name()?.to_str()?.strip_suffix(".manifest.json")?;
-    artifact_stem_spec(name, stem)
-}
-
 /// The shard spec encoded in **any** shard artifact file name of
 /// `name` — store (`<name>.shard-I-of-N.jsonl` / `.seg`) or manifest
 /// (`<name>.shard-I-of-N.manifest.json`). The dispatcher's pre-flight
@@ -399,18 +391,21 @@ pub fn discover_shards(name: &str, dir: &Path) -> io::Result<Vec<PathBuf>> {
 
 /// Merges a complete set of shard runs back into the single-host files.
 ///
-/// Reads the given shard manifests (plus their sibling `.jsonl` stores),
-/// validates that they form one consistent, complete partition — same
-/// campaign, same settings, same enumeration count, disjoint indices
-/// covering every point — then writes `<out_dir>/<name>.manifest.json`
-/// and `<out_dir>/<name>.jsonl`. The shard manifests supply only
-/// settings, enumeration and point identities; every point's statistics
-/// come from [`super::CampaignSettings::replay`] over the merged store,
-/// and a listed point the store cannot back is an error naming it. The
+/// Reads the given shard manifests (plus the store next to each, in
+/// either backend), validates that they form one consistent, complete
+/// partition — same campaign, same settings, same enumeration count,
+/// disjoint indices covering every point — then writes
+/// `<out_dir>/<name>.manifest.json` and the merged store
+/// `<out_dir>/<name>.jsonl` or `.seg`, in the first leg's backend. The
+/// shard manifests supply only settings, enumeration and point
+/// identities; every point's statistics come from
+/// [`super::CampaignSettings::replay`] over the merged store, and a
+/// listed point the store cannot back is an error naming it. The
 /// merged manifest is byte-identical to the one an unsharded run at the
 /// same settings would write; the merged store holds the same chunk set
-/// (deduplicated, in canonical `(key, range)` order — a single-host
-/// store lists the identical records in execution order instead).
+/// (deduplicated with the last write of a chunk winning, in canonical
+/// `(key, range)` order — a single-host store lists the identical
+/// records in execution order instead).
 pub fn merge_manifests(
     name: &str,
     manifests: &[PathBuf],
@@ -443,9 +438,13 @@ pub fn merge_manifests_allowing_partial(
     for path in manifests {
         let m = Manifest::read(path)?;
         // A renamed artifact (file says shard I-of-N, content says J/M)
-        // would make the sibling-store lookup below read the wrong
-        // `.jsonl`; refuse it before any statistics are touched.
-        if let Some(file_spec) = filename_shard_spec(&m.name, path) {
+        // would make the store lookup below read another shard's
+        // store; refuse it before any statistics are touched.
+        let file_name = path
+            .file_name()
+            .and_then(|f| f.to_str())
+            .unwrap_or_default();
+        if let Some(file_spec) = artifact_shard_spec(&m.name, file_name) {
             if file_spec != m.settings.shard {
                 return Err(invalid(format!(
                     "{}: file is named shard {file_spec} but its manifest records \
@@ -560,13 +559,12 @@ pub fn merge_manifests_allowing_partial(
         }
     }
 
-    // Gather the stores, dropping duplicate chunk records (the first
-    // leg's copy wins). Each leg's backend is detected from which store
-    // file sits next to its manifest (legs of one dispatch share a
-    // backend, but merge does not insist on it); the merged store is
-    // written in the backend of the first shard.
-    let mut chunks: BTreeMap<ChunkId, HarqStats> = BTreeMap::new();
-    let mut loaded = 0;
+    // Gather the stores in leg order into one chunk map (the last write
+    // wins). Each leg's backend is detected from which store file sits
+    // next to its manifest (legs of one dispatch share a backend, but
+    // merge does not insist on it); the merged store is written in the
+    // backend of the first shard.
+    let mut records = Vec::new();
     let mut malformed_lines = 0;
     let mut merged_backend = BackendKind::default();
     for (i, (path, m)) in parsed.iter().enumerate() {
@@ -577,12 +575,9 @@ pub fn merge_manifests_allowing_partial(
         }
         let (recs, malformed) = store::load_all(&store_path)?;
         malformed_lines += malformed;
-        loaded += recs.len();
-        for (id, stats) in recs {
-            chunks.entry(id).or_insert(stats);
-        }
+        records.extend(recs);
     }
-    let duplicate_chunks = loaded - chunks.len();
+    let (chunks, duplicate_chunks) = chunk_map(records);
 
     // Leg manifests supply only settings, enumeration and the points'
     // identities. Every statistic is re-derived by replaying the
@@ -721,6 +716,21 @@ impl VerifyReport {
     }
 }
 
+/// The chunk set of `records`, one record per [`ChunkId`] in canonical
+/// `(key, range)` order, and the count of duplicates dropped. The last
+/// write of a chunk wins, as in a resumed [`store::ResultStore`], so
+/// `merge`, `verify` and `gc` serve the record the run served.
+fn chunk_map(
+    records: impl IntoIterator<Item = (ChunkId, HarqStats)>,
+) -> (BTreeMap<ChunkId, HarqStats>, usize) {
+    let mut chunks = BTreeMap::new();
+    let replaced = records
+        .into_iter()
+        .filter_map(|(id, stats)| chunks.insert(id, stats));
+    let duplicates = replaced.count();
+    (chunks, duplicates)
+}
+
 /// Replays the controller for one manifest point over a deduplicated
 /// chunk set, adding every chunk the schedule fetched to `used`. `Err`
 /// names the point and the first chunk of its schedule the store lacks.
@@ -781,13 +791,11 @@ pub fn verify_with(
     let manifest = Manifest::read(&dir.join(manifest_file(name, shard)))?;
     let (store_path, _) = detect_store_file(name, dir, shard)?;
     let (records, malformed_lines) = store::load_all(&store_path)?;
-    let loaded = records.len();
-    // Last write per chunk wins, as on a resume.
-    let chunks: BTreeMap<ChunkId, HarqStats> = records.into_iter().collect();
+    let (chunks, duplicate_chunks) = chunk_map(records);
     let live_keys: BTreeSet<u64> = manifest.points.iter().map(|p| p.key).collect();
     let mut report = VerifyReport {
         points: manifest.points.len(),
-        duplicate_chunks: loaded - chunks.len(),
+        duplicate_chunks,
         malformed_lines,
         // Orphans are counted over the deduplicated record set (a
         // repeated orphan line is one orphan + one duplicate), so
@@ -828,10 +836,8 @@ pub fn verify_with(
             ));
         }
     }
-    report.stale_chunks = chunks
-        .keys()
-        .filter(|id| live_keys.contains(&id.point) && !used.contains(id))
-        .count();
+    // Every chunk a replay used is of a live key.
+    report.stale_chunks = chunks.len() - report.orphan_chunks - used.len();
     if strict {
         for p in &manifest.points {
             let at = at(p);
@@ -894,8 +900,7 @@ pub fn gc(name: &str, dir: &Path, shard: ShardSpec) -> io::Result<GcReport> {
     // Lenient load: gc is the tool the strict loaders point at when they
     // hit a corrupt record, so it must read past (and drop) the damage.
     let load = store::load_all_lenient(&store_path)?;
-    let loaded = load.records.len();
-    let chunks: BTreeMap<ChunkId, HarqStats> = load.records.into_iter().collect();
+    let (chunks, dropped_duplicates) = chunk_map(load.records);
 
     let live_keys: BTreeSet<u64> = manifest.points.iter().map(|p| p.key).collect();
     let mut keep = BTreeSet::new();
@@ -919,7 +924,7 @@ pub fn gc(name: &str, dir: &Path, shard: ShardSpec) -> io::Result<GcReport> {
     Ok(GcReport {
         kept: kept_records.len(),
         dropped_orphans,
-        dropped_duplicates: loaded - chunks.len(),
+        dropped_duplicates,
         dropped_stale,
         dropped_malformed: load.torn_lines,
         dropped_corrupt: load.corrupt_records,
